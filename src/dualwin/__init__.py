@@ -28,7 +28,6 @@ from .framing import (
     algorithmic_latency,
     analyze,
     build_windows,
-    schedule_frame,
     synthesize,
     synthesize_frame,
 )

@@ -5,10 +5,10 @@ The filter for reference channel q minimizes, per frequency f,
 offline solution is ``w = Phi_yy^{-1} phi_ys`` with the mixture covariance
 ``Phi_yy = sum_t Y Y^H`` and the cross column ``phi_ys = sum_t Y S_q^*``
 (the q-th column of the full cross matrix, which is never materialized).
-The frame-online variant accumulates both statistics one frame at a time
-and either re-solves ("direct" mode) or maintains the covariance inverse
-through rank-1 Woodbury updates ("woodbury" mode), so no per-frame matrix
-inversion is needed.
+The frame-online variant accumulates phi_ys one frame at a time and
+either accumulates Phi_yy and re-solves ("direct" mode) or keeps only the
+covariance inverse, through rank-1 Woodbury updates ("woodbury" mode), so
+no per-frame matrix inversion is needed.
 
 All-zero initial statistics would be singular, so both paths start from a
 small diagonal loading eps*I (and the offline solver adds the same
@@ -136,9 +136,10 @@ class OnlineMcwf:
         self.forgetting = forgetting
         self.ref_mic = ref_mic
         eye = np.eye(channels, dtype=np.complex128)
-        self.phi_yy = np.tile(loading * eye, (n_bins, 1, 1))
         self.phi_ys = np.zeros((n_bins, channels), dtype=np.complex128)
+        # each mode keeps only the covariance statistic its filter is formed from
         self.inv_yy = np.tile(eye / loading, (n_bins, 1, 1)) if mode == "woodbury" else None
+        self.phi_yy = np.tile(loading * eye, (n_bins, 1, 1)) if mode == "direct" else None
         self._w = np.zeros((n_bins, channels), dtype=np.complex128)
         self._t = 0
 
@@ -170,23 +171,22 @@ class OnlineMcwf:
         if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(s))):
             raise ValueError("non-finite values in beamformer update")
         lam = self.forgetting
+        woodbury = self.mode == "woodbury"
         if lam != 1.0:
-            self.phi_yy *= lam
             self.phi_ys *= lam
-            if self.inv_yy is not None:
+            if woodbury:
                 self.inv_yy /= lam
-        self.phi_yy += np.einsum("fp,fq->fpq", Y, Y.conj())
+            else:
+                self.phi_yy *= lam
         self.phi_ys += Y * s.conj()[:, None]
-        if self.inv_yy is not None:
+        if woodbury:
             self.inv_yy = woodbury_update(self.inv_yy, Y)
+        else:
+            self.phi_yy += np.einsum("fp,fq->fpq", Y, Y.conj())
         if self._t % self.update_stride == 0:
-            if self.mode == "woodbury":
+            if woodbury:
                 self._w = np.einsum("fpq,fq->fp", self.inv_yy, self.phi_ys)
             else:
                 self._w = np.linalg.solve(self.phi_yy, self.phi_ys[..., None])[..., 0]
         self._t += 1
         return self._w
-
-    def hermitian_residual(self) -> float:
-        """Max |Phi_yy - Phi_yy^H| over all bins, for spot checks."""
-        return float(np.max(np.abs(self.phi_yy - self.phi_yy.conj().swapaxes(-1, -2))))

@@ -11,7 +11,9 @@ import json
 import sys
 
 
+from .beamformer import BeamformerStateError
 from .config import load_job
+from .estimators import ExternalProtocolError
 from .framing import FrameParams
 from .pipeline import ConfigError, audit_all, run_pipeline
 from .simulate import make_scene
@@ -196,7 +198,7 @@ def main(argv=None) -> int:
     except (ConfigError, WavError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, ExternalProtocolError, BeamformerStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

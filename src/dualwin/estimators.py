@@ -9,9 +9,11 @@ Oracle estimators are deliberately clairvoyant: they are bound to
 spectrograms of the clean reference (and, for the magnitude mask, of the
 mixture reference channel) computed with the identical analysis framing as
 the live stream, so they exercise the exact dual-window signal path while
-providing performance ceilings. The ``external`` kind delegates to a child
-process speaking a synchronous one-frame-in/one-frame-out stdio protocol,
-which is the extension point for real models.
+providing performance ceilings. Oracles and frame files alike become a
+table that is built once at bind time and replayed one row per frame. The
+``external`` kind delegates to a child process speaking a synchronous
+one-frame-in/one-frame-out stdio protocol, which is the extension point
+for real models.
 
 External protocol: after spawn, the parent writes one ASCII handshake line
 ``"<n_bins> <channels> <stage>\\n"``. Per frame it then writes a 4-byte
@@ -38,6 +40,8 @@ from .framing import FrameParams
 
 ESTIMATOR_KINDS = ("passthrough", "oracle_complex", "oracle_mag_mask", "file", "external")
 PASSTHROUGH_SOURCES = ("mixture", "stage1", "beamformer")
+MASK_FLOOR = 1e-8  # |Y| below this counts as a spectral null
+MASK_CLIP = 5.0  # largest oracle mask gain
 
 
 class ExternalProtocolError(RuntimeError):
@@ -68,9 +72,6 @@ class EstimatorKind:
     source: str = "mixture"
     path: str | None = None
     command: str | None = None
-    mask_floor: float = 1e-8
-    mask_clip: float = 5.0
-    timeout: float = 10.0
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
@@ -129,59 +130,37 @@ class PassthroughEstimator(Estimator):
         return np.asarray(picked)
 
 
-class OracleComplexEstimator(Estimator):
-    """Returns the true reference spectrum at frame t + k."""
+class TableEstimator(Estimator):
+    """Replays row ``t + k`` of a (T, n_bins) table built at bind time, or
+    zeros outside it: the reference frames, a frame file, or the oracle
+    magnitude-masked mixture."""
 
-    def __init__(self, n_bins, frames_ahead, reference_frames):
+    def __init__(self, n_bins, frames_ahead, table):
         super().__init__(n_bins, frames_ahead)
-        self.reference_frames = np.asarray(reference_frames)
+        self.table = np.asarray(table)
 
     def estimate(self, inp, t):
         idx = t + self.frames_ahead
-        if 0 <= idx < len(self.reference_frames):
-            return self.reference_frames[idx]
+        if 0 <= idx < len(self.table):
+            return self.table[idx]
         return self._zeros()
 
 
-class OracleMagnitudeMaskEstimator(Estimator):
-    """Scales the mixture reference channel by |S| / max(|Y|, floor).
+def _mask_table(reference_frames: np.ndarray, mixture_frames: np.ndarray) -> np.ndarray:
+    """``clip(|S| / max(|Y|, MASK_FLOOR), 0, MASK_CLIP) * Y`` over the
+    shorter of S and Y.
 
-    Keeps the mixture phase; the mask is clipped to [0, clip] so spectral
-    nulls cannot blow the filter up.
+    Keeps the mixture phase; the clip stops spectral nulls from blowing the
+    filter up. Computed in place so that one float (T, F) temporary exists
+    besides the result.
     """
-
-    def __init__(
-        self, n_bins, frames_ahead, reference_frames, mixture_frames,
-        floor=1e-8, clip=5.0,
-    ):
-        super().__init__(n_bins, frames_ahead)
-        self.reference_frames = np.asarray(reference_frames)
-        self.mixture_frames = np.asarray(mixture_frames)
-        self.floor = floor
-        self.clip = clip
-
-    def estimate(self, inp, t):
-        idx = t + self.frames_ahead
-        if not (0 <= idx < len(self.reference_frames) and idx < len(self.mixture_frames)):
-            return self._zeros()
-        y = self.mixture_frames[idx]
-        s = self.reference_frames[idx]
-        mask = np.clip(np.abs(s) / np.maximum(np.abs(y), self.floor), 0.0, self.clip)
-        return mask * y
-
-
-class FileBackedEstimator(Estimator):
-    """Replays frames from a file produced by :func:`save_frame_file`."""
-
-    def __init__(self, n_bins, frames_ahead, frames):
-        super().__init__(n_bins, frames_ahead)
-        self.frames = np.asarray(frames)
-
-    def estimate(self, inp, t):
-        idx = t + self.frames_ahead
-        if 0 <= idx < len(self.frames):
-            return self.frames[idx]
-        return self._zeros()
+    n = min(len(reference_frames), len(mixture_frames))
+    s, y = np.asarray(reference_frames)[:n], np.asarray(mixture_frames)[:n]
+    mask = np.abs(y)
+    np.maximum(mask, MASK_FLOOR, out=mask)
+    np.divide(np.abs(s), mask, out=mask)
+    np.clip(mask, 0.0, MASK_CLIP, out=mask)
+    return mask * y
 
 
 def save_frame_file(path, frames: np.ndarray, params: FrameParams):
@@ -321,17 +300,14 @@ def make_estimator(
     if kind.is_oracle and reference_frames is None:
         raise ValueError(f"{kind.kind} estimator requires a reference signal")
     if kind.kind == "oracle_complex":
-        return OracleComplexEstimator(n_bins, frames_ahead, reference_frames)
+        return TableEstimator(n_bins, frames_ahead, reference_frames)
     if kind.kind == "oracle_mag_mask":
         if mixture_ref_frames is None:
             raise ValueError("oracle_mag_mask requires mixture reference-channel frames")
-        return OracleMagnitudeMaskEstimator(
-            n_bins, frames_ahead, reference_frames, mixture_ref_frames,
-            kind.mask_floor, kind.mask_clip,
+        return TableEstimator(
+            n_bins, frames_ahead, _mask_table(reference_frames, mixture_ref_frames)
         )
     if kind.kind == "file":
         frames = load_frame_file(kind.path, params, expected_frames)
-        return FileBackedEstimator(n_bins, frames_ahead, frames)
-    return ExternalEstimator(
-        n_bins, frames_ahead, kind.command, channels, stage, kind.timeout
-    )
+        return TableEstimator(n_bins, frames_ahead, frames)
+    return ExternalEstimator(n_bins, frames_ahead, kind.command, channels, stage)

@@ -87,13 +87,6 @@ def algorithmic_latency(params: FrameParams) -> float:
     return params.ows_ms - params.frames_ahead * params.hop_ms
 
 
-def schedule_frame(t: int, frames_ahead: int) -> int:
-    """Output frame slot for a chunk predicted at frame ``t``."""
-    if frames_ahead < 0:
-        raise ValueError(f"frames_ahead must be >= 0, got {frames_ahead}")
-    return t + frames_ahead
-
-
 @dataclass(frozen=True)
 class SpectrumFrame:
     """One-sided DFT coefficients of a single channel at frame ``frame_index``."""
@@ -251,7 +244,7 @@ class SynthesisStream:
             raise ValueError(f"expected chunk of {a} samples, got {chunk.shape}")
         self._acc += chunk
         # this chunk covers output samples [start, start + a)
-        start = (schedule_frame(self._t, k) + 1) * b - a
+        start = (self._t + k + 1) * b - a
         self._t += 1
         end = start + b
         if end <= 0:

@@ -1,7 +1,10 @@
 import json
+import os
+import sys
 
 import pytest
 
+from dualwin import beamformer
 from dualwin.cli import main
 from dualwin.wavio import read_wav
 
@@ -110,6 +113,39 @@ class TestEnhanceCommand:
             tmp_path / "m.conf", ["mixture = nope.wav", "output = out.wav"]
         )
         assert main(["enhance", "--config", config]) == 1
+
+
+class TestRuntimeErrors:
+    """Runtime failures exit 2 with a one-line cause, not a traceback."""
+
+    def _enhance(self, tmp_path, scene_dir, stages):
+        config = _write_config(
+            tmp_path / "run.conf",
+            [
+                f"mixture = {scene_dir / 'mixture.wav'}",
+                f"output = {tmp_path / 'out.wav'}",
+                *stages,
+            ],
+        )
+        return main(["enhance", "--config", config])
+
+    def test_external_reply_length_mismatch_exits_2(self, tmp_path, scene_dir, capsys):
+        stub = os.path.join(os.path.dirname(__file__), "external_stub.py")
+        stage1 = f"stage1 = external:{sys.executable} {stub} short"
+        code = self._enhance(tmp_path, scene_dir, [stage1])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: external estimator replied")
+
+    def test_beamformer_state_error_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
+        def corrupt(inv, y):
+            raise beamformer.BeamformerStateError("inverse is no longer positive-definite")
+
+        monkeypatch.setattr(beamformer, "woodbury_update", corrupt)
+        code = self._enhance(tmp_path, scene_dir, ["beamformer = woodbury"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: inverse is no longer positive-definite"]
 
 
 class TestLatencyCheckCommand:

@@ -9,8 +9,6 @@ from dualwin.estimators import (
     EstimatorKind,
     ExternalEstimator,
     ExternalProtocolError,
-    OracleComplexEstimator,
-    OracleMagnitudeMaskEstimator,
     PassthroughEstimator,
     load_frame_file,
     make_estimator,
@@ -59,17 +57,32 @@ class TestPassthrough:
             est.estimate(EstimatorInput(np.zeros((1, 4), complex)), 0)
 
 
+def _bind_oracle(kind, frames_ahead, reference, mixture=None):
+    # a geometry with as many bins as the tables (n_bins = n_dft/2 + 1, at least 2)
+    n_dft = max(2, 2 * (reference.shape[1] - 1))
+    params = FrameParams(iws=2, ows=2, hop=1, n_dft=n_dft)
+    return make_estimator(
+        EstimatorKind(kind), params, frames_ahead, channels=1, stage=1,
+        reference_frames=reference, mixture_ref_frames=mixture,
+    )
+
+
+def _old_mask(s, y):
+    """The per-frame magnitude mask the table must reproduce bit for bit."""
+    return np.clip(np.abs(s) / np.maximum(np.abs(y), 1e-8), 0, 5) * y
+
+
 class TestOracles:
     def test_complex_oracle_returns_reference(self):
         rng = np.random.default_rng(2)
         ref = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        est = OracleComplexEstimator(4, 0, ref)
+        est = _bind_oracle("oracle_complex", 0, ref)
         inp = EstimatorInput(np.zeros((1, 4), complex))
         np.testing.assert_array_equal(est.estimate(inp, 3), ref[3])
 
     def test_complex_oracle_is_clairvoyant(self):
         ref = np.arange(12, dtype=complex).reshape(6, 2)
-        est = OracleComplexEstimator(2, 1, ref)
+        est = _bind_oracle("oracle_complex", 1, ref)
         inp = EstimatorInput(np.zeros((1, 2), complex))
         np.testing.assert_array_equal(est.estimate(inp, 3), ref[4])
         np.testing.assert_array_equal(est.estimate(inp, 5), np.zeros(2))  # past the end
@@ -77,7 +90,7 @@ class TestOracles:
     def test_mask_keeps_mixture_phase_and_reference_magnitude(self):
         y = np.array([[2.0 * np.exp(1j * 0.3)]])
         s = np.array([[2.0 * np.exp(1j * 2.0)]])  # same magnitude, other phase
-        est = OracleMagnitudeMaskEstimator(1, 0, s, y)
+        est = _bind_oracle("oracle_mag_mask", 0, s, y)
         out = est.estimate(EstimatorInput(y), 0)
         assert np.abs(out[0]) == pytest.approx(2.0, abs=1e-12)
         assert np.angle(out[0]) == pytest.approx(0.3, abs=1e-12)
@@ -85,9 +98,66 @@ class TestOracles:
     def test_mask_is_clipped(self):
         y = np.array([[0.1 + 0j]])
         s = np.array([[10.0 + 0j]])
-        est = OracleMagnitudeMaskEstimator(1, 0, s, y, clip=5.0)
+        est = _bind_oracle("oracle_mag_mask", 0, s, y)
         out = est.estimate(EstimatorInput(y), 0)
         assert np.abs(out[0]) == pytest.approx(0.5, abs=1e-12)  # 5 * |y|
+
+    def test_mask_table_matches_per_frame_expression(self):
+        rng = np.random.default_rng(25)
+        shape = (40, 129)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y[rng.random(shape) < 0.1] *= 1e-10  # |Y| below the floor
+        y[rng.random(shape) < 0.02] = 0.0
+        s[rng.random(shape) < 0.2] *= 100.0  # masks above the clip
+        quiet = rng.random(shape) < 0.05  # both tiny: the floor sets the mask
+        y[quiet] *= 1e-10
+        s[quiet] *= 1e-10
+        floored = np.abs(y) < 1e-8
+        assert np.any(floored & (np.abs(s) / 1e-8 < 5))
+        assert np.any(np.abs(s) / np.maximum(np.abs(y), 1e-8) > 5)
+        est = _bind_oracle("oracle_mag_mask", 0, s, y)
+        inp = EstimatorInput(np.zeros((1, shape[1]), complex))
+        for t in range(shape[0]):
+            assert np.array_equal(est.estimate(inp, t), _old_mask(s[t], y[t]))
+
+
+@pytest.mark.parametrize(
+    "kind, n_ref, n_mix",
+    [
+        ("oracle_complex", 6, None),
+        ("oracle_mag_mask", 7, 5),
+        ("oracle_mag_mask", 5, 7),
+        ("file", 6, None),
+    ],
+)
+def test_table_returns_row_t_plus_k_then_zeros(tmp_path, kind, n_ref, n_mix):
+    params = FrameParams()
+    rng = np.random.default_rng(26)
+
+    def spectrogram(n):
+        shape = (n, params.n_bins)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    ref = spectrogram(n_ref)
+    mix = spectrogram(n_mix) if n_mix else None
+    expected = ref
+    if kind == "oracle_mag_mask":
+        n = min(n_ref, n_mix)
+        expected = _old_mask(ref[:n], mix[:n])
+    path = None
+    if kind == "file":
+        path = str(tmp_path / "est.npz")
+        save_frame_file(path, ref, params)
+    est = make_estimator(
+        EstimatorKind(kind, path=path), params, 2, channels=1, stage=1,
+        reference_frames=None if path else ref, mixture_ref_frames=mix,
+    )
+    inp = EstimatorInput(np.zeros((1, params.n_bins), complex))
+    for t in range(len(expected) + 2):
+        out = est.estimate(inp, t)
+        row = expected[t + 2] if t + 2 < len(expected) else np.zeros(params.n_bins)
+        assert np.array_equal(out, row), t
 
 
 class TestFrameFiles:

@@ -11,7 +11,6 @@ from dualwin.framing import (
     algorithmic_latency,
     analyze,
     build_windows,
-    schedule_frame,
     synthesize,
     synthesize_frame,
 )
@@ -190,13 +189,6 @@ class TestLatencyAccounting:
         # 4 ms output window, 2 ms hop: 4/2/0/-2 ms for k = 0..3
         for k, expected in [(0, 4.0), (1, 2.0), (2, 0.0), (3, -2.0)]:
             assert algorithmic_latency(FrameParams(frames_ahead=k)) == expected
-
-    def test_schedule_frame(self):
-        assert schedule_frame(5, 0) == 5
-        assert schedule_frame(5, 1) == 6
-        assert schedule_frame(0, 3) == 3
-        with pytest.raises(ValueError):
-            schedule_frame(0, -1)
 
     def _release_times(self, params, probes):
         g, l = build_windows(TUKEY, params)
