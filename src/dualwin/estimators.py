@@ -179,9 +179,12 @@ def save_frame_file(path, frames: np.ndarray, params: FrameParams):
 
 def load_frame_file(path, params: FrameParams, expected_frames: int | None = None) -> np.ndarray:
     """Load and validate a frame file against the pipeline geometry."""
-    with np.load(path) as data:
-        frames = np.asarray(data["frames"])
-        stored = {k: int(data[k]) for k in ("sample_rate", "iws", "ows", "hop", "n_dft")}
+    try:
+        with np.load(path) as data:
+            frames = np.asarray(data["frames"])
+            stored = {k: int(data[k]) for k in ("sample_rate", "iws", "ows", "hop", "n_dft")}
+    except (EOFError, KeyError, TypeError) as exc:  # empty, a field missing, or not an .npz
+        raise ValueError(f"frame file {path} is not an archive from save_frame_file: {exc}") from exc
     for key, value in stored.items():
         if value != getattr(params, key):
             raise ValueError(

@@ -102,36 +102,51 @@ class MultichannelSpectrumFrame:
     bins: np.ndarray
     frame_index: int
 
-    @property
-    def channels(self) -> int:
-        return self.bins.shape[0]
-
     def channel(self, p: int) -> SpectrumFrame:
         return SpectrumFrame(self.bins[p], self.frame_index)
+
+
+def _check_window(window: AnalysisWindow, params: FrameParams):
+    if window.n != params.iws:
+        raise ValueError(f"window length {window.n} does not match iws {params.iws}")
+
+
+def _frames(data: np.ndarray, window: AnalysisWindow, params: FrameParams) -> np.ndarray:
+    """Spectra, shape (T, channels, n_bins), of the T = (n - iws) // hop + 1
+    frames ``data[:, t*hop : t*hop + iws]`` of a contiguous (channels, n) array.
+
+    One strided view is windowed and transformed in one batch. ``np.ndarray``
+    builds the view, bounds-checked, in under 1 us per live hop; ``as_strided``
+    takes about 4 us.
+    """
+    hop, iws = params.hop, params.iws
+    n_frames = (data.shape[1] - iws) // hop + 1
+    step, sample = data.strides
+    view = np.ndarray(
+        (n_frames, data.shape[0], iws), data.dtype, data, 0, (hop * sample, step, sample)
+    )
+    return np.fft.rfft(view * window.samples, n=params.n_dft, axis=-1)
 
 
 class AnalysisStream:
     """Chunk-in, frames-out STFT analysis with internal buffering.
 
-    The internal buffer starts as ``iws`` zeros, so the first frame is
-    emitted after one hop of input and contains ``iws - hop`` priming
-    zeros followed by the first hop of samples. Arbitrary chunk sizes are
-    accepted; leftovers shorter than a hop are carried over. Single-writer:
-    do not push concurrently on one stream.
+    The stream starts primed with ``iws - hop`` zeros, so the first frame is
+    emitted after one hop of input and contains those zeros followed by the
+    first hop of samples. Arbitrary chunk sizes are accepted; leftovers
+    shorter than a hop wait for the next push. Single-writer: do not push
+    concurrently on one stream.
     """
 
     def __init__(self, window: AnalysisWindow, params: FrameParams, channels: int = 1):
-        if window.n != params.iws:
-            raise ValueError(
-                f"window length {window.n} does not match iws {params.iws}"
-            )
+        _check_window(window, params)
         if channels < 1:
             raise ValueError(f"channels must be >= 1, got {channels}")
         self.window = window
         self.params = params
         self.channels = channels
-        self._buf = np.zeros((channels, params.iws))
-        self._carry = np.zeros((channels, 0))
+        # the last iws - hop samples seen, plus any partial hop
+        self._pending = np.zeros((channels, params.iws - params.hop))
         self._t = 0
 
     @property
@@ -148,19 +163,12 @@ class AnalysisStream:
             raise ValueError(
                 f"expected {self.channels} channels, got {chunk.shape[0]}"
             )
-        data = np.concatenate([self._carry, chunk], axis=1)
-        hop, iws, n_dft = self.params.hop, self.params.iws, self.params.n_dft
-        g = self.window.samples
-        frames = []
-        n_hops = data.shape[1] // hop
-        for i in range(n_hops):
-            self._buf[:, : iws - hop] = self._buf[:, hop:]
-            self._buf[:, iws - hop :] = data[:, i * hop : (i + 1) * hop]
-            bins = np.fft.rfft(g * self._buf, n=n_dft, axis=1)
-            frames.append(MultichannelSpectrumFrame(bins, self._t))
-            self._t += 1
-        self._carry = data[:, n_hops * hop :]
-        return frames
+        data = np.concatenate([self._pending, chunk], axis=1)
+        bins = _frames(data, self.window, self.params)
+        t0 = self._t
+        self._t += len(bins)
+        self._pending = data[:, len(bins) * self.params.hop :]
+        return list(map(MultichannelSpectrumFrame, bins, range(t0, self._t)))
 
 
 def analyze(
@@ -173,22 +181,17 @@ def analyze(
 
     ``signal`` may be (n,) or (channels, n). Returns the complex
     spectrogram, shape (T, n_bins) or (T, channels, n_bins), with
-    ``T = floor(n / hop)``. With ``flush=True`` the signal is zero-padded
+    ``T = floor(n / hop)``: the frames an :class:`AnalysisStream` emits
+    for the same samples. With ``flush=True`` the signal is zero-padded
     by ``ows + hop`` samples first, so the extra frames needed to
     resynthesize the signal tail are included.
     """
+    _check_window(window, params)
     signal = np.asarray(signal, dtype=np.float64)
-    mono = signal.ndim == 1
-    channels = 1 if mono else signal.shape[0]
-    if flush:
-        pad_shape = (params.ows + params.hop,) if mono else (channels, params.ows + params.hop)
-        signal = np.concatenate([signal, np.zeros(pad_shape)], axis=-1)
-    stream = AnalysisStream(window, params, channels)
-    frames = stream.push(signal)
-    bins = np.stack([f.bins for f in frames]) if frames else np.zeros(
-        (0, channels, params.n_bins), dtype=np.complex128
-    )
-    return bins[:, 0, :] if mono else bins
+    tail = params.ows + params.hop if flush else 0
+    primed = np.pad(np.atleast_2d(signal), ((0, 0), (params.iws - params.hop, tail)))
+    bins = _frames(primed, window, params)
+    return bins[:, 0, :] if signal.ndim == 1 else bins
 
 
 def synthesize_frame(
@@ -285,8 +288,6 @@ def synthesize(
     while stream.released < length:
         parts.append(stream.push(zero))
     out = np.concatenate(parts) if parts else np.zeros(0)
-    if len(out) < length:
-        out = np.concatenate([out, np.zeros(length - len(out))])
     return out[:length]
 
 

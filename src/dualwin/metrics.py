@@ -47,6 +47,31 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray, cap_db: float = SI_SDR_C
     return float(np.clip(10.0 * np.log10(target_energy / err_energy), -cap_db, cap_db))
 
 
+def _reduce(terms: tuple[float, int], reduce: str) -> float:
+    """A loss from (sum, number of summed terms): the sum, or the mean."""
+    total, n_terms = terms
+    if reduce == "mean":
+        return total / n_terms if n_terms else 0.0
+    if reduce != "sum":
+        raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
+    return total
+
+
+def _ri_mag_terms(s_hat, s) -> tuple[float, int]:
+    d = s_hat - s
+    total = (
+        np.sum(np.abs(d.real))
+        + np.sum(np.abs(d.imag))
+        + np.sum(np.abs(np.abs(s_hat) - np.abs(s)))
+    )
+    return float(total), 3 * s.size
+
+
+def _wav_mag_terms(s_hat, s, spec_hat, spec) -> tuple[float, int]:
+    total = np.sum(np.abs(s_hat - s)) + np.sum(np.abs(np.abs(spec_hat) - np.abs(spec)))
+    return float(total), s.size + spec.size
+
+
 def ri_mag_loss(
     estimate: np.ndarray, reference: np.ndarray, reduce: str = "sum"
 ) -> float:
@@ -60,17 +85,7 @@ def ri_mag_loss(
     s = np.asarray(reference)
     if s_hat.shape != s.shape:
         raise ValueError(f"shape mismatch: {s_hat.shape} vs {s.shape}")
-    d = s_hat - s
-    total = (
-        np.sum(np.abs(d.real))
-        + np.sum(np.abs(d.imag))
-        + np.sum(np.abs(np.abs(s_hat) - np.abs(s)))
-    )
-    if reduce == "mean":
-        return float(total / (3 * s.size)) if s.size else 0.0
-    if reduce != "sum":
-        raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    return float(total)
+    return _reduce(_ri_mag_terms(s_hat, s), reduce)
 
 
 def default_loss_stft(sample_rate: int = 16000) -> tuple[AnalysisWindow, FrameParams]:
@@ -100,15 +115,8 @@ def wav_mag_loss(
     if s_hat.shape != s.shape:
         raise ValueError(f"length mismatch: {s_hat.shape} vs {s.shape}")
     window, params = loss_stft if loss_stft is not None else default_loss_stft()
-    mag_hat = np.abs(analyze(s_hat, window, params))
-    mag_ref = np.abs(analyze(s, window, params))
-    total = np.sum(np.abs(s_hat - s)) + np.sum(np.abs(mag_hat - mag_ref))
-    if reduce == "mean":
-        n_terms = s.size + mag_ref.size
-        return float(total / n_terms) if n_terms else 0.0
-    if reduce != "sum":
-        raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    return float(total)
+    spectra = (analyze(s_hat, window, params), analyze(s, window, params))
+    return _reduce(_wav_mag_terms(s_hat, s, *spectra), reduce)
 
 
 @dataclass
@@ -128,20 +136,15 @@ class MetricReport:
 
 
 def compute_metrics(
-    estimate: np.ndarray,
-    reference: np.ndarray,
-    loss_stft: tuple[AnalysisWindow, FrameParams] | None = None,
-    offset: int = 0,
-    spectra: tuple[np.ndarray, np.ndarray] | None = None,
+    estimate: np.ndarray, reference: np.ndarray, offset: int = 0
 ) -> MetricReport:
     """Build a :class:`MetricReport`.
 
     ``offset`` > 0 drops the first ``offset`` estimate samples and the last
     ``offset`` reference samples before comparison (the estimate lags the
     reference by a known integer amount); there is no alignment search.
-    ``spectra``, when given, is an (estimate, reference) spectrogram pair
-    for the RI+magnitude loss; otherwise that loss is computed on the
-    loss-STFT spectra of the (aligned) signals.
+    Both losses use the :func:`default_loss_stft` spectra of the aligned
+    signals, each analyzed once.
     """
     est = np.asarray(estimate, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
@@ -150,15 +153,16 @@ def compute_metrics(
     if offset:
         est = est[offset:]
         ref = ref[: len(est)]
-    window, params = loss_stft if loss_stft is not None else default_loss_stft()
-    if spectra is None:
-        spectra = (analyze(est, window, params), analyze(ref, window, params))
+    window, params = default_loss_stft()
+    spec_est, spec_ref = analyze(est, window, params), analyze(ref, window, params)
+    ri = _ri_mag_terms(spec_est, spec_ref)
+    wav = _wav_mag_terms(est, ref, spec_est, spec_ref)
     return MetricReport(
         si_sdr_db=si_sdr(est, ref),
-        ri_mag_loss=ri_mag_loss(*spectra),
-        ri_mag_loss_mean=ri_mag_loss(*spectra, reduce="mean"),
-        wav_mag_loss=wav_mag_loss(est, ref, (window, params)),
-        wav_mag_loss_mean=wav_mag_loss(est, ref, (window, params), reduce="mean"),
+        ri_mag_loss=_reduce(ri, "sum"),
+        ri_mag_loss_mean=_reduce(ri, "mean"),
+        wav_mag_loss=_reduce(wav, "sum"),
+        wav_mag_loss_mean=_reduce(wav, "mean"),
         n_samples=len(est),
         alignment_offset=offset,
     )

@@ -147,46 +147,35 @@ def run_pipeline(
             )
 
     g, l = build_windows(config.window, params)
-    input_frames = n_samples // params.hop
-    # oracles may be asked for frames past the input (prediction + flush);
-    # analyze the padded signals once so those frames exist
-    pad = (params.ows // params.hop + 2 * k + 4) * params.hop + params.hop
+    hop = params.hop
+    input_frames = n_samples // hop
+    # output sample n - 1 needs oracle rows up to ceil((n + ows) / hop) - 2 only,
+    # so ows trailing zeros give the tables every row that reaches the output
+    tail = np.zeros(params.ows)
     ref_frames = None
     mix_ref_frames = None
     if reference is not None:
-        ref_frames = analyze(np.concatenate([reference, np.zeros(pad)]), g, params)
+        ref_frames = analyze(np.concatenate([reference, tail]), g, params)
     wants_mask = any(
         kind is not None and kind.kind == "oracle_mag_mask"
         for kind in (config.stage1, config.stage2)
     )
     if wants_mask:
-        mix_ref_frames = analyze(
-            np.concatenate([mixture[config.ref_mic], np.zeros(pad)]), g, params
-        )
+        mix_ref_frames = analyze(np.concatenate([mixture[config.ref_mic], tail]), g, params)
 
     stage1_is_last = config.stage2 is None and config.beamformer is None
-    est1 = make_estimator(
-        config.stage1,
-        params,
-        frames_ahead=k if stage1_is_last else 0,
+    bound = dict(
         channels=channels,
-        stage=1,
         reference_frames=ref_frames,
         mixture_ref_frames=mix_ref_frames,
         expected_frames=input_frames,
     )
+    est1 = make_estimator(
+        config.stage1, params, frames_ahead=k if stage1_is_last else 0, stage=1, **bound
+    )
     est2 = None
     if config.stage2 is not None:
-        est2 = make_estimator(
-            config.stage2,
-            params,
-            frames_ahead=k,
-            channels=channels,
-            stage=2,
-            reference_frames=ref_frames,
-            mixture_ref_frames=mix_ref_frames,
-            expected_frames=input_frames,
-        )
+        est2 = make_estimator(config.stage2, params, frames_ahead=k, stage=2, **bound)
     bf = None
     if config.beamformer is not None:
         bf = OnlineMcwf(
@@ -204,11 +193,16 @@ def run_pipeline(
     out_parts: list[np.ndarray] = []
     frame_times: list[float] = []
     counts = {"analysis": 0, "stage1": 0, "beamformer": 0, "stage2": 0, "synthesis": 0}
-
-    def process(frames):
-        for frame in frames:
+    try:
+        # one hop per push, as a live caller feeds it: the mixture, then
+        # zeros, until every input frame has run and the output is complete
+        while astream.frames_emitted < input_frames or sstream.released < n_samples:
             t0 = time.perf_counter()
-            t = frame.frame_index
+            t = astream.frames_emitted
+            block = mixture[:, t * hop : (t + 1) * hop]
+            if block.shape[1] < hop:
+                block = np.concatenate([block, np.zeros((channels, hop - block.shape[1]))], axis=1)
+            (frame,) = astream.push(block)
             s1 = est1.estimate(EstimatorInput(frame.bins), t)
             counts["stage1"] += 1
             bf_out = None
@@ -225,24 +219,13 @@ def run_pipeline(
             out_parts.append(sstream.push(chunk))
             counts["synthesis"] += 1
             frame_times.append(time.perf_counter() - t0)
-        counts["analysis"] = astream.frames_emitted
-
-    try:
-        process(astream.push(mixture))
-        zero_hop = np.zeros((channels, params.hop))
-        flush_limit = input_frames + params.ows // params.hop + k + 8
-        while sstream.released < n_samples and astream.frames_emitted < flush_limit:
-            process(astream.push(zero_hop))
     finally:
         est1.close()
         if est2 is not None:
             est2.close()
+    out = np.concatenate(out_parts)[:n_samples] if out_parts else np.zeros(0)
 
-    out = np.concatenate(out_parts) if out_parts else np.zeros(0)
-    if len(out) < n_samples:
-        out = np.concatenate([out, np.zeros(n_samples - len(out))])
-    out = out[:n_samples]
-
+    counts["analysis"] = astream.frames_emitted
     metrics = compute_metrics(out, reference) if reference is not None else None
     times_ms = 1000.0 * np.asarray(frame_times) if frame_times else np.zeros(1)
     report = RunReport(

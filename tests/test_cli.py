@@ -2,6 +2,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from dualwin import beamformer
@@ -113,6 +114,42 @@ class TestEnhanceCommand:
             tmp_path / "m.conf", ["mixture = nope.wav", "output = out.wav"]
         )
         assert main(["enhance", "--config", config]) == 1
+
+
+class TestMalformedInputs:
+    """Malformed input files exit 1 with a one-line cause, not a traceback."""
+
+    def _enhance(self, tmp_path, mixture, stages=()):
+        config = _write_config(
+            tmp_path / "run.conf",
+            [f"mixture = {mixture}", f"output = {tmp_path / 'out.wav'}", *stages],
+        )
+        return main(["enhance", "--config", config])
+
+    @pytest.mark.parametrize(
+        "name,write",
+        [
+            ("no-frames.npz", lambda path: np.savez(path, other=np.zeros(3))),
+            ("plain.npy", lambda path: np.save(path, np.zeros((3, 129), complex))),
+            ("empty.npz", lambda path: path.write_bytes(b"")),
+        ],
+        ids=["npz-without-frames", "plain-npy", "empty-file"],
+    )
+    def test_malformed_frame_file_exits_1(self, tmp_path, scene_dir, capsys, name, write):
+        path = tmp_path / name
+        write(path)
+        code = self._enhance(tmp_path, scene_dir / "mixture.wav", [f"stage1 = file:{path}"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: frame file {path} ")
+
+    def test_truncated_wav_exits_1(self, tmp_path, scene_dir, capsys):
+        path = tmp_path / "truncated.wav"
+        path.write_bytes((scene_dir / "mixture.wav").read_bytes()[:30])
+        code = self._enhance(tmp_path, path)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: truncated")
 
 
 class TestRuntimeErrors:

@@ -104,6 +104,34 @@ class TestAnalysisStream:
         for fa, fb in zip(frames, whole):
             np.testing.assert_array_equal(fa.bins, fb.bins)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_analyze_equals_per_hop_pushes(self, data):
+        hop = data.draw(st.sampled_from([2, 4, 8, 16, 32]), label="hop")
+        ows = hop * data.draw(st.integers(1, 4), label="ows_mult")
+        iws = data.draw(st.integers(ows, 160), label="iws")
+        n_dft = data.draw(st.sampled_from([iws + iws % 2, 256]), label="n_dft")
+        channels = data.draw(st.integers(1, 6), label="channels")
+        n = data.draw(st.integers(0, 40 * hop), label="n")
+        kind = data.draw(st.sampled_from(ALL_KINDS), label="kind")
+        params = FrameParams(iws=iws, ows=ows, hop=hop, n_dft=n_dft)
+        g = make_analysis_window(kind, iws, hop=hop)
+        x = np.random.default_rng(n).standard_normal((channels, n))
+        stream = AnalysisStream(g, params, channels)
+        frames = [f for i in range(0, n, hop) for f in stream.push(x[:, i : i + hop])]
+        assert [f.frame_index for f in frames] == list(range(n // hop))
+        whole = analyze(x, g, params)
+        assert whole.shape == (n // hop, channels, params.n_bins)
+        assert np.array_equal(whole, np.reshape([f.bins for f in frames], whole.shape))
+        # the per-hop transform that batched framing replaced
+        primed = np.concatenate([np.zeros((channels, iws - hop)), x], axis=1)
+        loop = [
+            np.fft.rfft(g.samples * primed[:, t * hop : t * hop + iws], n=n_dft, axis=1)
+            for t in range(n // hop)
+        ]
+        assert np.array_equal(whole, np.reshape(loop, whole.shape))
+        assert np.array_equal(analyze(x[0], g, params), whole[:, 0])
+
 
 class TestSynthesis:
     def test_zero_frame_gives_zero_chunk(self):

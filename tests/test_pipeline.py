@@ -1,10 +1,12 @@
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from dualwin import pipeline
 from dualwin.estimators import EstimatorKind, save_frame_file
 from dualwin.framing import FrameParams, analyze, build_windows
 from dualwin.metrics import si_sdr
@@ -186,6 +188,31 @@ class TestRunReport:
         x = np.random.default_rng(41).standard_normal(3333)
         out, _ = run_pipeline(PipelineConfig(), x)
         assert out.shape == (3333,)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_frames_run_until_the_output_is_complete(self, k):
+        # every input frame runs, then zero hops until the last output sample
+        # is released; the oracle tables still cover the tail exactly
+        params = FrameParams(frames_ahead=k)
+        n, hop, ows = 3333, params.hop, params.ows
+        ref = np.random.default_rng(42).standard_normal(n)
+        cfg = PipelineConfig(params=params, stage1=EstimatorKind("oracle_complex"))
+        out, report = run_pipeline(cfg, np.stack([ref, ref]), ref)
+        expected = max(n // hop, -(-(n + ows) // hop) - 1 - k)
+        assert report.frames["analysis"] == expected
+        assert report.frames["stage1"] == report.frames["synthesis"] == expected
+        np.testing.assert_allclose(out[k * hop :], ref[k * hop :], rtol=0, atol=1e-10)
+
+    def test_frame_time_includes_analysis(self, monkeypatch):
+        push = pipeline.AnalysisStream.push
+
+        def slow_push(self, chunk):
+            time.sleep(0.002)
+            return push(self, chunk)
+
+        monkeypatch.setattr(pipeline.AnalysisStream, "push", slow_push)
+        _, report = run_pipeline(PipelineConfig(), np.zeros(320))
+        assert report.frame_time_ms_mean >= 2.0
 
     def test_runs_are_reproducible(self, scene):
         cfg = PipelineConfig(
