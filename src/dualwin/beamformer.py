@@ -5,10 +5,11 @@ The filter for reference channel q minimizes, per frequency f,
 offline solution is ``w = Phi_yy^{-1} phi_ys`` with the mixture covariance
 ``Phi_yy = sum_t Y Y^H`` and the cross column ``phi_ys = sum_t Y S_q^*``
 (the q-th column of the full cross matrix, which is never materialized).
-The frame-online variant accumulates phi_ys one frame at a time and
-either accumulates Phi_yy and re-solves ("direct" mode) or keeps only the
-covariance inverse, through rank-1 Woodbury updates ("woodbury" mode), so
-no per-frame matrix inversion is needed.
+The frame-online variant either accumulates both statistics and re-solves
+("direct" mode) or runs the exponentially weighted recursive least squares
+(RLS) recursion ("woodbury" mode): it keeps only the covariance inverse,
+updated by rank-1 Woodbury steps, and the filter itself, so no per-frame
+matrix inversion or solve is needed.
 
 All-zero initial statistics would be singular, so both paths start from a
 small diagonal loading eps*I (and the offline solver adds the same
@@ -67,7 +68,7 @@ def apply_filter(w: np.ndarray, mixture: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"filter shape {w.shape} does not match frame shape {mixture.shape}"
         )
-    return np.einsum("fp,pf->f", w.conj(), mixture)
+    return np.add.reduce(w.T.conj() * mixture, axis=0)
 
 
 def offline_mcwf(
@@ -102,11 +103,34 @@ def offline_mcwf(
 class OnlineMcwf:
     """Frame-online MCWF state for one stream.
 
-    Accumulates per-frequency covariance statistics frame by frame and
-    recomputes the filter every ``update_stride`` frames (1 = every frame).
-    ``forgetting`` < 1 exponentially discounts old frames; the default 1.0
-    is plain accumulation and is what makes the final online filter match
-    the offline solution exactly.
+    ``woodbury`` mode runs exponentially weighted recursive least squares
+    (Haykin, *Adaptive Filter Theory*, RLS chapter). It keeps two arrays,
+    both frequency-last so that every numpy op streams over the contiguous
+    bins: the inverse covariance ``P`` (P, P, F), starting at I/loading,
+    and the filter ``w`` (P, F), starting at 0. Per frame, with mixture
+    ``y``, target estimate ``s`` and forgetting factor ``lam``::
+
+        P /= lam
+        den = 1 + y^H P y
+        e = s - w^H y              (a-priori error)
+        w += P y e^* / den
+        P -= u u^H,  u = P y / sqrt(den)
+
+    which gives the same filter as re-solving the loaded, discounted normal
+    equations (``direct`` mode), loading decay under ``lam < 1`` included.
+    The rank-1 term is formed with ``einsum``, whose complex products are
+    not fused, so ``u_p u_q^*`` and ``u_q u_p^*`` are exact conjugates and
+    ``P`` stays exactly Hermitian. numpy's SIMD complex multiply uses FMA,
+    so a broadcast ``*`` would leave the two triangles a last bit apart;
+    the recursion grows that skew over thousands of frames until ``P``
+    loses definiteness and :class:`BeamformerStateError` fires.
+
+    ``direct`` mode accumulates ``Phi_yy`` and ``phi_ys`` and re-solves;
+    it is the reference the recursion is tested against. Either mode
+    returns a new filter every ``update_stride`` frames (1 = every frame)
+    and holds it in between. ``forgetting`` < 1 exponentially discounts old
+    frames; the default 1.0 is plain accumulation and is what makes the
+    final online filter match the offline solution exactly.
 
     Single-writer; frames must arrive in order. Frequency bins are
     independent, all updates are vectorized over F.
@@ -135,12 +159,16 @@ class OnlineMcwf:
         self.update_stride = update_stride
         self.forgetting = forgetting
         self.ref_mic = ref_mic
+        self._shape = (channels, n_bins)
+        self._filter = np.zeros((n_bins, channels), dtype=np.complex128)
         eye = np.eye(channels, dtype=np.complex128)
-        self.phi_ys = np.zeros((n_bins, channels), dtype=np.complex128)
-        # each mode keeps only the covariance statistic its filter is formed from
-        self.inv_yy = np.tile(eye / loading, (n_bins, 1, 1)) if mode == "woodbury" else None
-        self.phi_yy = np.tile(loading * eye, (n_bins, 1, 1)) if mode == "direct" else None
-        self._w = np.zeros((n_bins, channels), dtype=np.complex128)
+        if mode == "woodbury":
+            self._inv = np.tile((eye / loading)[:, :, None], (1, 1, n_bins))
+            self._w = np.zeros((channels, n_bins), dtype=np.complex128)
+            self._tmp = np.empty_like(self._inv)
+        else:
+            self.phi_ys = np.zeros((n_bins, channels), dtype=np.complex128)
+            self.phi_yy = np.tile(loading * eye, (n_bins, 1, 1))
         self._t = 0
 
     @property
@@ -150,7 +178,7 @@ class OnlineMcwf:
     @property
     def filter(self) -> np.ndarray:
         """Current (F, P) filter."""
-        return self._w
+        return self._filter
 
     def update(self, mixture: np.ndarray, target_estimate: np.ndarray) -> np.ndarray:
         """Accumulate one frame and return the current filter.
@@ -161,32 +189,47 @@ class OnlineMcwf:
         Return:
             (F, P) filter after this frame
         """
-        Y = np.asarray(mixture, dtype=np.complex128).T  # (F, P)
+        y = np.asarray(mixture, dtype=np.complex128)
         s = np.asarray(target_estimate, dtype=np.complex128)
-        if Y.shape != self.phi_ys.shape or s.shape != (Y.shape[0],):
+        if y.shape != self._shape or s.shape != (self._shape[1],):
             raise ValueError(
-                f"frame shapes {mixture.shape}/{s.shape} do not match state "
-                f"{self.phi_ys.shape[::-1]}"
+                f"frame shapes {mixture.shape}/{s.shape} do not match state {self._shape}"
             )
-        if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(s))):
+        if not (np.isfinite(y).all() and np.isfinite(s).all()):
             raise ValueError("non-finite values in beamformer update")
-        lam = self.forgetting
         woodbury = self.mode == "woodbury"
-        if lam != 1.0:
-            self.phi_ys *= lam
-            if woodbury:
-                self.inv_yy /= lam
-            else:
-                self.phi_yy *= lam
-        self.phi_ys += Y * s.conj()[:, None]
         if woodbury:
-            self.inv_yy = woodbury_update(self.inv_yy, Y)
+            self._rls_update(y, s)
         else:
+            Y = y.T  # (F, P)
+            if self.forgetting != 1.0:
+                self.phi_ys *= self.forgetting
+                self.phi_yy *= self.forgetting
+            self.phi_ys += Y * s.conj()[:, None]
             self.phi_yy += np.einsum("fp,fq->fpq", Y, Y.conj())
         if self._t % self.update_stride == 0:
             if woodbury:
-                self._w = np.einsum("fpq,fq->fp", self.inv_yy, self.phi_ys)
+                self._filter = self._w.T
             else:
-                self._w = np.linalg.solve(self.phi_yy, self.phi_ys[..., None])[..., 0]
+                self._filter = np.linalg.solve(self.phi_yy, self.phi_ys[..., None])[..., 0]
         self._t += 1
-        return self._w
+        return self._filter
+
+    def _rls_update(self, y: np.ndarray, s: np.ndarray):
+        """One RLS step on the (P, P, F) inverse and the (P, F) filter."""
+        inv, tmp = self._inv, self._tmp
+        if self.forgetting != 1.0:
+            real = inv.view(np.float64)  # real divide: complex / real scalar is ~3x slower
+            real /= self.forgetting
+        np.multiply(inv, y, out=tmp)
+        py = np.add.reduce(tmp, axis=1)  # P y, (P, F)
+        den = 1.0 + np.add.reduce((y.conj() * py).real, axis=0)
+        if den.min() <= 0.0:
+            raise BeamformerStateError(
+                "RLS denominator <= 0; inverse is no longer positive-definite"
+            )
+        e = s - np.add.reduce(self._w.conj() * y, axis=0)
+        # rebound, not updated in place, so a filter already returned stays fixed
+        self._w = self._w + py * (e.conj() / den)
+        u = py * (1.0 / np.sqrt(den))
+        inv -= np.einsum("pf,qf->pqf", u, u.conj(), out=tmp)

@@ -206,7 +206,7 @@ def synthesize_frame(
     bins = np.asarray(frame.bins)
     if bins.shape != (params.n_bins,):
         raise ValueError(f"expected {params.n_bins} bins, got {bins.shape}")
-    if not np.all(np.isfinite(bins)):
+    if not np.isfinite(bins).all():
         raise ValueError(f"non-finite bins in frame {frame.frame_index}")
     if l.a != params.ows or l.hop != params.hop:
         raise ValueError(

@@ -8,6 +8,9 @@ from dualwin.beamformer import (
     offline_mcwf,
     woodbury_update,
 )
+from dualwin.framing import FrameParams, analyze, build_windows
+from dualwin.simulate import make_scene
+from dualwin.windows import TUKEY
 
 
 def _random_spectrogram(rng, t, p, f):
@@ -167,9 +170,10 @@ class TestOnlineMcwf:
             w_b = bf_b.update(Y[t][:, perm], S[t][perm])
         np.testing.assert_array_equal(w_a[perm], w_b)
 
-    def test_update_stride_holds_filter_between_updates(self):
+    @pytest.mark.parametrize("mode", ["direct", "woodbury"])
+    def test_update_stride_holds_filter_between_updates(self, mode):
         rng = np.random.default_rng(23)
-        bf = OnlineMcwf(2, 4, mode="direct", update_stride=3)
+        bf = OnlineMcwf(2, 4, mode=mode, update_stride=3)
         filters = []
         for t in range(7):
             y = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
@@ -208,6 +212,24 @@ class TestOnlineMcwf:
             w_d = bf_d.update(y, s)
             w_w = bf_w.update(y, s)
         assert np.max(np.abs(w_d - w_w)) < 1e-8
+
+    @pytest.mark.parametrize("forgetting", [1.0, 0.99])
+    def test_long_stream_woodbury_output_tracks_direct_mode(self, forgetting):
+        # 2000 frames (4 s) of a 6-mic scene. Unless the recursion keeps its
+        # inverse exactly Hermitian, it drifts from the direct solve, and at
+        # forgetting 0.99 loses definiteness, before the end of the stream.
+        params = FrameParams()
+        g, _ = build_windows(TUKEY, params)
+        scene = make_scene(seed=11, duration_s=2000 * params.hop / params.sample_rate)
+        Y = analyze(scene.mixture, g, params)
+        S = analyze(scene.target_direct, g, params)
+        outputs = []
+        for mode in ("direct", "woodbury"):
+            bf = OnlineMcwf(6, params.n_bins, mode=mode, forgetting=forgetting)
+            outputs.append(np.array([apply_filter(bf.update(y, s), y) for y, s in zip(Y, S)]))
+        direct, woodbury = outputs
+        assert len(direct) == 2000
+        assert np.linalg.norm(woodbury - direct) < 1e-8 * np.linalg.norm(direct)
 
     def test_rejects_non_finite_and_bad_shapes(self):
         bf = OnlineMcwf(2, 3)

@@ -1,11 +1,12 @@
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
-from dualwin import beamformer
+from dualwin import beamformer, estimators
 from dualwin.cli import main
 from dualwin.wavio import read_wav
 
@@ -109,6 +110,18 @@ class TestEnhanceCommand:
         assert main(["enhance", "--config", config]) == 1
         assert "multiple of hop" in capsys.readouterr().err
 
+    def test_unknown_config_key_exits_1(self, tmp_path, scene_dir, capsys):
+        config = _write_config(
+            tmp_path / "typo.conf",
+            [
+                f"mixture = {scene_dir / 'mixture.wav'}",
+                f"output = {tmp_path / 'x.wav'}",
+                "forgeting = 0.99",
+            ],
+        )
+        assert main(["enhance", "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown config key(s): forgeting"]
+
     def test_missing_mixture_file_exits_1(self, tmp_path, capsys):
         config = _write_config(
             tmp_path / "m.conf", ["mixture = nope.wav", "output = out.wav"]
@@ -174,15 +187,29 @@ class TestRuntimeErrors:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: external estimator replied")
 
-    def test_beamformer_state_error_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
-        def corrupt(inv, y):
-            raise beamformer.BeamformerStateError("inverse is no longer positive-definite")
+    def test_external_timeout_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
+        monkeypatch.setattr(
+            estimators, "ExternalEstimator", partial(estimators.ExternalEstimator, timeout=0.2)
+        )
+        stub = os.path.join(os.path.dirname(__file__), "external_stub.py")
+        stage1 = f"stage1 = external:{sys.executable} {stub} hang"
+        code = self._enhance(tmp_path, scene_dir, [stage1])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: external estimator timed out after 0.2s"]
 
-        monkeypatch.setattr(beamformer, "woodbury_update", corrupt)
+    def test_beamformer_state_error_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
+        rls_update = beamformer.OnlineMcwf._rls_update
+
+        def corrupt(self, y, s):
+            self._inv *= -1.0  # a negative-definite inverse fails the RLS denominator check
+            return rls_update(self, y, s)
+
+        monkeypatch.setattr(beamformer.OnlineMcwf, "_rls_update", corrupt)
         code = self._enhance(tmp_path, scene_dir, ["beamformer = woodbury"])
         err = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert err == ["error: inverse is no longer positive-definite"]
+        assert err == ["error: RLS denominator <= 0; inverse is no longer positive-definite"]
 
 
 class TestLatencyCheckCommand:
