@@ -195,12 +195,16 @@ class OnlineMcwf:
             raise ValueError(
                 f"frame shapes {mixture.shape}/{s.shape} do not match state {self._shape}"
             )
-        if not (np.isfinite(y).all() and np.isfinite(s).all()):
-            raise ValueError("non-finite values in beamformer update")
         woodbury = self.mode == "woodbury"
         if woodbury:
-            self._rls_update(y, s)
+            # a non-finite value anywhere in y or s reaches e, even against w = 0
+            e = s - np.add.reduce(self._w.conj() * y, axis=0)
+            if not np.isfinite(e).all():
+                raise ValueError("non-finite values in beamformer update")
+            self._rls_update(y, e)
         else:
+            if not (np.isfinite(y).all() and np.isfinite(s).all()):
+                raise ValueError("non-finite values in beamformer update")
             Y = y.T  # (F, P)
             if self.forgetting != 1.0:
                 self.phi_ys *= self.forgetting
@@ -215,8 +219,9 @@ class OnlineMcwf:
         self._t += 1
         return self._filter
 
-    def _rls_update(self, y: np.ndarray, s: np.ndarray):
-        """One RLS step on the (P, P, F) inverse and the (P, F) filter."""
+    def _rls_update(self, y: np.ndarray, e: np.ndarray):
+        """One RLS step on the (P, P, F) inverse and the (P, F) filter,
+        given the a-priori error ``e = s - w^H y``."""
         inv, tmp = self._inv, self._tmp
         if self.forgetting != 1.0:
             real = inv.view(np.float64)  # real divide: complex / real scalar is ~3x slower
@@ -228,7 +233,6 @@ class OnlineMcwf:
             raise BeamformerStateError(
                 "RLS denominator <= 0; inverse is no longer positive-definite"
             )
-        e = s - np.add.reduce(self._w.conj() * y, axis=0)
         # rebound, not updated in place, so a filter already returned stays fixed
         self._w = self._w + py * (e.conj() / den)
         u = py * (1.0 / np.sqrt(den))

@@ -33,6 +33,7 @@ import shlex
 import struct
 import subprocess
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class ExternalProtocolError(RuntimeError):
     """The external estimator child violated the frame protocol or timed out."""
 
 
-@dataclass(frozen=True)
-class EstimatorInput:
+class EstimatorInput(NamedTuple):
     """Everything a stage may look at for the current frame."""
 
     mixture: np.ndarray  # (channels, n_bins)
@@ -211,6 +211,7 @@ class ExternalEstimator(Estimator):
         self.channels = channels
         self.stage = stage
         self.timeout = timeout
+        self._failed = False  # a timeout or protocol error: close kills the child
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         # unbuffered pipes: every byte is either consumed or still visible
         # to select(), so timeouts cannot fire with data in flight
@@ -220,12 +221,9 @@ class ExternalEstimator(Estimator):
         self._write_all(f"{n_bins} {channels} {stage}\n".encode("ascii"))
 
     @staticmethod
-    def _interleave(values: np.ndarray) -> bytes:
-        flat = np.asarray(values, dtype=np.complex128).ravel()
-        out = np.empty(2 * flat.size, dtype="<f4")
-        out[0::2] = flat.real
-        out[1::2] = flat.imag
-        return out.tobytes()
+    def _encode(values: np.ndarray) -> bytes:
+        """Little-endian float32 (re, im) pairs, C order."""
+        return np.asarray(values).astype("<c8").tobytes()
 
     def _write_all(self, data: bytes):
         view = memoryview(data)
@@ -236,46 +234,47 @@ class ExternalEstimator(Estimator):
         except (BrokenPipeError, ValueError) as exc:
             raise ExternalProtocolError(f"external estimator pipe closed: {exc}") from exc
 
-    def _read_exact(self, n: int) -> bytes:
+    def _read_reply(self) -> bytes:
+        """One reply frame, length prefix included. A reply that is already
+        complete takes one select and one read; the loop runs again only for
+        the rest, and never reads past the frame."""
         fd = self._proc.stdout.fileno()
-        chunks = []
-        got = 0
-        while got < n:
-            ready, _, _ = select.select([fd], [], [], self.timeout)
-            if not ready:
-                raise ExternalProtocolError(
-                    f"external estimator timed out after {self.timeout}s"
-                )
-            chunk = os.read(fd, n - got)
+        expected = self.n_bins * 8
+        raw = b""
+        while len(raw) < 4 + expected:
+            if not select.select([fd], [], [], self.timeout)[0]:
+                raise ExternalProtocolError(f"external estimator timed out after {self.timeout}s")
+            chunk = os.read(fd, 4 + expected - len(raw))
             if not chunk:
+                raise ExternalProtocolError("external estimator closed its output mid-frame")
+            raw += chunk
+            if len(raw) >= 4 and (length := struct.unpack_from("<I", raw)[0]) != expected:
                 raise ExternalProtocolError(
-                    "external estimator closed its output mid-frame"
+                    f"external estimator replied {length} bytes, expected {expected}"
                 )
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+        return raw
 
     def estimate(self, inp, t):
-        payload = self._interleave(inp.mixture)
+        payload = self._encode(inp.mixture)
         if self.stage == 2:
             stage1 = inp.stage1 if inp.stage1 is not None else self._zeros()
             beamformed = inp.beamformed if inp.beamformed is not None else self._zeros()
-            payload += self._interleave(stage1) + self._interleave(beamformed)
-        self._write_all(struct.pack("<I", len(payload)) + payload)
-        (length,) = struct.unpack("<I", self._read_exact(4))
-        expected = self.n_bins * 2 * 4
-        if length != expected:
-            raise ExternalProtocolError(
-                f"external estimator replied {length} bytes, expected {expected}"
-            )
-        raw = np.frombuffer(self._read_exact(length), dtype="<f4")
-        return (raw[0::2] + 1j * raw[1::2]).astype(np.complex128)
+            payload += self._encode(stage1) + self._encode(beamformed)
+        try:
+            self._write_all(struct.pack("<I", len(payload)) + payload)
+            raw = self._read_reply()
+        except ExternalProtocolError:
+            self._failed = True
+            raise
+        return np.frombuffer(raw, "<c8", offset=4).astype(np.complex128)
 
     def close(self):
+        """End the child: EOF and a grace period after clean use, so it can
+        finish its output; killed at once after a timeout or protocol error."""
         if self._proc.poll() is None:
             self._proc.stdin.close()
             try:
-                self._proc.wait(timeout=2.0)
+                self._proc.wait(timeout=0.0 if self._failed else 2.0)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()

@@ -2,12 +2,17 @@
 
 Analysis uses an input window of ``iws`` samples with a hop of ``hop``
 samples and an ``n_dft``-point real DFT (zero-padded on the right when
-``iws < n_dft``). Synthesis inverts each frame, keeps only the last ``ows``
-samples of the windowed segment, applies the synthesis window, and
-overlap-adds with the same hop. Keeping ``ows < iws`` is what cuts the
-algorithmic latency from the input window length down to the output window
-length; predicting ``frames_ahead`` frames shifts each synthesis chunk one
-hop later per frame and cuts a further hop of latency each.
+``iws < n_dft``). Synthesis keeps only the last ``ows`` samples of each
+frame's inverse over the analysis segment, samples ``iws - ows .. iws - 1``,
+applies the synthesis window, and overlap-adds with the same hop (the
+low-delay scheme of Mauler & Martin, EUSIPCO 2007). Only those ``ows``
+samples are ever computed: they are one real matrix-vector product of a
+precomputed basis, the matching ``ows`` rows of the inverse real DFT with
+the synthesis window folded in, and the interleaved (re, im) bins. Keeping
+``ows < iws`` is what cuts the algorithmic latency from the input window
+length down to the output window length; predicting ``frames_ahead``
+frames shifts each synthesis chunk one hop later per frame and cuts a
+further hop of latency each.
 
 Streams are primed with ``iws - hop`` zeros so that frame ``t`` ends at
 input sample ``(t+1)*hop`` and output sample indices line up exactly with
@@ -16,7 +21,9 @@ input sample indices from the first sample on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +84,20 @@ class FrameParams:
     def hop_ms(self) -> float:
         return self.ms(self.hop)
 
+    def frames_to_release(self, n: int) -> int:
+        """Frames after which the first ``n`` output samples are released.
+
+        That takes every whole input hop among them, ``n // hop`` frames,
+        and enough frames for the overlap-add to release sample ``n - 1``:
+        after frame ``t`` the first ``(t + frames_ahead + 2) * hop - ows``
+        samples are out, so at least one frame and
+        ``ceil((n + ows) / hop) - 1 - frames_ahead`` frames. Later frames
+        only reach samples from ``n`` on.
+        """
+        if n <= 0:
+            return 0
+        return max(1, n // self.hop, -(-(n + self.ows) // self.hop) - 1 - self.frames_ahead)
+
 
 def algorithmic_latency(params: FrameParams) -> float:
     """Algorithmic latency in ms: output window span minus predicted hops.
@@ -87,16 +108,14 @@ def algorithmic_latency(params: FrameParams) -> float:
     return params.ows_ms - params.frames_ahead * params.hop_ms
 
 
-@dataclass(frozen=True)
-class SpectrumFrame:
+class SpectrumFrame(NamedTuple):
     """One-sided DFT coefficients of a single channel at frame ``frame_index``."""
 
     bins: np.ndarray
     frame_index: int
 
 
-@dataclass(frozen=True)
-class MultichannelSpectrumFrame:
+class MultichannelSpectrumFrame(NamedTuple):
     """One-sided DFT coefficients, shape (channels, n_bins), at one frame."""
 
     bins: np.ndarray
@@ -111,21 +130,30 @@ def _check_window(window: AnalysisWindow, params: FrameParams):
         raise ValueError(f"window length {window.n} does not match iws {params.iws}")
 
 
-def _frames(data: np.ndarray, window: AnalysisWindow, params: FrameParams) -> np.ndarray:
-    """Spectra, shape (T, channels, n_bins), of the T = (n - iws) // hop + 1
-    frames ``data[:, t*hop : t*hop + iws]`` of a contiguous (channels, n) array.
+def _frames(
+    data: np.ndarray,
+    start: int,
+    stop: int,
+    window: AnalysisWindow,
+    params: FrameParams,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Spectra, shape (T, channels, n_bins), of the T = (stop - start - iws)
+    // hop + 1 frames ``data[:, s : s + iws]``, ``s = start + t*hop``, that
+    fit in columns ``start:stop`` of a C-contiguous (channels, >= stop) array.
 
     One strided view is windowed and transformed in one batch. ``np.ndarray``
     builds the view, bounds-checked, in under 1 us per live hop; ``as_strided``
-    takes about 4 us.
+    takes about 4 us. The window products go to ``work[:T]`` when given.
     """
     hop, iws = params.hop, params.iws
-    n_frames = (data.shape[1] - iws) // hop + 1
+    n_frames = (stop - start - iws) // hop + 1
     step, sample = data.strides
     view = np.ndarray(
-        (n_frames, data.shape[0], iws), data.dtype, data, 0, (hop * sample, step, sample)
+        (n_frames, data.shape[0], iws), data.dtype, data, start * sample, (hop * sample, step, sample)
     )
-    return np.fft.rfft(view * window.samples, n=params.n_dft, axis=-1)
+    prod = np.multiply(view, window.samples, out=None if work is None else work[:n_frames])
+    return np.fft.rfft(prod, n=params.n_dft, axis=-1)
 
 
 class AnalysisStream:
@@ -134,8 +162,10 @@ class AnalysisStream:
     The stream starts primed with ``iws - hop`` zeros, so the first frame is
     emitted after one hop of input and contains those zeros followed by the
     first hop of samples. Arbitrary chunk sizes are accepted; leftovers
-    shorter than a hop wait for the next push. Single-writer: do not push
-    concurrently on one stream.
+    shorter than a hop wait for the next push. Samples and window products
+    live in two buffers kept across pushes, which grow with the largest push
+    seen; the returned bins are always new arrays. Single-writer: do not
+    push concurrently on one stream.
     """
 
     def __init__(self, window: AnalysisWindow, params: FrameParams, channels: int = 1):
@@ -145,8 +175,12 @@ class AnalysisStream:
         self.window = window
         self.params = params
         self.channels = channels
-        # the last iws - hop samples seen, plus any partial hop
-        self._pending = np.zeros((channels, params.iws - params.hop))
+        # _buf[:, _lo:_hi] holds the last iws - hop samples seen, plus any
+        # partial hop; new samples go after them, and the kept ones move back
+        # to the front only when the buffer is full (every ~iws/hop pushes)
+        self._buf = np.zeros((channels, 2 * params.iws))
+        self._lo, self._hi = 0, params.iws - params.hop
+        self._work = np.empty((1, channels, params.iws))
         self._t = 0
 
     @property
@@ -163,11 +197,23 @@ class AnalysisStream:
             raise ValueError(
                 f"expected {self.channels} channels, got {chunk.shape[0]}"
             )
-        data = np.concatenate([self._pending, chunk], axis=1)
-        bins = _frames(data, self.window, self.params)
+        iws, hop = self.params.iws, self.params.hop
+        lo, hi, m = self._lo, self._hi, chunk.shape[1]
+        if hi + m > self._buf.shape[1]:
+            buf = self._buf
+            if 2 * (hi - lo + m) > buf.shape[1]:
+                buf = np.empty((self.channels, 2 * (hi - lo + m)))
+            buf[:, : hi - lo] = self._buf[:, lo:hi]
+            self._buf, lo, hi = buf, 0, hi - lo
+        self._buf[:, hi : hi + m] = chunk
+        hi += m
+        n_frames = (hi - lo - iws) // hop + 1
+        if n_frames > len(self._work):
+            self._work = np.empty((n_frames, self.channels, iws))
+        bins = _frames(self._buf, lo, hi, self.window, self.params, self._work)
+        self._lo, self._hi = lo + n_frames * hop, hi
         t0 = self._t
-        self._t += len(bins)
-        self._pending = data[:, len(bins) * self.params.hop :]
+        self._t += n_frames
         return list(map(MultichannelSpectrumFrame, bins, range(t0, self._t)))
 
 
@@ -182,28 +228,58 @@ def analyze(
     ``signal`` may be (n,) or (channels, n). Returns the complex
     spectrogram, shape (T, n_bins) or (T, channels, n_bins), with
     ``T = floor(n / hop)``: the frames an :class:`AnalysisStream` emits
-    for the same samples. With ``flush=True`` the signal is zero-padded
-    by ``ows + hop`` samples first, so the extra frames needed to
-    resynthesize the signal tail are included.
+    for the same samples. With ``flush=True`` the signal is zero-padded so
+    that ``T = params.frames_to_release(n)``: the frames that synthesis
+    needs to release all ``n`` samples.
     """
     _check_window(window, params)
     signal = np.asarray(signal, dtype=np.float64)
-    tail = params.ows + params.hop if flush else 0
-    primed = np.pad(np.atleast_2d(signal), ((0, 0), (params.iws - params.hop, tail)))
-    bins = _frames(primed, window, params)
+    n, hop = signal.shape[-1], params.hop
+    n_frames = params.frames_to_release(n) if flush else n // hop
+    primed = np.pad(
+        np.atleast_2d(signal), ((0, 0), (params.iws - hop, max(n_frames * hop - n, 0)))
+    )
+    bins = _frames(primed, 0, primed.shape[1], window, params)
     return bins[:, 0, :] if signal.ndim == 1 else bins
+
+
+@functools.lru_cache(maxsize=32)
+def _synthesis_basis(window: bytes, iws: int, n_dft: int) -> np.ndarray:
+    """(ows, 2 * n_bins) basis of :func:`synthesize_frame`: rows
+    ``iws - ows .. iws - 1`` of the ``n_dft``-point inverse real DFT over
+    interleaved (re, im) bins, times the synthesis window. Bin ``k`` weighs
+    ``w_k cos(2 pi k n / N)`` on its real part and ``-w_k sin(2 pi k n / N)``
+    on its imaginary part, with ``w_k = 1/N`` at DC and Nyquist, whose
+    imaginary parts get weight 0 as in ``np.fft.irfft``, and ``2/N``
+    elsewhere. Keyed by the window's bytes, so streams and jobs share it.
+    """
+    l = np.frombuffer(window)
+    n = np.arange(iws - len(l), iws)[:, np.newaxis]
+    k = np.arange(n_dft // 2 + 1)
+    angle = (2 * np.pi / n_dft) * (n * k % n_dft)  # integer modulo keeps the angle exact
+    weight = np.full(len(k), 2.0 / n_dft)
+    weight[[0, -1]] = 1.0 / n_dft
+    basis = np.empty((len(l), len(k), 2))
+    basis[..., 0] = weight * np.cos(angle)
+    basis[..., 1] = -weight * np.sin(angle)
+    basis[:, [0, -1], 1] = 0.0
+    basis *= l[:, np.newaxis, np.newaxis]
+    basis = basis.reshape(len(l), 2 * len(k))
+    basis.setflags(write=False)
+    return basis
 
 
 def synthesize_frame(
     frame: SpectrumFrame, l: SynthesisWindow, params: FrameParams
 ) -> np.ndarray:
-    """Invert one frame and return its windowed overlap-add chunk.
-
-    Inverse DFT (real output, length ``n_dft``), keep the last ``ows``
-    samples of the first ``iws`` (the analysis segment before padding),
-    multiply by the synthesis window.
+    """Invert one frame and return its windowed overlap-add chunk,
+    ``irfft(bins, n_dft)[iws - ows : iws] * l.samples``: the last ``ows``
+    samples of the analysis segment before padding. It is one product of
+    the cached basis of those rows, window folded in, with the bins viewed
+    as (re, im) float64 pairs; the other ``n_dft - ows`` samples of the
+    inverse are never formed.
     """
-    bins = np.asarray(frame.bins)
+    bins = np.ascontiguousarray(frame.bins, dtype=np.complex128)
     if bins.shape != (params.n_bins,):
         raise ValueError(f"expected {params.n_bins} bins, got {bins.shape}")
     if not np.isfinite(bins).all():
@@ -213,8 +289,8 @@ def synthesize_frame(
             f"synthesis window ({l.a}/{l.hop}) does not match params "
             f"({params.ows}/{params.hop})"
         )
-    seg = np.fft.irfft(bins, n=params.n_dft)
-    return seg[params.iws - params.ows : params.iws] * l.samples
+    basis = _synthesis_basis(l.samples.tobytes(), params.iws, params.n_dft)
+    return np.dot(basis, bins.view(np.float64))
 
 
 class SynthesisStream:
@@ -270,11 +346,12 @@ def synthesize(
 ) -> np.ndarray:
     """One-shot synthesis of a (T, n_bins) spectrogram.
 
-    Overlap-adds every frame and flushes; the result is trimmed (or
-    zero-extended) to ``length`` when given, else to ``T * hop`` samples.
-    Contributions beyond the given frames are zeros, so the last
-    ``ows - hop`` covered samples are only fully reconstructed when the
-    spectrogram includes the tail frames (see ``analyze(..., flush=True)``).
+    Overlap-adds every frame, then zero chunks up to
+    ``params.frames_to_release(length)`` frames; the result has ``length``
+    samples when given, else ``T * hop``. Contributions beyond the given
+    frames are zeros, so the last ``ows - hop`` covered samples are only
+    fully reconstructed when the spectrogram includes the tail frames (see
+    ``analyze(..., flush=True)``).
     """
     frames = np.asarray(frames)
     if length is None:
@@ -285,8 +362,7 @@ def synthesize(
         for t, bins in enumerate(frames)
     ]
     zero = np.zeros(params.ows)
-    while stream.released < length:
-        parts.append(stream.push(zero))
+    parts += [stream.push(zero) for _ in range(len(frames), params.frames_to_release(length))]
     out = np.concatenate(parts) if parts else np.zeros(0)
     return out[:length]
 

@@ -196,9 +196,8 @@ def run_pipeline(
     try:
         # one hop per push, as a live caller feeds it: the mixture, then
         # zeros, until every input frame has run and the output is complete
-        while astream.frames_emitted < input_frames or sstream.released < n_samples:
+        for t in range(params.frames_to_release(n_samples)):
             t0 = time.perf_counter()
-            t = astream.frames_emitted
             block = mixture[:, t * hop : (t + 1) * hop]
             if block.shape[1] < hop:
                 block = np.concatenate([block, np.zeros((channels, hop - block.shape[1]))], axis=1)

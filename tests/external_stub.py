@@ -1,7 +1,8 @@
 """Minimal external-estimator child used by the protocol tests.
 
 Modes: identity (reply with mixture channel 0), short (reply with a wrong
-length), hang (read the frame, never reply).
+length), hang (read the frame, never reply), split (the identity reply in
+three writes, the first inside the length prefix).
 """
 
 import struct
@@ -25,8 +26,13 @@ def main():
         reply = payload[: n_bins * 8]  # channel 0 (re, im) pairs
         if mode == "short":
             reply = reply[: len(reply) // 2]
-        sys.stdout.buffer.write(struct.pack("<I", len(reply)) + reply)
-        sys.stdout.buffer.flush()
+        frame = struct.pack("<I", len(reply)) + reply
+        cuts = (0, 2, 9, len(frame)) if mode == "split" else (0, len(frame))
+        for start, end in zip(cuts, cuts[1:]):
+            sys.stdout.buffer.write(frame[start:end])
+            sys.stdout.buffer.flush()
+            if mode == "split":
+                time.sleep(0.01)
 
 
 if __name__ == "__main__":

@@ -238,6 +238,30 @@ class TestOnlineMcwf:
             bf.update(bad, np.zeros(3, complex))
         with pytest.raises(ValueError, match="shape"):
             bf.update(np.zeros((3, 3), complex), np.zeros(3, complex))
+        # one NaN or inf in y or in s, on a fresh filter (w = 0) and after some
+        # frames; nothing in the state may move
+        rng = np.random.default_rng(29)
+        for mode in ("direct", "woodbury"):
+            for warm in (0, 3):
+                bf = OnlineMcwf(2, 3, mode=mode)
+                for _ in range(warm):
+                    bf.update(_random_spectrogram(rng, 1, 2, 3)[0], _random_spectrogram(rng, 1, 1, 3)[0, 0])
+                state = lambda: bf._inv if mode == "woodbury" else bf.phi_yy  # noqa: E731
+                before = (bf.frames_seen, bf.filter.copy(), state().copy())
+                for bad_y in (True, False):
+                    for value in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+                        y = _random_spectrogram(rng, 1, 2, 3)[0]
+                        s = _random_spectrogram(rng, 1, 1, 3)[0, 0]
+                        target = y if bad_y else s
+                        target.flat[rng.integers(target.size)] = value
+                        # the woodbury check computes with the bad value (0 * inf warns)
+                        with np.errstate(invalid="ignore"), pytest.raises(
+                            ValueError, match="non-finite values in beamformer update"
+                        ):
+                            bf.update(y, s)
+                        assert bf.frames_seen == before[0]
+                        assert np.array_equal(bf.filter, before[1])
+                        assert np.array_equal(state(), before[2])
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

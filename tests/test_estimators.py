@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -187,6 +188,52 @@ class TestFrameFiles:
             load_frame_file(path, params, expected_frames=9)
 
 
+def _old_interleave(values):
+    """The explicit (re, im) float32 interleave the request encoder replaced."""
+    flat = np.asarray(values, dtype=np.complex128).ravel()
+    out = np.empty(2 * flat.size, dtype="<f4")
+    out[0::2] = flat.real
+    out[1::2] = flat.imag
+    return out.tobytes()
+
+
+def _old_decode(raw):
+    """The reply decoder the single complex64 cast replaced."""
+    raw = np.frombuffer(raw, dtype="<f4")
+    return (raw[0::2] + 1j * raw[1::2]).astype(np.complex128)
+
+
+class TestWireCodec:
+    def test_request_bytes_equal_explicit_interleave(self):
+        rng = np.random.default_rng(27)
+        frame = _frame(rng, 6, 129)
+        frame[0, :4] = [np.inf, -np.inf, complex(np.nan, 1), complex(0, -np.inf)]
+        frame[1, :3] = [1e40, -1e-50, complex(-0.0, -0.0)]  # float32 overflow, underflow, -0
+        with np.errstate(over="ignore"):  # both encoders cast 1e40 to inf
+            cases = (
+                frame,
+                frame.T,  # non-contiguous: C order of the view, as ravel() gave
+                frame[2],
+                frame.real,  # real input gets zero imaginary parts
+                frame.astype(np.complex64),
+                np.zeros(129, complex),
+            )
+            for values in cases:
+                assert ExternalEstimator._encode(values) == _old_interleave(values)
+
+    def test_reply_decodes_like_old_expression(self):
+        rng = np.random.default_rng(28)
+        mixture = _frame(rng, 2, 9) * 10.0 ** rng.integers(-30, 30, (2, 9))
+        mixture[0, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+        est = ExternalEstimator(9, 0, f"{sys.executable} {STUB} identity", 2, 1, 5.0)
+        try:
+            out = est.estimate(EstimatorInput(mixture), 0)
+        finally:
+            est.close()
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, _old_decode(_old_interleave(mixture[0])))
+
+
 class TestExternal:
     def _make(self, mode, n_bins=9, channels=2, stage=1, timeout=5.0):
         command = f"{sys.executable} {STUB} {mode}"
@@ -218,10 +265,21 @@ class TestExternal:
         finally:
             est.close()
 
+    def test_reply_in_pieces_is_reassembled(self):
+        est = self._make("split")
+        try:
+            rng = np.random.default_rng(30)
+            for t in range(3):
+                mixture = _frame(rng, 2, 9)
+                out = est.estimate(EstimatorInput(mixture), t)
+                assert np.array_equal(out, _old_decode(_old_interleave(mixture[0])))
+        finally:
+            est.close()
+
     def test_wrong_reply_length_raises(self):
         est = self._make("short")
         try:
-            with pytest.raises(ExternalProtocolError, match="bytes"):
+            with pytest.raises(ExternalProtocolError, match="replied 36 bytes, expected 72"):
                 est.estimate(EstimatorInput(np.zeros((2, 9), complex)), 0)
         finally:
             est.close()
@@ -233,6 +291,35 @@ class TestExternal:
                 est.estimate(EstimatorInput(np.zeros((2, 9), complex)), 0)
         finally:
             est.close()
+
+    @staticmethod
+    def _record_waits(monkeypatch):
+        waits = []
+        wait = subprocess.Popen.wait
+
+        def recording_wait(self, timeout=None):
+            waits.append(timeout)
+            return wait(self, timeout)
+
+        monkeypatch.setattr(subprocess.Popen, "wait", recording_wait)
+        return waits
+
+    def test_close_after_timeout_kills_the_child(self, monkeypatch):
+        waits = self._record_waits(monkeypatch)
+        est = self._make("hang", timeout=0.2)
+        with pytest.raises(ExternalProtocolError, match="timed out after 0.2s"):
+            est.estimate(EstimatorInput(np.zeros((2, 9), complex)), 0)
+        est.close()
+        assert est._proc.returncode < 0  # killed, not exited
+        assert 2.0 not in waits
+
+    def test_clean_close_waits_for_the_child_to_exit(self, monkeypatch):
+        waits = self._record_waits(monkeypatch)
+        est = self._make("identity")
+        est.estimate(EstimatorInput(np.zeros((2, 9), complex)), 0)
+        est.close()
+        assert est._proc.returncode == 0  # saw EOF and exited on its own
+        assert waits == [2.0]
 
 
 class TestEstimatorKind:

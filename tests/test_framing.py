@@ -45,6 +45,23 @@ class TestFrameParams:
         with pytest.raises(ValueError):
             FrameParams(frames_ahead=-1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_frames_to_release_is_the_flush_loop_count(self, data):
+        # the loop run_pipeline and synthesize used to spell out: push until
+        # every whole input hop has run and n samples are out
+        hop = data.draw(st.sampled_from([1, 2, 4, 8, 16, 32]), label="hop")
+        ows = hop * data.draw(st.integers(1, 4), label="ows_mult")
+        k = data.draw(st.integers(0, 5), label="frames_ahead")
+        n = data.draw(st.integers(0, 20 * hop + 3), label="n")
+        params = FrameParams(iws=ows, ows=ows, hop=hop, n_dft=ows + ows % 2, frames_ahead=k)
+        stream = SynthesisStream(params)
+        pushes = 0
+        while pushes < n // hop or stream.released < n:
+            stream.push(np.zeros(ows))
+            pushes += 1
+        assert params.frames_to_release(n) == pushes
+
 
 class TestAnalysisStream:
     def test_priming_first_frame_content(self):
@@ -132,6 +149,45 @@ class TestAnalysisStream:
         assert np.array_equal(whole, np.reshape(loop, whole.shape))
         assert np.array_equal(analyze(x[0], g, params), whole[:, 0])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_mixed_push_sizes_equal_analyze(self, data):
+        hop = data.draw(st.sampled_from([2, 4, 8, 16, 32]), label="hop")
+        ows = hop * data.draw(st.integers(1, 4), label="ows_mult")
+        iws = data.draw(st.integers(ows, 160), label="iws")
+        n_dft = data.draw(st.sampled_from([iws + iws % 2, 256]), label="n_dft")
+        channels = data.draw(st.integers(1, 6), label="channels")
+        kind = data.draw(st.sampled_from(ALL_KINDS), label="kind")
+        sizes = data.draw(
+            st.lists(
+                st.one_of(
+                    st.just(0),
+                    st.just(1),
+                    st.integers(1, hop - 1),  # partial hop
+                    st.integers(hop + 1, 5 * hop),  # several hops
+                ),
+                max_size=15,
+            ),
+            label="sizes",
+        )
+        sizes = [size for other in sizes for size in (hop, other)]  # one-hop pushes in between
+        params = FrameParams(iws=iws, ows=ows, hop=hop, n_dft=n_dft)
+        g = make_analysis_window(kind, iws, hop=hop)
+        x = np.random.default_rng(len(sizes)).standard_normal((channels, sum(sizes)))
+        stream = AnalysisStream(g, params, channels)
+        frames, copies = [], []
+        pos = 0
+        for size in sizes:
+            for frame in stream.push(x[:, pos : pos + size]):
+                frames.append(frame)
+                copies.append(frame.bins.copy())
+            pos += size
+        whole = analyze(x, g, params)
+        assert [f.frame_index for f in frames] == list(range(len(whole)))
+        assert np.array_equal(whole, np.reshape([f.bins for f in frames], whole.shape))
+        # frames handed out earlier do not change with later pushes
+        assert all(np.array_equal(f.bins, c) for f, c in zip(frames, copies))
+
 
 class TestSynthesis:
     def test_zero_frame_gives_zero_chunk(self):
@@ -141,6 +197,36 @@ class TestSynthesis:
             SpectrumFrame(np.zeros(params.n_bins, complex), 0), l, params
         )
         np.testing.assert_array_equal(chunk, np.zeros(params.ows))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_synthesize_frame_matches_inverse_rfft(self, data):
+        hop = data.draw(st.sampled_from([2, 4, 8, 16, 32]), label="hop")
+        ows = hop * data.draw(st.integers(1, 4), label="ows_mult")
+        iws = data.draw(st.integers(ows, 256), label="iws")
+        n_dft = data.draw(st.sampled_from([iws + iws % 2, iws + iws % 2 + 6, 256, 512]), label="n_dft")
+        kind = data.draw(st.sampled_from(ALL_KINDS), label="kind")
+        layout = data.draw(st.sampled_from(["complex128", "complex64", "strided"]), label="layout")
+        params = FrameParams(iws=iws, ows=ows, hop=hop, n_dft=n_dft)
+        try:
+            _, l = build_windows(kind, params)
+        except ValueError:
+            assume(False)  # no perfect-reconstruction partner (see the round-trip test)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = (params.n_bins,)
+        bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert bins[0].imag != 0 and bins[-1].imag != 0  # irfft ignores these two
+        if layout == "complex64":
+            bins = bins.astype(np.complex64)
+        elif layout == "strided":
+            bins = np.repeat(bins, 2)[::2]
+        got = synthesize_frame(SpectrumFrame(bins, 0), l, params)
+        # the full inverse this replaces; complex64 bins are taken at their exact
+        # values (irfft would run in single precision on them)
+        seg = np.fft.irfft(bins.astype(np.complex128), params.n_dft)
+        expected = seg[iws - ows : iws] * l.samples
+        assert got.shape == (ows,)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_non_finite_bins_rejected(self):
         params = FrameParams()
