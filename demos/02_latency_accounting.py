@@ -11,8 +11,7 @@ sample at a time and log when each probe sample comes out.
 
 import numpy as np
 
-from dualwin import FrameParams, TUKEY, algorithmic_latency, audit_all
-from dualwin.framing import AnalysisStream, SynthesisStream, build_windows, synthesize_frame
+from dualwin import FrameParams, PipelineConfig, Session, algorithmic_latency, audit_all
 
 # ---------------------------------------------------------------------------
 # The accounting formula: ows_ms - k * hop_ms.
@@ -22,21 +21,21 @@ for k in range(4):
     print(f"  k={k}: {algorithmic_latency(params):+.1f} ms")
 
 # ---------------------------------------------------------------------------
-# Measure it: ingest one sample per step, note the ingest count at which
-# each probe output index is released.
+# Measure it on a Session, the object that also runs every enhancement:
+# ingest one sample per push, note the ingest count at which each probe
+# output index is released.
 params = FrameParams()
-g, l = build_windows(TUKEY, params)
-astream = AnalysisStream(g, params)
-sstream = SynthesisStream(params)
+session = Session(PipelineConfig(params=params), channels=1)
 rng = np.random.default_rng(1)
 x = rng.standard_normal(2048)
 probes = {512: None, 517: None, 1024: None}
+released = 0
 for i in range(len(x)):
-    for frame in astream.push(x[i : i + 1]):
-        sstream.push(synthesize_frame(frame.channel(0), l, params))
+    released += len(session.push(x[i : i + 1]))
     for n, hit in probes.items():
-        if hit is None and sstream.released > n:
+        if hit is None and released > n:
             probes[n] = i + 1
+session.close()
 
 print("\nsample-by-sample release times (k=0):")
 for n, ingested in probes.items():

@@ -2,41 +2,45 @@
 Chunked streaming and precomputed estimate files
 ================================================
 
-The analysis and synthesis streams buffer internally, so feeding audio in
-arbitrary chunk sizes (single samples, odd blocks, everything at once)
-produces bit-identical frames and output. Estimates can also be produced
-offline, saved to a frame file, and replayed through the same pipeline.
+A Session buffers internally, so feeding audio in arbitrary chunk sizes
+(single samples, odd blocks, everything at once) produces output
+bit-identical to run_pipeline, which feeds one hop per push. Estimates can
+also be produced offline, saved to a frame file, and replayed through the
+same pipeline.
 """
 
 import tempfile
 
 import numpy as np
 
-from dualwin import EstimatorKind, FrameParams, PipelineConfig, TUKEY, run_pipeline, si_sdr
+from dualwin import EstimatorKind, FrameParams, PipelineConfig, Session, TUKEY, run_pipeline, si_sdr
 from dualwin.estimators import save_frame_file
-from dualwin.framing import AnalysisStream, analyze, build_windows
+from dualwin.framing import analyze, build_windows
 from dualwin.simulate import array_geometry, spatialize
 
 params = FrameParams()
 g, l = build_windows(TUKEY, params)
 rng = np.random.default_rng(2)
-x = rng.standard_normal(6400)
 
 # ---------------------------------------------------------------------------
-# Chunking invariance: any partition of the input yields the same frames.
-whole = AnalysisStream(g, params).push(x)
-chunked = AnalysisStream(g, params)
-frames = []
+# Chunking invariance: any partition of the input yields the same output.
+x = rng.standard_normal((2, 6400))
+ref = rng.standard_normal(6400)
+cfg = PipelineConfig(stage1=EstimatorKind("oracle_mag_mask"), beamformer="woodbury",
+                     stage2=EstimatorKind("passthrough", source="beamformer"))
+whole, _ = run_pipeline(cfg, x, ref)
+session = Session(cfg, channels=2, reference=ref, mixture=x)
+parts = []
 pos = 0
-while pos < len(x):
+while pos < x.shape[1]:
     step = int(rng.integers(1, 101))
-    frames.extend(chunked.push(x[pos : pos + step]))
+    parts.append(session.push(x[:, pos : pos + step]))
     pos += step
-identical = all(
-    np.array_equal(a.bins, b.bins) for a, b in zip(whole, frames)
-) and len(whole) == len(frames)
-print(f"random chunking vs one shot: {len(frames)} frames, "
-      f"bit-identical={identical}")
+parts.append(session.flush())
+session.close()
+chunked = np.concatenate(parts)[: len(whole)]
+print(f"random chunking vs run_pipeline: {session.frames} frames, "
+      f"bit-identical={np.array_equal(chunked, whole)}")
 
 # ---------------------------------------------------------------------------
 # Frame files: run an estimator offline, save its frames, replay them as a

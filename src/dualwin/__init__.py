@@ -37,6 +37,7 @@ from .pipeline import (
     LatencyCheck,
     PipelineConfig,
     RunReport,
+    Session,
     audit_all,
     audit_latency,
     run_pipeline,

@@ -27,7 +27,7 @@ MODES = ("direct", "woodbury")
 
 
 class BeamformerStateError(RuntimeError):
-    """Recursive state is numerically corrupted (lost positive-definiteness)."""
+    """Online state is numerically broken: a lost positive-definiteness or a singular solve."""
 
 
 def woodbury_update(inv: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,7 +215,10 @@ class OnlineMcwf:
             if woodbury:
                 self._filter = self._w.T
             else:
-                self._filter = np.linalg.solve(self.phi_yy, self.phi_ys[..., None])[..., 0]
+                try:
+                    self._filter = np.linalg.solve(self.phi_yy, self.phi_ys[..., None])[..., 0]
+                except np.linalg.LinAlgError as exc:
+                    raise BeamformerStateError(f"direct-mode solve failed: {exc}") from exc
         self._t += 1
         return self._filter
 

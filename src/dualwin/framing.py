@@ -121,9 +121,6 @@ class MultichannelSpectrumFrame(NamedTuple):
     bins: np.ndarray
     frame_index: int
 
-    def channel(self, p: int) -> SpectrumFrame:
-        return SpectrumFrame(self.bins[p], self.frame_index)
-
 
 def _check_window(window: AnalysisWindow, params: FrameParams):
     if window.n != params.iws:

@@ -1,11 +1,11 @@
 """Two-stage enhancement pipeline and latency auditing.
 
 The streaming topology is: analysis -> stage-1 estimator -> (optional)
-frame-online MCWF -> (optional) stage-2 estimator -> dual-window synthesis.
-Everything operates frame by frame in the complex STFT domain, so the
-beamformer adds no algorithmic latency; the only look-ahead in the whole
-chain is the output window span minus the predicted hops, and that number
-is what :func:`audit_latency` measures empirically against
+frame-online MCWF -> (optional) stage-2 estimator -> dual-window synthesis,
+run one frame per hop by a :class:`Session`. It works in the complex STFT
+domain, so the beamformer adds no algorithmic latency; the only look-ahead
+in the whole chain is the output window span minus the predicted hops, and
+:func:`audit_latency` measures that on a Session against
 :func:`dualwin.framing.algorithmic_latency`.
 
 Future-frame prediction applies to the last estimator stage only;
@@ -14,9 +14,11 @@ intermediate stages always work on the current frame.
 
 from __future__ import annotations
 
+import json
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from contextlib import closing
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -83,9 +85,6 @@ class PipelineConfig:
     def needs_reference(self) -> bool:
         return self.stage1.is_oracle or (self.stage2 is not None and self.stage2.is_oracle)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RunReport:
@@ -103,15 +102,122 @@ class RunReport:
     frame_time_ms_max: float
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.metrics is not None:
-            d["metrics"] = self.metrics.to_dict()
-        return d
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
-        import json
-
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+
+class Session:
+    """One stream through the configured chain, fed as its samples arrive.
+
+    Each completed input hop runs one frame through analysis, stage 1, the
+    MCWF, stage 2 and synthesis. Construction does everything before the
+    first frame: validation, window design, the oracle tables, estimator
+    binding and MCWF state. The oracle tables are analyzed from the whole
+    ``reference`` and ``mixture`` given here (``oracle_mag_mask`` reads
+    channel ``ref_mic`` of ``mixture``), so an oracle is causal in the
+    streamed mixture only. A ``mixture`` also sets the reference length and
+    the number of frames a frame file must hold. Single-writer; ``close``
+    ends external estimator children, after an error too.
+    """
+
+    def __init__(
+        self,
+        config: PipelineConfig,
+        channels: int,
+        reference: np.ndarray | None = None,
+        mixture: np.ndarray | None = None,
+    ):
+        config.validate_channels(channels)
+        if config.needs_reference and reference is None:
+            raise ConfigError("an oracle estimator is configured but no reference was given")
+        params = self.params = config.params
+        g, self._l = build_windows(config.window, params)
+        # output sample n - 1 needs oracle rows up to ceil((n + ows) / hop) - 2 only,
+        # so ows trailing zeros give the tables every row that reaches the output
+        tail = np.zeros(params.ows)
+        ref_frames = mix_ref_frames = expected_frames = None
+        if mixture is not None:
+            mixture = np.atleast_2d(np.asarray(mixture, dtype=np.float64))
+            expected_frames = mixture.shape[1] // params.hop
+        if reference is not None:
+            reference = np.asarray(reference, dtype=np.float64).reshape(-1)
+            if mixture is not None and len(reference) != mixture.shape[1]:
+                raise ConfigError(
+                    f"reference length {len(reference)} does not match mixture {mixture.shape[1]}"
+                )
+            ref_frames = analyze(np.concatenate([reference, tail]), g, params)
+        stages = [kind.kind for kind in (config.stage1, config.stage2) if kind is not None]
+        if mixture is not None and "oracle_mag_mask" in stages:
+            mix_ref_frames = analyze(np.concatenate([mixture[config.ref_mic], tail]), g, params)
+
+        self._bf = None
+        if config.beamformer is not None:
+            self._bf = OnlineMcwf(
+                channels,
+                params.n_bins,
+                mode=config.beamformer,
+                loading=config.loading,
+                update_stride=config.update_stride,
+                forgetting=config.forgetting,
+                ref_mic=config.ref_mic,
+            )
+        k = params.frames_ahead
+        stage1_is_last = config.stage2 is None and config.beamformer is None
+        bound = dict(
+            channels=channels,
+            reference_frames=ref_frames,
+            mixture_ref_frames=mix_ref_frames,
+            expected_frames=expected_frames,
+        )
+        self._est1 = make_estimator(
+            config.stage1, params, frames_ahead=k if stage1_is_last else 0, stage=1, **bound
+        )
+        self._est2 = None
+        try:
+            if config.stage2 is not None:
+                self._est2 = make_estimator(config.stage2, params, frames_ahead=k, stage=2, **bound)
+        except BaseException:
+            self.close()
+            raise
+        self._astream = AnalysisStream(g, params, channels)
+        self._sstream = SynthesisStream(params)
+        self._pushed = 0
+
+    @property
+    def frames(self) -> int:
+        """Frames run through the chain so far."""
+        return self._astream.frames_emitted
+
+    def push(self, chunk: np.ndarray) -> np.ndarray:
+        """Ingest samples, shape (channels, n) or (n,), any n; returns the
+        output samples released (possibly none)."""
+        out = []
+        for y, t in self._astream.push(chunk):
+            final = s1 = self._est1.estimate(EstimatorInput(y), t)
+            bf_out = None
+            if self._bf is not None:
+                final = bf_out = apply_filter(self._bf.update(y, s1), y)
+            if self._est2 is not None:
+                final = self._est2.estimate(EstimatorInput(y, s1, bf_out), t)
+            windowed = synthesize_frame(SpectrumFrame(final, t), self._l, self.params)
+            out.append(self._sstream.push(windowed))
+        self._pushed += np.shape(chunk)[-1]
+        return out[0] if len(out) == 1 else np.concatenate(out or [np.empty(0)])
+
+    def flush(self) -> np.ndarray:
+        """Push zero hops up to ``params.frames_to_release`` of the samples
+        pushed, releasing all of them; returns that output. Push no more."""
+        n = max(self.params.frames_to_release(self._pushed) - self.frames, 0) * self.params.hop
+        out = self.push(np.zeros((self._astream.channels, n)))
+        self._pushed -= n  # padding, not input: a second flush releases nothing
+        return out
+
+    def close(self):
+        for est in (self._est1, self._est2):
+            if est is not None:
+                est.close()
 
 
 def run_pipeline(
@@ -119,7 +225,7 @@ def run_pipeline(
     mixture: np.ndarray,
     reference: np.ndarray | None = None,
 ) -> tuple[np.ndarray, RunReport]:
-    """Stream a mixture through the configured chain.
+    """Stream a mixture through the configured chain, one hop per push.
 
     Arguments:
         config: pipeline configuration
@@ -128,109 +234,35 @@ def run_pipeline(
             oracle estimator is configured, and enables metric computation
     Return:
         (enhanced, report): (n,) enhanced signal (same length as the
-        input) and the run report
+        input) and the run report, whose frame times are those of the
+        input pushes
     """
-    mixture = np.asarray(mixture, dtype=np.float64)
-    if mixture.ndim == 1:
-        mixture = mixture[np.newaxis, :]
+    mixture = np.atleast_2d(np.asarray(mixture, dtype=np.float64))
     channels, n_samples = mixture.shape
-    config.validate_channels(channels)
-    params = config.params
-    k = params.frames_ahead
-    if config.needs_reference and reference is None:
-        raise ConfigError("an oracle estimator is configured but no reference was given")
-    if reference is not None:
-        reference = np.asarray(reference, dtype=np.float64).reshape(-1)
-        if len(reference) != n_samples:
-            raise ConfigError(
-                f"reference length {len(reference)} does not match mixture {n_samples}"
-            )
-
-    g, l = build_windows(config.window, params)
-    hop = params.hop
-    input_frames = n_samples // hop
-    # output sample n - 1 needs oracle rows up to ceil((n + ows) / hop) - 2 only,
-    # so ows trailing zeros give the tables every row that reaches the output
-    tail = np.zeros(params.ows)
-    ref_frames = None
-    mix_ref_frames = None
-    if reference is not None:
-        ref_frames = analyze(np.concatenate([reference, tail]), g, params)
-    wants_mask = any(
-        kind is not None and kind.kind == "oracle_mag_mask"
-        for kind in (config.stage1, config.stage2)
-    )
-    if wants_mask:
-        mix_ref_frames = analyze(np.concatenate([mixture[config.ref_mic], tail]), g, params)
-
-    stage1_is_last = config.stage2 is None and config.beamformer is None
-    bound = dict(
-        channels=channels,
-        reference_frames=ref_frames,
-        mixture_ref_frames=mix_ref_frames,
-        expected_frames=input_frames,
-    )
-    est1 = make_estimator(
-        config.stage1, params, frames_ahead=k if stage1_is_last else 0, stage=1, **bound
-    )
-    est2 = None
-    if config.stage2 is not None:
-        est2 = make_estimator(config.stage2, params, frames_ahead=k, stage=2, **bound)
-    bf = None
-    if config.beamformer is not None:
-        bf = OnlineMcwf(
-            channels,
-            params.n_bins,
-            mode=config.beamformer,
-            loading=config.loading,
-            update_stride=config.update_stride,
-            forgetting=config.forgetting,
-            ref_mic=config.ref_mic,
-        )
-
-    astream = AnalysisStream(g, params, channels)
-    sstream = SynthesisStream(params)
+    hop = config.params.hop
     out_parts: list[np.ndarray] = []
     frame_times: list[float] = []
-    counts = {"analysis": 0, "stage1": 0, "beamformer": 0, "stage2": 0, "synthesis": 0}
-    try:
-        # one hop per push, as a live caller feeds it: the mixture, then
-        # zeros, until every input frame has run and the output is complete
-        for t in range(params.frames_to_release(n_samples)):
+    with closing(Session(config, channels, reference, mixture)) as session:
+        for start in range(0, n_samples, hop):
             t0 = time.perf_counter()
-            block = mixture[:, t * hop : (t + 1) * hop]
-            if block.shape[1] < hop:
-                block = np.concatenate([block, np.zeros((channels, hop - block.shape[1]))], axis=1)
-            (frame,) = astream.push(block)
-            s1 = est1.estimate(EstimatorInput(frame.bins), t)
-            counts["stage1"] += 1
-            bf_out = None
-            if bf is not None:
-                w = bf.update(frame.bins, s1)
-                bf_out = apply_filter(w, frame.bins)
-                counts["beamformer"] += 1
-            if est2 is not None:
-                final = est2.estimate(EstimatorInput(frame.bins, s1, bf_out), t)
-                counts["stage2"] += 1
-            else:
-                final = bf_out if bf is not None else s1
-            chunk = synthesize_frame(SpectrumFrame(final, t), l, params)
-            out_parts.append(sstream.push(chunk))
-            counts["synthesis"] += 1
+            out_parts.append(session.push(mixture[:, start : start + hop]))
             frame_times.append(time.perf_counter() - t0)
-    finally:
-        est1.close()
-        if est2 is not None:
-            est2.close()
-    out = np.concatenate(out_parts)[:n_samples] if out_parts else np.zeros(0)
+        out_parts.append(session.flush())
+    out = np.concatenate(out_parts)[:n_samples]
 
-    counts["analysis"] = astream.frames_emitted
-    metrics = compute_metrics(out, reference) if reference is not None else None
+    n = session.frames
+    metrics = compute_metrics(out, np.reshape(reference, -1)) if reference is not None else None
     times_ms = 1000.0 * np.asarray(frame_times) if frame_times else np.zeros(1)
     report = RunReport(
-        config=config.to_dict(),
-        algorithmic_latency_ms=algorithmic_latency(params),
-        frames=dict(counts),
+        config=asdict(config),
+        algorithmic_latency_ms=algorithmic_latency(config.params),
+        frames={
+            "analysis": n,
+            "stage1": n,
+            "beamformer": n if config.beamformer is not None else 0,
+            "stage2": n if config.stage2 is not None else 0,
+            "synthesis": n,
+        },
         metrics=metrics,
         frame_time_ms_mean=float(np.mean(times_ms)),
         frame_time_ms_max=float(np.max(times_ms)),
@@ -258,22 +290,6 @@ class LatencyCheck:
         return self.timing_ok and self.impulse_ok and self.causality_ok
 
 
-def _identity_chain(window: WindowKind, params: FrameParams):
-    """Sample-in/samples-out closure over analysis -> synthesis of channel 0."""
-    g, l = build_windows(window, params)
-    astream = AnalysisStream(g, params, 1)
-    sstream = SynthesisStream(params)
-
-    def push(samples: np.ndarray) -> np.ndarray:
-        parts = [
-            sstream.push(synthesize_frame(frame.channel(0), l, params))
-            for frame in astream.push(samples)
-        ]
-        return np.concatenate(parts) if parts else np.empty(0)
-
-    return push
-
-
 def audit_latency(
     frames_ahead: int,
     params: FrameParams | None = None,
@@ -281,7 +297,10 @@ def audit_latency(
 ) -> LatencyCheck:
     """Empirically verify the latency arithmetic for one horizon.
 
-    Three checks against an identity estimator chain:
+    Three checks, each on a :class:`Session` of an identity chain: an
+    ``oracle_complex`` stage whose reference is the input delayed by
+    ``frames_ahead`` hops, so that the row it replays at frame ``t`` is
+    exactly frame ``t`` of the input:
 
     * timing: feeding samples one at a time, the output sample at a hop
       boundary n is released after ingesting exactly
@@ -293,47 +312,35 @@ def audit_latency(
     * causality: zeroing every input sample after a cut point never
       changes anything already released at the cut, bit-exactly.
     """
-    base = params or FrameParams()
-    params = FrameParams(
-        sample_rate=base.sample_rate,
-        iws=base.iws,
-        ows=base.ows,
-        hop=base.hop,
-        n_dft=base.n_dft,
-        frames_ahead=frames_ahead,
-    )
+    params = replace(params or FrameParams(), frames_ahead=frames_ahead)
+    config = PipelineConfig(params=params, window=window, stage1=EstimatorKind("oracle_complex"))
     b = params.hop
     expected_samples = params.ows - frames_ahead * b
     rng = np.random.default_rng(7)
     total = 64 * b
 
-    # timing: first ingest count at which output index n is released
-    probes = {16 * b: None, 24 * b: None}
-    push = _identity_chain(window, params)
+    def identity(signal: np.ndarray) -> Session:
+        return Session(config, 1, reference=np.concatenate([np.zeros(frames_ahead * b), signal]))
+
+    def one_shot(signal: np.ndarray) -> np.ndarray:
+        session = identity(signal)
+        return np.concatenate([session.push(signal), session.flush()])
+
+    # timing: the ingest count at which output sample n is first released
     x = rng.standard_normal(total)
-    released = 0
-    for i in range(total):
-        released += len(push(x[i : i + 1]))
-        for n in probes:
-            if probes[n] is None and released > n:
-                probes[n] = i + 1
-    deltas = {n: got - n for n, got in probes.items() if got is not None}
-    timing_ok = len(deltas) == len(probes) and all(
-        d == expected_samples for d in deltas.values()
-    )
-    measured = max(deltas.values()) if deltas else float("nan")
+    session = identity(x)
+    released = np.cumsum([len(session.push(x[i : i + 1])) for i in range(total)])
+    deltas = [int(np.searchsorted(released, n, side="right")) + 1 - n for n in (16 * b, 24 * b)]
+    timing_ok = all(d == expected_samples for d in deltas)
 
     # impulse content lands frames_ahead hops late through an identity chain
     impulse_ok = True
     for n in (16 * b, 16 * b + b // 2):
         x_imp = np.zeros(total)
         x_imp[n] = 1.0
-        push = _identity_chain(window, params)
-        out = np.concatenate([push(x_imp), push(np.zeros(2 * params.ows))])
-        shifted = n + frames_ahead * b
+        out = one_shot(x_imp)
         expected_out = np.zeros(len(out))
-        if shifted < len(out):
-            expected_out[shifted] = 1.0
+        expected_out[n + frames_ahead * b] = 1.0
         start = frames_ahead * b  # samples with missing past contributions
         impulse_ok &= bool(
             np.max(np.abs(out[start:] - expected_out[start:])) < 1e-9
@@ -347,10 +354,7 @@ def audit_latency(
     )
     x2 = x.copy()
     x2[cut:] = 0.0
-    outs = []
-    for signal in (x, x2):
-        push = _identity_chain(window, params)
-        outs.append(np.concatenate([push(signal), push(np.zeros(2 * params.ows))]))
+    outs = [one_shot(signal) for signal in (x, x2)]
     causality_ok = released_at_cut > 0 and bool(
         np.array_equal(outs[0][:released_at_cut], outs[1][:released_at_cut])
     )
@@ -358,7 +362,7 @@ def audit_latency(
     return LatencyCheck(
         frames_ahead=frames_ahead,
         expected_ms=algorithmic_latency(params),
-        measured_ms=params.ms(measured) if deltas else float("nan"),
+        measured_ms=params.ms(max(deltas)),
         timing_ok=timing_ok,
         impulse_ok=impulse_ok,
         causality_ok=causality_ok,

@@ -4,7 +4,8 @@ Samples cross this boundary as float64 in [-1, 1] with shape
 (channels, n). Integer formats are scaled by 2**(bits-1) (writes round and
 clip); the float format is stored as float32, so writing float32-valued
 data and reading it back is bit-exact. Malformed or truncated files raise
-:class:`WavError` naming the byte offset where parsing failed.
+:class:`WavError` naming the byte offset where parsing failed; float data
+holding an inf or NaN raises it too.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         flat = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4").astype(
             np.float64
         )
+        if not np.isfinite(flat).all():
+            raise WavError(f"non-finite sample value in the float data of {path}")
     elif tag == _FORMAT_PCM and bits == 16:
         flat = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2").astype(
             np.float64

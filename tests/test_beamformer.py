@@ -263,6 +263,13 @@ class TestOnlineMcwf:
                         assert np.array_equal(bf.filter, before[1])
                         assert np.array_equal(state(), before[2])
 
+    def test_singular_direct_solve_raises_state_error(self):
+        # statistics that lost their loading, then a silent frame: the solve is singular
+        bf = OnlineMcwf(2, 3, mode="direct")
+        bf.phi_yy[:] = 0.0
+        with pytest.raises(BeamformerStateError, match="direct-mode solve failed"):
+            bf.update(np.zeros((2, 3), complex), np.zeros(3, complex))
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             OnlineMcwf(2, 3, mode="mvdr")

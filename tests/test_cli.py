@@ -8,7 +8,7 @@ import pytest
 
 from dualwin import beamformer, estimators
 from dualwin.cli import main
-from dualwin.wavio import read_wav
+from dualwin.wavio import read_wav, write_wav
 
 
 def _write_config(path, lines):
@@ -164,6 +164,17 @@ class TestMalformedInputs:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: truncated")
 
+    def test_non_finite_float_wav_exits_1(self, tmp_path, capsys):
+        # rejected when read, before any numpy warning from the chain
+        path = tmp_path / "inf.wav"
+        mixture = np.random.default_rng(3).uniform(-0.5, 0.5, (2, 4000))
+        mixture[1, 1234] = np.inf
+        write_wav(path, mixture, 16000)
+        code = self._enhance(tmp_path, path, ["beamformer = woodbury"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error: non-finite sample value in the float data of {path}"]
+
 
 class TestRuntimeErrors:
     """Runtime failures exit 2 with a one-line cause, not a traceback."""
@@ -210,6 +221,19 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert err == ["error: RLS denominator <= 0; inverse is no longer positive-definite"]
+
+    def test_singular_direct_solve_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
+        update = beamformer.OnlineMcwf.update
+
+        def unloaded(self, y, s):
+            self.phi_yy[:] = 0.0  # the diagonal loading lost: one frame gives a rank-1 covariance
+            return update(self, y, s)
+
+        monkeypatch.setattr(beamformer.OnlineMcwf, "update", unloaded)
+        code = self._enhance(tmp_path, scene_dir, ["beamformer = direct"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: direct-mode solve failed: ")
 
 
 class TestLatencyCheckCommand:

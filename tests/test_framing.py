@@ -313,7 +313,8 @@ class TestLatencyAccounting:
         when = {}
         for i in range(len(x)):
             for frame in astream.push(x[i : i + 1]):
-                sstream.push(synthesize_frame(frame.channel(0), l, params))
+                mono = SpectrumFrame(frame.bins[0], frame.frame_index)
+                sstream.push(synthesize_frame(mono, l, params))
             for n in probes:
                 if n not in when and sstream.released > n:
                     when[n] = i + 1

@@ -6,13 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from dualwin import pipeline
+from dualwin import estimators, pipeline
 from dualwin.estimators import EstimatorKind, save_frame_file
 from dualwin.framing import FrameParams, analyze, build_windows
 from dualwin.metrics import si_sdr
 from dualwin.pipeline import (
     ConfigError,
     PipelineConfig,
+    Session,
     audit_all,
     audit_latency,
     run_pipeline,
@@ -132,17 +133,34 @@ class TestStageTopology:
         assert np.max(np.abs(out_ext - out_ref)) < 1e-5
 
 
+MASK = EstimatorKind("oracle_mag_mask")
+TO_BEAMFORMER = EstimatorKind("passthrough", source="beamformer")
+
+
 class TestCausality:
-    def test_zeroing_future_input_is_invisible_before_the_bound(self):
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            {},
+            {"stage1": MASK, "beamformer": "woodbury", "stage2": TO_BEAMFORMER},
+            {"stage1": MASK, "beamformer": "direct"},
+            {"stage1": EstimatorKind("external", command=f"{sys.executable} {STUB} identity")},
+        ],
+        ids=["passthrough", "mask-woodbury-passthrough", "mask-direct", "external"],
+    )
+    def test_zeroing_future_input_is_invisible_before_the_bound(self, stages):
+        # the configured chain, not only an identity chain; the oracle sees a
+        # fixed reference, so only the mixture's future is zeroed
         params = FrameParams()
         rng = np.random.default_rng(40)
         x = rng.standard_normal((2, 4000))
+        ref = rng.standard_normal(4000)
         cut = 2400
         x2 = x.copy()
         x2[:, cut:] = 0.0
-        cfg = PipelineConfig(params=params)
-        out_a, _ = run_pipeline(cfg, x)
-        out_b, _ = run_pipeline(cfg, x2)
+        cfg = PipelineConfig(params=params, **stages)
+        out_a, _ = run_pipeline(cfg, x, ref)
+        out_b, _ = run_pipeline(cfg, x2, ref)
         bound = cut - params.ows
         np.testing.assert_array_equal(out_a[:bound], out_b[:bound])
         assert not np.array_equal(out_a, out_b)
@@ -171,6 +189,51 @@ class TestCausality:
 
     def test_audit_reports_expected_milliseconds(self):
         assert [audit_latency(k).measured_ms for k in range(4)] == [4.0, 2.0, 0.0, -2.0]
+
+
+class TestSession:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_chunked_pushes_match_run_pipeline(self, scene, k):
+        cfg = PipelineConfig(
+            params=FrameParams(frames_ahead=k),
+            stage1=MASK,
+            beamformer="woodbury",
+            stage2=EstimatorKind("oracle_complex"),
+        )
+        mixture, reference = scene.mixture, scene.target_direct
+        expected, report = run_pipeline(cfg, mixture, reference)
+        session = Session(cfg, mixture.shape[0], reference, mixture)
+        parts, pos = [], 0
+        for size in (1, 7, 32, 100, 5000, mixture.shape[1]):
+            parts.append(session.push(mixture[:, pos : pos + size]))
+            pos += size
+        parts.append(session.flush())
+        session.close()
+        out = np.concatenate(parts)
+        assert len(out) >= len(expected)
+        np.testing.assert_array_equal(out[: len(expected)], expected)
+        assert session.frames == report.frames["synthesis"]
+
+    def test_flush_releases_every_pushed_sample_once(self):
+        x = np.random.default_rng(45).standard_normal(3333)
+        session = Session(PipelineConfig(), 1)
+        out = np.concatenate([session.push(x), session.flush()])
+        assert len(session.flush()) == 0
+        np.testing.assert_allclose(out[: len(x)], x, rtol=0, atol=1e-10)
+
+    def test_failed_construction_closes_the_stage1_child(self, tmp_path, monkeypatch):
+        closed = []
+        close = estimators.ExternalEstimator.close
+        monkeypatch.setattr(
+            estimators.ExternalEstimator, "close", lambda self: closed.append(self) or close(self)
+        )
+        cfg = PipelineConfig(
+            stage1=EstimatorKind("external", command=f"{sys.executable} {STUB} identity"),
+            stage2=EstimatorKind("file", path=str(tmp_path / "missing.npz")),
+        )
+        with pytest.raises(FileNotFoundError):
+            Session(cfg, 2)
+        assert len(closed) == 1 and closed[0]._proc.poll() is not None
 
 
 class TestRunReport:

@@ -65,6 +65,15 @@ class TestErrors:
         with pytest.raises(WavError, match=r"byte offset \d+"):
             read_wav(path)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float_sample_rejected(self, tmp_path, stereo, value):
+        path = tmp_path / "non-finite.wav"
+        stereo = stereo.copy()
+        stereo[1, 250] = value
+        write_wav(path, stereo, 16000)
+        with pytest.raises(WavError, match="non-finite sample value"):
+            read_wav(path)
+
     def test_not_riff_rejected(self, tmp_path):
         path = tmp_path / "bogus.wav"
         path.write_bytes(b"OGGS" + b"\x00" * 40)
