@@ -4,7 +4,7 @@ Chunked streaming and precomputed estimate files
 
 A Session buffers internally, so feeding audio in arbitrary chunk sizes
 (single samples, odd blocks, everything at once) produces output
-bit-identical to run_pipeline, which feeds one hop per push. Estimates can
+bit-identical to run_pipeline, which feeds 32 hops per push. Estimates can
 also be produced offline, saved to a frame file, and replayed through the
 same pipeline.
 """

@@ -211,7 +211,8 @@ class AnalysisStream:
         self._lo, self._hi = lo + n_frames * hop, hi
         t0 = self._t
         self._t += n_frames
-        return list(map(MultichannelSpectrumFrame, bins, range(t0, self._t)))
+        # indexing beats iterating the array: 0.8 against 1.3 us for one frame
+        return [MultichannelSpectrumFrame(bins[i], t0 + i) for i in range(n_frames)]
 
 
 def analyze(
@@ -242,7 +243,7 @@ def analyze(
 
 @functools.lru_cache(maxsize=32)
 def _synthesis_basis(window: bytes, iws: int, n_dft: int) -> np.ndarray:
-    """(ows, 2 * n_bins) basis of :func:`synthesize_frame`: rows
+    """(ows, 2 * n_bins) basis of :func:`synthesize_block`: rows
     ``iws - ows .. iws - 1`` of the ``n_dft``-point inverse real DFT over
     interleaved (re, im) bins, times the synthesis window. Bin ``k`` weighs
     ``w_k cos(2 pi k n / N)`` on its real part and ``-w_k sin(2 pi k n / N)``
@@ -266,35 +267,44 @@ def _synthesis_basis(window: bytes, iws: int, n_dft: int) -> np.ndarray:
     return basis
 
 
-def synthesize_frame(
-    frame: SpectrumFrame, l: SynthesisWindow, params: FrameParams
+def synthesize_block(
+    bins: np.ndarray, l: SynthesisWindow, params: FrameParams, first_frame: int = 0
 ) -> np.ndarray:
-    """Invert one frame and return its windowed overlap-add chunk,
-    ``irfft(bins, n_dft)[iws - ows : iws] * l.samples``: the last ``ows``
-    samples of the analysis segment before padding. It is one product of
-    the cached basis of those rows, window folded in, with the bins viewed
-    as (re, im) float64 pairs; the other ``n_dft - ows`` samples of the
-    inverse are never formed.
-    """
-    bins = np.ascontiguousarray(frame.bins, dtype=np.complex128)
-    if bins.shape != (params.n_bins,):
-        raise ValueError(f"expected {params.n_bins} bins, got {bins.shape}")
-    if not np.isfinite(bins).all():
-        raise ValueError(f"non-finite bins in frame {frame.frame_index}")
+    """Invert frames ``first_frame, ...``, bins (T, n_bins) or (n_bins,), to
+    their windowed overlap-add chunks, (T, ows) or (ows,): each is
+    ``irfft(bins, n_dft)[iws - ows : iws] * l.samples``, the last ``ows``
+    samples of the analysis segment before padding, as one product of the
+    cached basis of those rows, window folded in, with the (re, im) float64
+    view of its bins; a gemm over the block would change the roundings."""
+    bins = np.ascontiguousarray(bins, dtype=np.complex128)
+    if bins.ndim > 2 or bins.shape[-1] != params.n_bins:
+        raise ValueError(f"expected {params.n_bins} bins per frame, got shape {bins.shape}")
+    v = bins.view(np.float64)
+    finite = np.isfinite(v)
+    if not np.logical_and.reduce(finite, axis=None):  # without .all()'s Python wrapper
+        bad = first_frame + int(np.argmin(finite.all(axis=-1)))
+        raise ValueError(f"non-finite bins in frame {bad}")
     if l.a != params.ows or l.hop != params.hop:
         raise ValueError(
             f"synthesis window ({l.a}/{l.hop}) does not match params "
             f"({params.ows}/{params.hop})"
         )
     basis = _synthesis_basis(l.samples.tobytes(), params.iws, params.n_dft)
-    return np.dot(basis, bins.view(np.float64))
+    if v.ndim == 2 and len(v) > 1:
+        return np.matmul(basis, v[..., np.newaxis])[..., 0]
+    return np.dot(basis, v.T).T  # the same gemv, without matmul's ~2 us of set-up
+
+
+def synthesize_frame(frame: SpectrumFrame, l: SynthesisWindow, params: FrameParams) -> np.ndarray:
+    """:func:`synthesize_block` of one frame: its (ows,) chunk."""
+    return synthesize_block(frame.bins, l, params, frame.frame_index)
 
 
 class SynthesisStream:
     """Overlap-add of ``ows``-sample chunks with future-frame scheduling.
 
     The chunk pushed at frame ``t`` is placed in the output slot
-    ``t + frames_ahead``; each push releases the hop-sized prefix that can
+    ``t + frames_ahead``; each chunk releases the hop-sized prefix that can
     receive no further contributions. When ``frames_ahead > 0`` the first
     ``frames_ahead * hop`` output samples are released with their missing
     past contributions treated as zeros.
@@ -302,8 +312,11 @@ class SynthesisStream:
 
     def __init__(self, params: FrameParams):
         self.params = params
-        self._acc = np.zeros(params.ows)
-        self._t = 0
+        # _acc[_lo : _lo + ows - hop]: the unreleased sums, then zeros; one-hop pushes move them
+        # to a fresh buffer only every ~15 * ows / hop pushes
+        self._acc = np.zeros(16 * params.ows)
+        self._lo = 0
+        self._start = (params.frames_ahead + 1) * params.hop - params.ows  # next chunk's first sample
         self._released = 0
 
     @property
@@ -311,28 +324,35 @@ class SynthesisStream:
         """Total output samples released so far."""
         return self._released
 
-    def push(self, chunk: np.ndarray) -> np.ndarray:
-        """Add one synthesis chunk; returns the output samples (possibly
-        empty) that became final."""
-        a, b, k = self.params.ows, self.params.hop, self.params.frames_ahead
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.shape != (a,):
-            raise ValueError(f"expected chunk of {a} samples, got {chunk.shape}")
-        self._acc += chunk
-        # this chunk covers output samples [start, start + a)
-        start = (self._t + k + 1) * b - a
-        self._t += 1
-        end = start + b
-        if end <= 0:
-            out = np.empty(0)
-        else:
-            gap = start - self._released  # never-contributed samples, k > 0 only
-            head = self._acc[:b]
-            out = np.concatenate([np.zeros(gap), head]) if gap > 0 else head.copy()
+    def push(self, chunks: np.ndarray) -> np.ndarray:
+        """Add one chunk, shape (ows,), or T chunks, shape (T, ows), oldest
+        first; returns the output samples (possibly empty) that became final.
+        One slice-add per chunk in frame order keeps the sums bit-identical
+        however the chunks are split into pushes."""
+        a, b = self.params.ows, self.params.hop
+        chunks = np.asarray(chunks, dtype=np.float64)
+        if chunks.shape[-1:] != (a,) or chunks.ndim > 2:
+            raise ValueError(f"expected chunks of {a} samples, got shape {chunks.shape}")
+        chunks = chunks.reshape(-1, a)
+        n = len(chunks) * b
+        acc, lo = self._acc, self._lo
+        if lo + a - b + n > len(acc):
+            acc = np.zeros(max(len(acc), 2 * (a - b + n)))
+            acc[: a - b] = self._acc[lo : lo + a - b]
+            self._acc, lo = acc, 0
+        for i in range(len(chunks)):
+            target = acc[lo + i * b : lo + i * b + a]
+            target += chunks[i]  # on a view: no write-back through __setitem__
+        self._lo, start = lo + n, self._start
+        end = self._start = start + n  # released now: output samples [start, end)
+        if start == self._released:
             self._released = end
-        self._acc[:-b] = self._acc[b:]
-        self._acc[-b:] = 0.0
-        return out
+            return acc[lo : lo + n].copy()
+        # the first releases drop samples before 0, and give the gap k > 0 leaves as zeros
+        if end <= max(start, 0):
+            return np.empty(0)
+        gap, self._released = max(start, 0) - self._released, end
+        return np.concatenate([np.zeros(gap), acc[lo + max(-start, 0) : lo + n]])
 
 
 def synthesize(
@@ -350,18 +370,11 @@ def synthesize(
     fully reconstructed when the spectrogram includes the tail frames (see
     ``analyze(..., flush=True)``).
     """
-    frames = np.asarray(frames)
     if length is None:
-        length = frames.shape[0] * params.hop
-    stream = SynthesisStream(params)
-    parts = [
-        stream.push(synthesize_frame(SpectrumFrame(bins, t), l, params))
-        for t, bins in enumerate(frames)
-    ]
-    zero = np.zeros(params.ows)
-    parts += [stream.push(zero) for _ in range(len(frames), params.frames_to_release(length))]
-    out = np.concatenate(parts) if parts else np.zeros(0)
-    return out[:length]
+        length = len(frames) * params.hop
+    tail = max(params.frames_to_release(length) - len(frames), 0)
+    chunks = np.concatenate([synthesize_block(frames, l, params), np.zeros((tail, params.ows))])
+    return SynthesisStream(params).push(chunks)[:length]
 
 
 def build_windows(

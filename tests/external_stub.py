@@ -2,7 +2,8 @@
 
 Modes: identity (reply with mixture channel 0), short (reply with a wrong
 length), hang (read the frame, never reply), split (the identity reply in
-three writes, the first inside the length prefix).
+three writes, the first inside the length prefix), nan (a reply of the right
+length, all NaN).
 """
 
 import struct
@@ -26,6 +27,8 @@ def main():
         reply = payload[: n_bins * 8]  # channel 0 (re, im) pairs
         if mode == "short":
             reply = reply[: len(reply) // 2]
+        elif mode == "nan":
+            reply = struct.pack(f"<{n_bins * 2}f", *[float("nan")] * (n_bins * 2))
         frame = struct.pack("<I", len(reply)) + reply
         cuts = (0, 2, 9, len(frame)) if mode == "split" else (0, len(frame))
         for start, end in zip(cuts, cuts[1:]):

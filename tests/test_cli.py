@@ -198,6 +198,17 @@ class TestRuntimeErrors:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: external estimator replied")
 
+    @pytest.mark.parametrize("stages", [[], ["beamformer = woodbury"]], ids=["stage1", "woodbury"])
+    def test_external_non_finite_reply_exits_2(self, tmp_path, scene_dir, capsys, stages):
+        # a misbehaving child is a runtime failure, named before any later
+        # stage trips over its values
+        stub = os.path.join(os.path.dirname(__file__), "external_stub.py")
+        stage1 = f"stage1 = external:{sys.executable} {stub} nan"
+        code = self._enhance(tmp_path, scene_dir, [stage1, *stages])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: external estimator replied non-finite values in frame 0"]
+
     def test_external_timeout_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
         monkeypatch.setattr(
             estimators, "ExternalEstimator", partial(estimators.ExternalEstimator, timeout=0.2)

@@ -12,6 +12,7 @@ from dualwin.framing import (
     analyze,
     build_windows,
     synthesize,
+    synthesize_block,
     synthesize_frame,
 )
 from dualwin.windows import ASQRT_HANN, RECT, SQRT_HANN, TUKEY, make_analysis_window
@@ -296,6 +297,79 @@ class TestSynthesis:
         out = _roundtrip(x, TUKEY, params_k1)
         hop = params_k1.hop
         np.testing.assert_allclose(out[hop:], x[:-hop], atol=1e-10)
+
+
+def _draw_geometry(data):
+    """Random params, k = 0..3 included, and their synthesis window."""
+    hop = data.draw(st.sampled_from([2, 4, 8, 16, 32]), label="hop")
+    ows = hop * data.draw(st.integers(1, 4), label="ows_mult")
+    iws = data.draw(st.integers(ows, 256), label="iws")
+    n_dft = data.draw(st.sampled_from([iws + iws % 2, 256, 512]), label="n_dft")
+    k = data.draw(st.integers(0, 3), label="frames_ahead")
+    kind = data.draw(st.sampled_from(ALL_KINDS), label="kind")
+    params = FrameParams(iws=iws, ows=ows, hop=hop, n_dft=n_dft, frames_ahead=k)
+    try:
+        _, l = build_windows(kind, params)
+    except ValueError:
+        assume(False)  # no perfect-reconstruction partner
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    return params, l, rng
+
+
+def _random_bins(rng, frames, params):
+    shape = (frames, params.n_bins)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestBlocks:
+    """A block of frames gives what one frame at a time gives, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_block_synthesis_equals_per_frame(self, data):
+        params, l, rng = _draw_geometry(data)
+        frames = data.draw(st.integers(1, 64), label="frames")
+        first = data.draw(st.integers(0, 10_000), label="first_frame")
+        bins = _random_bins(rng, frames, params)
+        got = synthesize_block(bins, l, params, first)
+        expected = [synthesize_frame(SpectrumFrame(b, first + i), l, params) for i, b in enumerate(bins)]
+        assert got.shape == (frames, params.ows)
+        assert np.array_equal(got, np.stack(expected))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_block_overlap_add_equals_one_chunk_pushes(self, data):
+        # from frame 0, so the leading frames that release nothing and, for
+        # k > 0, the never-contributed gap are covered
+        params, _, rng = _draw_geometry(data)
+        sizes = data.draw(st.lists(st.integers(0, 64), min_size=1, max_size=6), label="sizes")
+        chunks = rng.standard_normal((sum(sizes), params.ows))
+        single, block = SynthesisStream(params), SynthesisStream(params)
+        expected = [single.push(chunk) for chunk in chunks]
+        start = 0
+        for size in sizes:
+            got = block.push(chunks[start : start + size])
+            want = np.concatenate([np.empty(0), *expected[start : start + size]])
+            assert np.array_equal(got, want)
+            start += size
+        assert block.released == single.released
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_non_finite_row_names_its_absolute_frame(self, data):
+        params, l, rng = _draw_geometry(data)
+        frames = data.draw(st.integers(1, 64), label="frames")
+        first = data.draw(st.integers(0, 10_000), label="first_frame")
+        bad = sorted(data.draw(st.sets(st.integers(0, frames - 1), min_size=1, max_size=3), label="bad"))
+        bins = _random_bins(rng, frames, params)
+        for row in bad:
+            value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf]), label="value")
+            bins[row, data.draw(st.integers(0, params.n_bins - 1), label="bin")] = value
+        message = f"non-finite bins in frame {first + bad[0]}$"
+        with pytest.raises(ValueError, match=message):
+            synthesize_block(bins, l, params, first)
+        with pytest.raises(ValueError, match=message):
+            synthesize_frame(SpectrumFrame(bins[bad[0]], first + bad[0]), l, params)
 
 
 class TestLatencyAccounting:

@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 
 from dualwin import estimators, pipeline
-from dualwin.estimators import EstimatorKind, save_frame_file
-from dualwin.framing import FrameParams, analyze, build_windows
+from dualwin.beamformer import OnlineMcwf, apply_filter
+from dualwin.estimators import EstimatorInput, EstimatorKind, make_estimator, save_frame_file
+from dualwin.framing import (
+    AnalysisStream,
+    FrameParams,
+    SpectrumFrame,
+    SynthesisStream,
+    analyze,
+    build_windows,
+    synthesize_frame,
+)
 from dualwin.metrics import si_sdr
 from dualwin.pipeline import (
     ConfigError,
@@ -236,6 +245,75 @@ class TestSession:
         assert len(closed) == 1 and closed[0]._proc.poll() is not None
 
 
+def _per_frame_chain(cfg, mixture, reference):
+    """The chain composed from the per-frame entry points, one hop per push,
+    as the benchmark's live streams (``perfbench/adapter.py``) compose it:
+    ``AnalysisStream.push``, the estimators, ``OnlineMcwf.update`` and
+    ``apply_filter``, ``synthesize_frame`` and ``SynthesisStream.push``, then
+    zero hops until every input sample is out."""
+    params = cfg.params
+    channels, n = mixture.shape
+    g, l = build_windows(cfg.window, params)
+    tail = np.zeros(params.ows)
+    bound = dict(
+        channels=channels,
+        reference_frames=analyze(np.concatenate([reference, tail]), g, params),
+        mixture_ref_frames=analyze(np.concatenate([mixture[cfg.ref_mic], tail]), g, params),
+        expected_frames=n // params.hop,
+    )
+    est1 = make_estimator(cfg.stage1, params, frames_ahead=0, stage=1, **bound)
+    est2 = bf = None
+    if cfg.stage2 is not None:
+        est2 = make_estimator(cfg.stage2, params, frames_ahead=0, stage=2, **bound)
+    if cfg.beamformer is not None:
+        bf = OnlineMcwf(channels, params.n_bins, mode=cfg.beamformer, loading=cfg.loading)
+    astream, sstream = AnalysisStream(g, params, channels), SynthesisStream(params)
+
+    def push(hop):
+        parts = []
+        for frame in astream.push(hop):
+            t = frame.frame_index
+            final = s1 = est1.estimate(EstimatorInput(frame.bins), t)
+            bf_out = None
+            if bf is not None:
+                final = bf_out = apply_filter(bf.update(frame.bins, s1), frame.bins)
+            if est2 is not None:
+                final = est2.estimate(EstimatorInput(frame.bins, s1, bf_out), t)
+            parts.append(sstream.push(synthesize_frame(SpectrumFrame(final, t), l, params)))
+        return parts
+
+    released = []
+    try:
+        for start in range(0, n, params.hop):
+            released += push(mixture[:, start : start + params.hop])
+        while sstream.released < n:
+            released += push(np.zeros((channels, params.hop)))
+    finally:
+        for est in (est1, est2):
+            if est is not None:
+                est.close()
+    return np.concatenate(released)[:n]
+
+
+class TestPerFrameEntryPoints:
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            {"stage1": MASK, "beamformer": "woodbury", "stage2": TO_BEAMFORMER},
+            {"stage1": EstimatorKind("external", command=f"{sys.executable} {STUB} identity")},
+        ],
+        ids=["mask-woodbury-passthrough", "external"],
+    )
+    def test_hop_by_hop_chain_matches_run_pipeline(self, scene, stages):
+        # run_pipeline pushes blocks of hops; a frame's output must not
+        # depend on the block it came in
+        cfg = PipelineConfig(**stages)
+        n = scene.mixture.shape[1] // cfg.params.hop * cfg.params.hop
+        mixture, reference = scene.mixture[:, :n], scene.target_direct[:n]
+        expected, _ = run_pipeline(cfg, mixture, reference)
+        np.testing.assert_array_equal(_per_frame_chain(cfg, mixture, reference), expected)
+
+
 class TestRunReport:
     def test_lengths_and_counts(self, scene):
         cfg = PipelineConfig(stage1=EstimatorKind("oracle_complex"))
@@ -270,8 +348,9 @@ class TestRunReport:
         push = pipeline.AnalysisStream.push
 
         def slow_push(self, chunk):
-            time.sleep(0.002)
-            return push(self, chunk)
+            frames = push(self, chunk)
+            time.sleep(0.002 * len(frames))
+            return frames
 
         monkeypatch.setattr(pipeline.AnalysisStream, "push", slow_push)
         _, report = run_pipeline(PipelineConfig(), np.zeros(320))
