@@ -5,14 +5,13 @@ The filter for reference channel q minimizes, per frequency f,
 offline solution is ``w = Phi_yy^{-1} phi_ys`` with the mixture covariance
 ``Phi_yy = sum_t Y Y^H`` and the cross column ``phi_ys = sum_t Y S_q^*``
 (the q-th column of the full cross matrix, which is never materialized).
-The frame-online variant either accumulates both statistics and re-solves
-("direct" mode) or runs the exponentially weighted recursive least squares
-(RLS) recursion ("woodbury" mode): it keeps only the covariance inverse,
-updated by rank-1 Woodbury steps, and the filter itself, so no per-frame
-matrix inversion or solve is needed.
+The frame-online variant runs the exponentially weighted recursive least
+squares (RLS) recursion: it keeps only the covariance inverse, updated by
+rank-1 Woodbury steps, and the filter itself, so no per-frame matrix
+inversion or solve is needed.
 
-All-zero initial statistics would be singular, so both paths start from a
-small diagonal loading eps*I (and the offline solver adds the same
+All-zero initial statistics would be singular, so the recursion starts
+from a small diagonal loading eps*I (and the offline solver adds the same
 loading), which keeps online and offline answers identical for the same
 data. Shapes throughout: T frames, P channels, F frequency bins; mixtures
 are (P, F) per frame or (T, P, F) as spectrograms, filters are (F, P).
@@ -23,11 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_LOADING = 1e-6
-MODES = ("direct", "woodbury")
+MODES = ("woodbury",)
 
 
 class BeamformerStateError(RuntimeError):
-    """Online state is numerically broken: a lost positive-definiteness or a singular solve."""
+    """Online state is numerically broken: the RLS inverse lost positive-definiteness."""
 
 
 def woodbury_update(inv: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -103,12 +102,12 @@ def offline_mcwf(
 class OnlineMcwf:
     """Frame-online MCWF state for one stream.
 
-    ``woodbury`` mode runs exponentially weighted recursive least squares
-    (Haykin, *Adaptive Filter Theory*, RLS chapter). It keeps two arrays,
-    both frequency-last so that every numpy op streams over the contiguous
-    bins: the inverse covariance ``P`` (P, P, F), starting at I/loading,
-    and the filter ``w`` (P, F), starting at 0. Per frame, with mixture
-    ``y``, target estimate ``s`` and forgetting factor ``lam``::
+    Exponentially weighted recursive least squares (Haykin, *Adaptive
+    Filter Theory*, RLS chapter). It keeps two arrays, both frequency-last
+    so that every numpy op streams over the contiguous bins: the inverse
+    covariance ``P`` (P, P, F), starting at I/loading, and the filter ``w``
+    (P, F), starting at 0. Per frame, with mixture ``y``, target estimate
+    ``s`` and forgetting factor ``lam``::
 
         P /= lam
         den = 1 + y^H P y
@@ -117,20 +116,20 @@ class OnlineMcwf:
         P -= u u^H,  u = P y / sqrt(den)
 
     which gives the same filter as re-solving the loaded, discounted normal
-    equations (``direct`` mode), loading decay under ``lam < 1`` included.
-    The rank-1 term is formed with ``einsum``, whose complex products are
-    not fused, so ``u_p u_q^*`` and ``u_q u_p^*`` are exact conjugates and
+    equations every frame, loading decay under ``lam < 1`` included. The
+    rank-1 term is formed with ``einsum``, whose complex products are not
+    fused, so ``u_p u_q^*`` and ``u_q u_p^*`` are exact conjugates and
     ``P`` stays exactly Hermitian. numpy's SIMD complex multiply uses FMA,
     so a broadcast ``*`` would leave the two triangles a last bit apart;
     the recursion grows that skew over thousands of frames until ``P``
     loses definiteness and :class:`BeamformerStateError` fires.
 
-    ``direct`` mode accumulates ``Phi_yy`` and ``phi_ys`` and re-solves;
-    it is the reference the recursion is tested against. Either mode
-    returns a new filter every ``update_stride`` frames (1 = every frame)
-    and holds it in between. ``forgetting`` < 1 exponentially discounts old
-    frames; the default 1.0 is plain accumulation and is what makes the
-    final online filter match the offline solution exactly.
+    A new filter is returned every ``update_stride`` frames (1 = every
+    frame) and held in between. ``forgetting`` < 1 exponentially discounts
+    old frames; the default 1.0 is plain accumulation and is what makes the
+    final online filter match the offline solution exactly. ``mode`` (only
+    ``"woodbury"``) and ``ref_mic`` (unused) are accepted because the
+    benchmark adapter passes them.
 
     Single-writer; frames must arrive in order. Frequency bins are
     independent, all updates are vectorized over F.
@@ -148,27 +147,20 @@ class OnlineMcwf:
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if loading <= 0.0:
-            raise ValueError(f"loading must be > 0, got {loading}")
+        if not 0.0 < loading < np.inf:
+            raise ValueError(f"loading must be finite and > 0, got {loading}")
         if update_stride < 1:
             raise ValueError(f"update_stride must be >= 1, got {update_stride}")
         if not 0.0 < forgetting <= 1.0:
             raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
-        self.mode = mode
-        self.loading = loading
         self.update_stride = update_stride
         self.forgetting = forgetting
-        self.ref_mic = ref_mic
         self._shape = (channels, n_bins)
         self._filter = np.zeros((n_bins, channels), dtype=np.complex128)
         eye = np.eye(channels, dtype=np.complex128)
-        if mode == "woodbury":
-            self._inv = np.tile((eye / loading)[:, :, None], (1, 1, n_bins))
-            self._w = np.zeros((channels, n_bins), dtype=np.complex128)
-            self._tmp = np.empty_like(self._inv)
-        else:
-            self.phi_ys = np.zeros((n_bins, channels), dtype=np.complex128)
-            self.phi_yy = np.tile(loading * eye, (n_bins, 1, 1))
+        self._inv = np.tile((eye / loading)[:, :, None], (1, 1, n_bins))
+        self._w = np.zeros((channels, n_bins), dtype=np.complex128)
+        self._tmp = np.empty_like(self._inv)
         self._t = 0
 
     @property
@@ -195,30 +187,13 @@ class OnlineMcwf:
             raise ValueError(
                 f"frame shapes {mixture.shape}/{s.shape} do not match state {self._shape}"
             )
-        woodbury = self.mode == "woodbury"
-        if woodbury:
-            # a non-finite value anywhere in y or s reaches e, even against w = 0
-            e = s - np.add.reduce(self._w.conj() * y, axis=0)
-            if not np.isfinite(e).all():
-                raise ValueError("non-finite values in beamformer update")
-            self._rls_update(y, e)
-        else:
-            if not (np.isfinite(y).all() and np.isfinite(s).all()):
-                raise ValueError("non-finite values in beamformer update")
-            Y = y.T  # (F, P)
-            if self.forgetting != 1.0:
-                self.phi_ys *= self.forgetting
-                self.phi_yy *= self.forgetting
-            self.phi_ys += Y * s.conj()[:, None]
-            self.phi_yy += np.einsum("fp,fq->fpq", Y, Y.conj())
+        # a non-finite value anywhere in y or s reaches e, even against w = 0
+        e = s - np.add.reduce(self._w.conj() * y, axis=0)
+        if not np.isfinite(e).all():
+            raise ValueError("non-finite values in beamformer update")
+        self._rls_update(y, e)
         if self._t % self.update_stride == 0:
-            if woodbury:
-                self._filter = self._w.T
-            else:
-                try:
-                    self._filter = np.linalg.solve(self.phi_yy, self.phi_ys[..., None])[..., 0]
-                except np.linalg.LinAlgError as exc:
-                    raise BeamformerStateError(f"direct-mode solve failed: {exc}") from exc
+            self._filter = self._w.T
         self._t += 1
         return self._filter
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
 
 from .beamformer import BeamformerStateError
 from .config import load_job
@@ -25,6 +25,16 @@ class _Parser(argparse.ArgumentParser):
     # validation problems must map to exit code 1, not argparse's default 2
     def error(self, message):
         raise ConfigError(message)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,9 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channels", type=int, default=6)
-    p.add_argument("--diameter", type=float, default=0.20, help="array diameter, m")
-    p.add_argument("--duration", type=float, default=1.0, help="seconds")
-    p.add_argument("--snr-db", type=float, default=0.0)
+    p.add_argument("--diameter", type=_finite_float, default=0.20, help="array diameter, m")
+    p.add_argument("--duration", type=_finite_float, default=1.0, help="seconds")
+    p.add_argument("--snr-db", type=_finite_float, default=0.0)
     p.add_argument("--noises", type=int, default=2)
     p.add_argument("--sample-rate", type=int, default=16000)
     p.add_argument("--ref-mic", type=int, default=0)

@@ -28,6 +28,7 @@ mixture/stage1/beamformer), ``oracle_complex``, ``oracle_mag_mask``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .estimators import EstimatorKind
@@ -105,9 +106,12 @@ def _float(pairs, key, default=None):
     if key not in pairs:
         return default
     try:
-        return float(pairs[key])
+        value = float(pairs[key])
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {pairs[key]!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {pairs[key]!r}")
+    return value
 
 
 def _size_samples(pairs, name, sample_rate, default):

@@ -27,7 +27,7 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray, cap_db: float = SI_SDR_C
 
     ``10*log10(||a*s||^2 / ||a*s - s_hat||^2)`` with ``a = <s_hat, s>/||s||^2``.
     The value is clamped to ``[-cap_db, cap_db]`` so that exact matches (and
-    exactly orthogonal estimates) stay finite in reports.
+    exactly orthogonal or all-zero estimates) stay finite in reports.
     """
     est = np.asarray(estimate, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
@@ -38,12 +38,12 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray, cap_db: float = SI_SDR_C
         raise ValueError("reference signal has zero energy")
     alpha = float(np.dot(est, ref)) / ref_energy
     target = alpha * ref
+    target_energy = float(np.dot(target, target))
+    if target_energy == 0.0:  # an all-zero or orthogonal estimate
+        return -cap_db
     err_energy = float(np.dot(target - est, target - est))
     if err_energy == 0.0:
         return cap_db
-    target_energy = float(np.dot(target, target))
-    if target_energy == 0.0:
-        return -cap_db
     return float(np.clip(10.0 * np.log10(target_energy / err_energy), -cap_db, cap_db))
 
 

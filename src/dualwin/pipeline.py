@@ -54,7 +54,7 @@ class PipelineConfig:
     params: FrameParams = FrameParams()
     window: WindowKind = TUKEY
     stage1: EstimatorKind = EstimatorKind("passthrough")
-    beamformer: str | None = None  # None, "direct", or "woodbury"
+    beamformer: str | None = None  # None or "woodbury"
     stage2: EstimatorKind | None = None
     ref_mic: int = 0
     loading: float = DEFAULT_LOADING

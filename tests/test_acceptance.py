@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dualwin.beamformer import OnlineMcwf, offline_mcwf, woodbury_update
+from dualwin.beamformer import MODES, OnlineMcwf, offline_mcwf, woodbury_update
 from dualwin.cli import main
 from dualwin.estimators import EstimatorKind
 from dualwin.framing import FrameParams
@@ -88,7 +88,7 @@ def test_criterion_3_woodbury_equivalence():
         assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("mode", ["direct", "woodbury"])
+@pytest.mark.parametrize("mode", MODES)
 def test_criterion_4_online_offline_agreement(mode):
     with _criterion(f"4 online/offline MCWF agreement ({mode})"):
         rng = np.random.default_rng(102)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dualwin.beamformer import (
+    DEFAULT_LOADING,
+    MODES,
     BeamformerStateError,
     OnlineMcwf,
     apply_filter,
@@ -15,6 +17,19 @@ from dualwin.windows import TUKEY
 
 def _random_spectrogram(rng, t, p, f):
     return rng.standard_normal((t, p, f)) + 1j * rng.standard_normal((t, p, f))
+
+
+def _solved_filters(Y, S, loading=DEFAULT_LOADING, forgetting=1.0):
+    """Reference for the RLS recursion: accumulate the loaded, discounted
+    normal equations of (T, P, F) mixture and (T, F) estimate, and solve
+    them after every frame. Yields the (F, P) filter per frame."""
+    _, p, f_bins = Y.shape
+    phi = np.tile(loading * np.eye(p, dtype=complex), (f_bins, 1, 1))
+    rhs = np.zeros((f_bins, p), complex)
+    for y, s in zip(Y, S):
+        phi = forgetting * phi + np.einsum("pf,qf->fpq", y, y.conj())
+        rhs = forgetting * rhs + y.T * s.conj()[:, None]
+        yield np.linalg.solve(phi, rhs[..., None])[..., 0]
 
 
 class TestWoodburyUpdate:
@@ -134,7 +149,7 @@ class TestOnlineMcwf:
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         s = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         eps = 1e-6
-        bf = OnlineMcwf(1, 5, mode="direct", loading=eps)
+        bf = OnlineMcwf(1, 5, loading=eps)
         w = bf.update(y[None, :], s)
         expected = y * s.conj() / (eps + np.abs(y) ** 2)
         np.testing.assert_allclose(w[:, 0], expected, atol=1e-12)
@@ -147,7 +162,7 @@ class TestOnlineMcwf:
             w = bf.update(y, np.zeros(4, complex))
             np.testing.assert_array_equal(w, np.zeros((4, 3)))
 
-    @pytest.mark.parametrize("mode", ["direct", "woodbury"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_final_filter_matches_offline(self, mode):
         rng = np.random.default_rng(20)
         Y = _random_spectrogram(rng, 50, 4, 9)
@@ -170,7 +185,7 @@ class TestOnlineMcwf:
             w_b = bf_b.update(Y[t][:, perm], S[t][perm])
         np.testing.assert_array_equal(w_a[perm], w_b)
 
-    @pytest.mark.parametrize("mode", ["direct", "woodbury"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_update_stride_holds_filter_between_updates(self, mode):
         rng = np.random.default_rng(23)
         bf = OnlineMcwf(2, 4, mode=mode, update_stride=3)
@@ -189,9 +204,7 @@ class TestOnlineMcwf:
         lam, t_frames, p, f_bins, eps = 0.5, 6, 2, 3, 1e-6
         Y = _random_spectrogram(rng, t_frames, p, f_bins)
         S = rng.standard_normal((t_frames, f_bins)) + 1j * rng.standard_normal((t_frames, f_bins))
-        bf = OnlineMcwf(p, f_bins, mode="direct", loading=eps, forgetting=lam)
-        for t in range(t_frames):
-            w = bf.update(Y[t], S[t])
+        *_, w = _solved_filters(Y, S, loading=eps, forgetting=lam)
         for f in range(f_bins):
             phi = lam**t_frames * eps * np.eye(p, dtype=complex)
             rhs = np.zeros(p, complex)
@@ -204,13 +217,15 @@ class TestOnlineMcwf:
     def test_woodbury_mode_tracks_direct_mode_with_forgetting(self):
         rng = np.random.default_rng(25)
         kwargs = dict(loading=1e-6, forgetting=0.9)
-        bf_d = OnlineMcwf(3, 5, mode="direct", **kwargs)
-        bf_w = OnlineMcwf(3, 5, mode="woodbury", **kwargs)
-        for _ in range(40):
-            y = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-            s = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            w_d = bf_d.update(y, s)
-            w_w = bf_w.update(y, s)
+        Y = np.empty((40, 3, 5), complex)
+        S = np.empty((40, 5), complex)
+        for t in range(40):  # the draw order of the frame-by-frame stream
+            Y[t] = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+            S[t] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        bf = OnlineMcwf(3, 5, **kwargs)
+        for y, s in zip(Y, S):
+            w_w = bf.update(y, s)
+        *_, w_d = _solved_filters(Y, S, **kwargs)
         assert np.max(np.abs(w_d - w_w)) < 1e-8
 
     @pytest.mark.parametrize("forgetting", [1.0, 0.99])
@@ -223,11 +238,10 @@ class TestOnlineMcwf:
         scene = make_scene(seed=11, duration_s=2000 * params.hop / params.sample_rate)
         Y = analyze(scene.mixture, g, params)
         S = analyze(scene.target_direct, g, params)
-        outputs = []
-        for mode in ("direct", "woodbury"):
-            bf = OnlineMcwf(6, params.n_bins, mode=mode, forgetting=forgetting)
-            outputs.append(np.array([apply_filter(bf.update(y, s), y) for y, s in zip(Y, S)]))
-        direct, woodbury = outputs
+        bf = OnlineMcwf(6, params.n_bins, forgetting=forgetting)
+        woodbury = np.array([apply_filter(bf.update(y, s), y) for y, s in zip(Y, S)])
+        filters = _solved_filters(Y, S, forgetting=forgetting)
+        direct = np.array([apply_filter(w, y) for w, y in zip(filters, Y)])
         assert len(direct) == 2000
         assert np.linalg.norm(woodbury - direct) < 1e-8 * np.linalg.norm(direct)
 
@@ -241,40 +255,33 @@ class TestOnlineMcwf:
         # one NaN or inf in y or in s, on a fresh filter (w = 0) and after some
         # frames; nothing in the state may move
         rng = np.random.default_rng(29)
-        for mode in ("direct", "woodbury"):
-            for warm in (0, 3):
-                bf = OnlineMcwf(2, 3, mode=mode)
-                for _ in range(warm):
-                    bf.update(_random_spectrogram(rng, 1, 2, 3)[0], _random_spectrogram(rng, 1, 1, 3)[0, 0])
-                state = lambda: bf._inv if mode == "woodbury" else bf.phi_yy  # noqa: E731
-                before = (bf.frames_seen, bf.filter.copy(), state().copy())
-                for bad_y in (True, False):
-                    for value in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
-                        y = _random_spectrogram(rng, 1, 2, 3)[0]
-                        s = _random_spectrogram(rng, 1, 1, 3)[0, 0]
-                        target = y if bad_y else s
-                        target.flat[rng.integers(target.size)] = value
-                        # the woodbury check computes with the bad value (0 * inf warns)
-                        with np.errstate(invalid="ignore"), pytest.raises(
-                            ValueError, match="non-finite values in beamformer update"
-                        ):
-                            bf.update(y, s)
-                        assert bf.frames_seen == before[0]
-                        assert np.array_equal(bf.filter, before[1])
-                        assert np.array_equal(state(), before[2])
-
-    def test_singular_direct_solve_raises_state_error(self):
-        # statistics that lost their loading, then a silent frame: the solve is singular
-        bf = OnlineMcwf(2, 3, mode="direct")
-        bf.phi_yy[:] = 0.0
-        with pytest.raises(BeamformerStateError, match="direct-mode solve failed"):
-            bf.update(np.zeros((2, 3), complex), np.zeros(3, complex))
+        for warm in (0, 3):
+            bf = OnlineMcwf(2, 3)
+            for _ in range(warm):
+                bf.update(_random_spectrogram(rng, 1, 2, 3)[0], _random_spectrogram(rng, 1, 1, 3)[0, 0])
+            before = (bf.frames_seen, bf.filter.copy(), bf._inv.copy())
+            for bad_y in (True, False):
+                for value in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+                    y = _random_spectrogram(rng, 1, 2, 3)[0]
+                    s = _random_spectrogram(rng, 1, 1, 3)[0, 0]
+                    target = y if bad_y else s
+                    target.flat[rng.integers(target.size)] = value
+                    # the check computes with the bad value (0 * inf warns)
+                    with np.errstate(invalid="ignore"), pytest.raises(
+                        ValueError, match="non-finite values in beamformer update"
+                    ):
+                        bf.update(y, s)
+                    assert bf.frames_seen == before[0]
+                    assert np.array_equal(bf.filter, before[1])
+                    assert np.array_equal(bf._inv, before[2])
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            OnlineMcwf(2, 3, mode="mvdr")
-        with pytest.raises(ValueError):
-            OnlineMcwf(2, 3, loading=0.0)
+        for mode in ("mvdr", "direct"):
+            with pytest.raises(ValueError, match="mode"):
+                OnlineMcwf(2, 3, mode=mode)
+        for loading in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="loading"):
+                OnlineMcwf(2, 3, loading=loading)
         with pytest.raises(ValueError):
             OnlineMcwf(2, 3, update_stride=0)
         with pytest.raises(ValueError):

@@ -44,6 +44,10 @@ class TestSiSdr:
         noise *= np.linalg.norm(ref) / np.linalg.norm(noise)
         assert si_sdr(ref + noise, ref) == pytest.approx(0.0, abs=1e-9)
 
+    def test_all_zero_estimate_scores_the_floor(self):
+        ref = np.random.default_rng(6).standard_normal(100)
+        assert si_sdr(np.zeros(100), ref) == -100.0
+
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError, match="zero energy"):
             si_sdr(np.ones(10), np.zeros(10))
