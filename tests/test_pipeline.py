@@ -155,7 +155,8 @@ class TestCausality:
             {"stage1": MASK, "beamformer": "woodbury"},
             {"stage1": EstimatorKind("external", command=f"{sys.executable} {STUB} identity")},
         ],
-        ids=["passthrough", "mask-woodbury-passthrough", "mask-woodbury", "external"],
+        # "mask-direct-out": the beamformer's output is the pipeline's output
+        ids=["passthrough", "mask-woodbury-passthrough", "mask-direct-out", "external"],
     )
     def test_zeroing_future_input_is_invisible_before_the_bound(self, stages):
         # the configured chain, not only an identity chain; the oracle sees a
