@@ -7,6 +7,7 @@ violations, malformed inputs), 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,6 +38,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache  # built once per process: in-process callers run many jobs
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dualwin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

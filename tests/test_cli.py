@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dualwin import beamformer, estimators
+from dualwin import beamformer, cli, estimators
 from dualwin.cli import main
 from dualwin.wavio import read_wav, write_wav
 
@@ -151,6 +151,23 @@ class TestEnhanceCommand:
         assert err == [f"error: {key}: expected a finite number, got {value!r}"]
         assert not out_wav.exists()
 
+    def test_subnormal_loading_exits_1(self, tmp_path, scene_dir, capsys):
+        # 1e-310 > 0, but the initial inverse I / loading overflows
+        out_wav = tmp_path / "x.wav"
+        config = _write_config(
+            tmp_path / "subnormal.conf",
+            [
+                f"mixture = {scene_dir / 'mixture.wav'}",
+                f"output = {out_wav}",
+                "beamformer = woodbury",
+                "loading = 1e-310",
+            ],
+        )
+        assert main(["enhance", "--config", config]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: loading must be finite and > 0, got 1e-310"]
+        assert not out_wav.exists()
+
     def test_direct_beamformer_exits_1(self, tmp_path, scene_dir, capsys):
         config = _write_config(
             tmp_path / "direct.conf",
@@ -263,13 +280,13 @@ class TestRuntimeErrors:
         assert err == ["error: external estimator timed out after 0.2s"]
 
     def test_beamformer_state_error_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
-        rls_update = beamformer.OnlineMcwf._rls_update
+        rls_step = beamformer.OnlineMcwf._rls_step
 
         def corrupt(self, y, s):
-            self._inv *= -1.0  # a negative-definite inverse fails the RLS denominator check
-            return rls_update(self, y, s)
+            self._state[:-1] *= -1.0  # a negative-definite inverse fails the RLS denominator check
+            return rls_step(self, y, s)
 
-        monkeypatch.setattr(beamformer.OnlineMcwf, "_rls_update", corrupt)
+        monkeypatch.setattr(beamformer.OnlineMcwf, "_rls_step", corrupt)
         code = self._enhance(tmp_path, scene_dir, ["beamformer = woodbury"])
         err = capsys.readouterr().err.splitlines()
         assert code == 2
@@ -293,3 +310,19 @@ class TestArgumentHandling:
 
     def test_unknown_command_exits_1(self):
         assert main(["transmogrify"]) == 1
+
+    def test_calls_in_one_process_reuse_one_parser(self, capsys, monkeypatch):
+        parser = cli.build_parser()
+        seen = []
+        parse_args = parser.parse_args
+
+        def counting(argv):
+            seen.append(argv)
+            return parse_args(argv)
+
+        monkeypatch.setattr(parser, "parse_args", counting)
+        assert main(["windows", "--no-such-flag"]) == 1
+        assert main(["windows", "--format", "json"]) == 0
+        assert main(["transmogrify"]) == 1
+        assert cli.build_parser() is parser
+        assert len(seen) == 3
