@@ -44,6 +44,10 @@ ESTIMATOR_KINDS = ("passthrough", "oracle_complex", "oracle_mag_mask", "file", "
 PASSTHROUGH_SOURCES = ("mixture", "stage1", "beamformer")
 MASK_FLOOR = 1e-8  # |Y| below this counts as a spectral null
 MASK_CLIP = 5.0  # largest oracle mask gain
+# Rows per block of _mask_table: two float buffers of 0.13 MB at 129 bins. Median ms of a 25 s
+# table on 2 vCPUs, two sweeps: the unblocked code 22.9/23.9, one block 32.1/30.8, blocks of 16
+# rows 28.8/29.4, 64 20.6/21.2, 128 19.2/20.2, 256 19.8/20.6, 512 23.9/25.0.
+_MASK_ROWS = 128
 
 
 class ExternalProtocolError(RuntimeError):
@@ -152,16 +156,23 @@ def _mask_table(reference_frames: np.ndarray, mixture_frames: np.ndarray) -> np.
     shorter of S and Y.
 
     Keeps the mixture phase; the clip stops spectral nulls from blowing the
-    filter up. Computed in place so that one float (T, F) temporary exists
-    besides the result.
+    filter up. Computed ``_MASK_ROWS`` rows at a time in two reused float
+    buffers, each block multiplied by Y into the preallocated result, so
+    besides the result only those two (``_MASK_ROWS``, F) buffers exist.
     """
     n = min(len(reference_frames), len(mixture_frames))
     s, y = np.asarray(reference_frames)[:n], np.asarray(mixture_frames)[:n]
-    mask = np.abs(y)
-    np.maximum(mask, MASK_FLOOR, out=mask)
-    np.divide(np.abs(s), mask, out=mask)
-    np.clip(mask, 0.0, MASK_CLIP, out=mask)
-    return mask * y
+    table = np.empty(y.shape, dtype=np.result_type(y.dtype, np.float64))
+    mask, mag_s = np.empty((2, min(n, _MASK_ROWS)) + y.shape[1:])
+    for t in range(0, n, _MASK_ROWS):
+        stop = min(t + _MASK_ROWS, n)
+        m, a = mask[: stop - t], mag_s[: stop - t]
+        np.abs(y[t:stop], out=m)
+        np.maximum(m, MASK_FLOOR, out=m)
+        np.divide(np.abs(s[t:stop], out=a), m, out=m)
+        np.clip(m, 0.0, MASK_CLIP, out=m)
+        np.multiply(m, y[t:stop], out=table[t:stop])
+    return table
 
 
 def save_frame_file(path, frames: np.ndarray, params: FrameParams):

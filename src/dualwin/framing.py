@@ -122,6 +122,13 @@ class MultichannelSpectrumFrame(NamedTuple):
     frame_index: int
 
 
+# Frames per block of analyze: one block's window products and spectra, 128 * (iws * 8 +
+# n_bins * 16) bytes = 0.5 MB per channel at 256/129, stay cache-resident. Median ms of a 25 s
+# mono analyze on 2 vCPUs, two sweeps: the unblocked code 33.0/35.6, one block 46.8/47.8, blocks
+# of 16 frames 34.4/34.0, 64 24.3/24.2, 128 22.3/22.5, 256 22.6/23.5, 512 30.2/27.3.
+_ANALYZE_FRAMES = 128
+
+
 def _check_window(window: AnalysisWindow, params: FrameParams):
     if window.n != params.iws:
         raise ValueError(f"window length {window.n} does not match iws {params.iws}")
@@ -229,6 +236,13 @@ def analyze(
     for the same samples. With ``flush=True`` the signal is zero-padded so
     that ``T = params.frames_to_release(n)``: the frames that synthesis
     needs to release all ``n`` samples.
+
+    The primed signal is framed ``_ANALYZE_FRAMES`` frames at a time into
+    the preallocated result, through one reused buffer of window products,
+    so besides the result and the primed copy of the input only one block's
+    window products and spectra are alive: 0.5 MB per channel at the
+    default geometry, however long the signal. Each frame's arithmetic is
+    that of one unblocked call, so the bytes do not depend on the blocking.
     """
     _check_window(window, params)
     signal = np.asarray(signal, dtype=np.float64)
@@ -237,7 +251,11 @@ def analyze(
     primed = np.pad(
         np.atleast_2d(signal), ((0, 0), (params.iws - hop, max(n_frames * hop - n, 0)))
     )
-    bins = _frames(primed, 0, primed.shape[1], window, params)
+    bins = np.empty((n_frames, len(primed), params.n_bins), dtype=np.complex128)
+    work = np.empty((min(n_frames, _ANALYZE_FRAMES), len(primed), params.iws))
+    for t in range(0, n_frames, _ANALYZE_FRAMES):
+        stop = min(t + _ANALYZE_FRAMES, n_frames)
+        bins[t:stop] = _frames(primed, t * hop, (stop - 1) * hop + params.iws, window, params, work)
     return bins[:, 0, :] if signal.ndim == 1 else bins
 
 

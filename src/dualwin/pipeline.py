@@ -68,6 +68,14 @@ class PipelineConfig:
             )
         if self.ref_mic < 0:
             raise ConfigError(f"ref_mic must be >= 0, got {self.ref_mic}")
+        bf = ("beamformer",) if self.beamformer is not None else ()
+        stages = (("stage1", self.stage1, ("mixture",)), ("stage2", self.stage2, ("mixture", "stage1") + bf))
+        for name, kind, sources in stages:
+            if kind is not None and kind.kind == "passthrough" and kind.source not in sources:
+                raise ConfigError(
+                    f"{name}: passthrough source {kind.source!r} does not exist there; "
+                    f"{name} sees {', '.join(sources)}"
+                )
         if self.params.frames_ahead > 0 and self.stage2 is None and self.beamformer is not None:
             raise ConfigError(
                 "frames_ahead > 0 needs an estimator as the final stage; a "

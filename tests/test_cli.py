@@ -181,6 +181,34 @@ class TestEnhanceCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: beamformer must be one of ('woodbury',)")
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["stage1 = passthrough:stage1"],
+            ["stage1 = passthrough:beamformer", "beamformer = woodbury", "stage2 = passthrough:stage1"],
+            # predicting ahead, this chain used to release zeros and exit 0
+            ["stage1 = passthrough:beamformer", "frames_ahead = 1"],
+            ["stage1 = oracle_mag_mask", "stage2 = passthrough:beamformer"],
+        ],
+        ids=["stage1-of-stage1", "stage1-of-beamformer", "stage1-of-beamformer-predicting", "stage2-of-no-beamformer"],
+    )
+    def test_passthrough_of_a_missing_source_exits_1(self, tmp_path, scene_dir, capsys, lines):
+        out_wav = tmp_path / "x.wav"
+        config = _write_config(
+            tmp_path / "missing.conf",
+            [
+                f"mixture = {scene_dir / 'mixture.wav'}",
+                f"reference = {scene_dir / 'reference.wav'}",
+                f"output = {out_wav}",
+                *lines,
+            ],
+        )
+        assert main(["enhance", "--config", config]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stage")
+        assert "passthrough source" in err[0]
+        assert not out_wav.exists()
+
     def test_missing_mixture_file_exits_1(self, tmp_path, capsys):
         config = _write_config(
             tmp_path / "m.conf", ["mixture = nope.wav", "output = out.wav"]

@@ -69,6 +69,25 @@ class TestBuildJob:
         assert job.pipeline.beamformer == "woodbury"
         assert job.pipeline.stage2.source == "beamformer"
 
+    @pytest.mark.parametrize(
+        "text, stage, source",
+        [
+            ("stage1 = passthrough:stage1\n", "stage1", "stage1"),
+            ("stage1 = passthrough:beamformer\nbeamformer = woodbury\n", "stage1", "beamformer"),
+            ("stage1 = passthrough:beamformer\nframes_ahead = 1\n", "stage1", "beamformer"),
+            ("stage1 = oracle_mag_mask\nstage2 = passthrough:beamformer\n", "stage2", "beamformer"),
+        ],
+        ids=["stage1-of-stage1", "stage1-of-beamformer", "stage1-of-beamformer-predicting", "stage2-of-no-beamformer"],
+    )
+    def test_passthrough_of_a_missing_source_rejected(self, text, stage, source):
+        with pytest.raises(ConfigError, match=f"^{stage}: passthrough source '{source}' does not exist"):
+            _job(text)
+
+    def test_passthrough_of_an_earlier_stage_accepted(self):
+        assert _job("stage1 = oracle_mag_mask\nstage2 = passthrough:stage1\n").pipeline.stage2.source == "stage1"
+        job = _job("stage1 = passthrough:mixture\nbeamformer = woodbury\nstage2 = passthrough:beamformer\n")
+        assert job.pipeline.stage2.source == "beamformer"
+
     def test_passthrough_channel_defaults_to_ref_mic(self):
         job = _job("ref_mic = 3\nstage1 = passthrough\n")
         assert job.pipeline.stage1.channel == 3

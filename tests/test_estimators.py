@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from dualwin import estimators
 from dualwin.estimators import (
     EstimatorInput,
     EstimatorKind,
@@ -159,6 +160,36 @@ def test_table_returns_row_t_plus_k_then_zeros(tmp_path, kind, n_ref, n_mix):
         out = est.estimate(inp, t)
         row = expected[t + 2] if t + 2 < len(expected) else np.zeros(params.n_bins)
         assert np.array_equal(out, row), t
+
+
+R = estimators._MASK_ROWS
+
+
+@pytest.mark.parametrize(
+    "n_ref, n_mix",
+    [(0, 0), (1, 1), (R - 1, R - 1), (R, R), (R + 1, R + 1), (2 * R + 5, 2 * R + 5),
+     (2 * R + 5, R + 1), (R - 1, 2 * R + 5), (0, R)],
+)
+def test_blocked_mask_table_matches_unblocked_bytes(n_ref, n_mix):
+    rng = np.random.default_rng(n_ref + 7 * n_mix)
+    n_bins = 129
+
+    def spectrogram(n):
+        return rng.standard_normal((n, n_bins)) + 1j * rng.standard_normal((n, n_bins))
+
+    s, y = spectrogram(n_ref), spectrogram(n_mix)
+    y[rng.random(y.shape) < 0.1] *= 1e-10  # spectral nulls: |Y| below MASK_FLOOR
+    y[rng.random(y.shape) < 0.02] = 0.0
+    s[rng.random(s.shape) < 0.2] *= 100.0  # masks above the clip
+    s[rng.random(len(s)) < 0.1] = 0.0  # all-zero reference rows
+    if len(s):
+        s[-1] = 0.0
+    n = min(n_ref, n_mix)
+    table = estimators._mask_table(s, y)
+    expected = _old_mask(s[:n], y[:n])  # the whole table in one expression
+    assert table.shape == expected.shape == (n, n_bins)
+    assert table.dtype == expected.dtype
+    assert table.tobytes() == expected.tobytes()
 
 
 class TestFrameFiles:

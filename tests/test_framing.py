@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dualwin import framing
 from dualwin.framing import (
     AnalysisStream,
     FrameParams,
@@ -188,6 +189,51 @@ class TestAnalysisStream:
         assert np.array_equal(whole, np.reshape([f.bins for f in frames], whole.shape))
         # frames handed out earlier do not change with later pushes
         assert all(np.array_equal(f.bins, c) for f, c in zip(frames, copies))
+
+
+def _unblocked_analysis(x, g, params, n_frames):
+    """The whole-signal transform that blocking replaced: every frame's
+    window products in one (T, channels, iws) array, then one rfft."""
+    hop, iws = params.hop, params.iws
+    primed = np.pad(x, ((0, 0), (iws - hop, max(n_frames * hop - x.shape[1], 0))))
+    segments = np.reshape([primed[:, t * hop : t * hop + iws] for t in range(n_frames)], (n_frames, len(x), iws))
+    return np.fft.rfft(segments * g.samples, n=params.n_dft, axis=-1)
+
+
+B = framing._ANALYZE_FRAMES
+
+
+class TestBlockedAnalyze:
+    """analyze frames B frames at a time; its bytes must not show it."""
+
+    @pytest.mark.parametrize("params", [FrameParams(), FrameParams(iws=160, ows=64, hop=32, n_dft=256)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("n_frames", [0, 1, B - 1, B, B + 1, 2 * B + 5])
+    def test_matches_stream_and_unblocked_bytes(self, n_frames, channels, params):
+        g, _ = build_windows(TUKEY, params)
+        n = n_frames * params.hop + params.hop // 2
+        x = np.random.default_rng(n_frames).standard_normal((channels, n))
+        whole = analyze(x, g, params)
+        assert whole.shape == (n_frames, channels, params.n_bins)
+        assert whole.tobytes() == _unblocked_analysis(x, g, params, n_frames).tobytes()
+        pushed = AnalysisStream(g, params, channels).push(x)
+        assert whole.tobytes() == np.reshape([f.bins for f in pushed], whole.shape).tobytes()
+        assert analyze(x[0], g, params).tobytes() == np.ascontiguousarray(whole[:, 0]).tobytes()
+
+    @pytest.mark.parametrize("params", [FrameParams(), FrameParams(iws=160, ows=64, hop=32, n_dft=256)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("n_frames", [B - 1, B, B + 1, 2 * B + 5])
+    def test_flush_matches_unblocked_bytes(self, n_frames, channels, params):
+        # the longest input that flushes to exactly n_frames frames, some of them past its end
+        g, _ = build_windows(TUKEY, params)
+        n = max(m for m in range(n_frames * params.hop) if params.frames_to_release(m) == n_frames)
+        x = np.random.default_rng(n_frames).standard_normal((channels, n))
+        flushed = analyze(x, g, params, flush=True)
+        assert n // params.hop < n_frames and flushed.shape == (n_frames, channels, params.n_bins)
+        assert flushed.tobytes() == _unblocked_analysis(x, g, params, n_frames).tobytes()
+        stream = AnalysisStream(g, params, channels)
+        pushed = stream.push(np.concatenate([x, np.zeros((channels, n_frames * params.hop - n))], axis=1))
+        assert flushed.tobytes() == np.reshape([f.bins for f in pushed], flushed.shape).tobytes()
 
 
 class TestSynthesis:
