@@ -9,52 +9,18 @@ Between two pluggable estimator stages sits a frame-online multi-channel
 Wiener beamformer whose covariance inverse is maintained with rank-1
 Woodbury updates; predicting estimates one or more frames ahead trades
 accuracy for a further hop of latency each, down to 0 ms or below.
+
+The names below are what the README and the demos use, plus the exceptions a
+caller catches; everything else is imported from its submodule.
 """
 
-from .beamformer import (
-    BeamformerStateError,
-    OnlineMcwf,
-    apply_filter,
-    offline_mcwf,
-    woodbury_update,
-)
-from .estimators import EstimatorInput, EstimatorKind, save_frame_file
-from .framing import (
-    AnalysisStream,
-    FrameParams,
-    MultichannelSpectrumFrame,
-    SpectrumFrame,
-    SynthesisStream,
-    algorithmic_latency,
-    analyze,
-    build_windows,
-    synthesize,
-    synthesize_frame,
-)
-from .metrics import MetricReport, compute_metrics, ri_mag_loss, si_sdr, wav_mag_loss
-from .pipeline import (
-    ConfigError,
-    LatencyCheck,
-    PipelineConfig,
-    RunReport,
-    Session,
-    audit_all,
-    audit_latency,
-    run_pipeline,
-)
-from .simulate import ArrayGeometry, Scene, array_geometry, make_scene, mix, spatialize
-from .wavio import WavError, read_wav, write_wav
-from .windows import (
-    ASQRT_HANN,
-    RECT,
-    SQRT_HANN,
-    TUKEY,
-    AnalysisWindow,
-    SynthesisWindow,
-    WindowKind,
-    make_analysis_window,
-    make_synthesis_window,
-    verify_cola,
-)
+from .beamformer import BeamformerStateError
+from .estimators import EstimatorKind, ExternalProtocolError
+from .framing import FrameParams, algorithmic_latency, analyze, build_windows, synthesize
+from .metrics import si_sdr
+from .pipeline import ConfigError, PipelineConfig, Session, audit_all, run_pipeline
+from .simulate import make_scene
+from .wavio import WavError
+from .windows import ASQRT_HANN, RECT, SQRT_HANN, TUKEY, verify_cola
 
 __version__ = "0.1.0"

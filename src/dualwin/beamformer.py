@@ -32,29 +32,6 @@ class BeamformerStateError(RuntimeError):
     """Online state is numerically broken: the RLS inverse lost positive-definiteness."""
 
 
-def woodbury_update(inv: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rank-1 update of a Hermitian positive-definite inverse.
-
-    Returns ``(inv^{-1} + y y^H)^{-1}`` computed as
-    ``inv - (inv y y^H inv) / (1 + y^H inv y)`` without any inversion.
-
-    Arguments:
-        inv: (..., P, P) Hermitian PD inverse(s)
-        y: (..., P) update vector(s)
-    Return:
-        (..., P, P) updated inverse(s)
-    """
-    inv = np.asarray(inv)
-    y = np.asarray(y)
-    num = inv @ y[..., :, None]  # (..., P, 1) = inv y; y^H inv = num^H
-    den = 1.0 + np.real(y.conj()[..., None, :] @ num)  # (..., 1, 1)
-    if np.any(den <= 0.0):
-        raise BeamformerStateError(
-            "Woodbury denominator <= 0; inverse is no longer positive-definite"
-        )
-    return inv - (num @ num.conj().swapaxes(-1, -2)) / den
-
-
 def apply_filter(w: np.ndarray, mixture: np.ndarray) -> np.ndarray:
     """Beamform one frame: per frequency, ``w(f)^H Y(f)``.
 

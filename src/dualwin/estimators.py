@@ -152,8 +152,8 @@ class TableEstimator(Estimator):
 
 
 def _mask_table(reference_frames: np.ndarray, mixture_frames: np.ndarray) -> np.ndarray:
-    """``clip(|S| / max(|Y|, MASK_FLOOR), 0, MASK_CLIP) * Y`` over the
-    shorter of S and Y.
+    """``min(|S| / max(|Y|, MASK_FLOOR), MASK_CLIP) * Y`` over the shorter of
+    S and Y (the ratio is never negative, so it needs no lower clip).
 
     Keeps the mixture phase; the clip stops spectral nulls from blowing the
     filter up. Computed ``_MASK_ROWS`` rows at a time in two reused float
@@ -170,7 +170,7 @@ def _mask_table(reference_frames: np.ndarray, mixture_frames: np.ndarray) -> np.
         np.abs(y[t:stop], out=m)
         np.maximum(m, MASK_FLOOR, out=m)
         np.divide(np.abs(s[t:stop], out=a), m, out=m)
-        np.clip(m, 0.0, MASK_CLIP, out=m)
+        np.minimum(m, MASK_CLIP, out=m)
         np.multiply(m, y[t:stop], out=table[t:stop])
     return table
 

@@ -4,9 +4,10 @@
 scaling the reference onto the estimate. ``ri_mag_loss`` is the L1 loss on
 real/imaginary spectrogram components plus their magnitude; ``wav_mag_loss``
 is the L1 loss on the re-synthesized waveform plus the magnitude of a
-dedicated loss STFT (square-root Hann, 32 ms window, 8 ms hop by default,
-deliberately independent of the enhancement pipeline's frame geometry).
-Both losses are evaluated as plain scalars; there is no gradient machinery
+dedicated loss STFT: square-root Hann, a 512-sample window and a 128-sample
+hop (32/8 ms at 16 kHz). That geometry is fixed in samples at every sample
+rate and is independent of the enhancement pipeline's frame geometry. Both
+losses are sums, evaluated as plain scalars; there is no gradient machinery
 here.
 """
 
@@ -17,16 +18,22 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .framing import FrameParams, analyze
-from .windows import AnalysisWindow, SQRT_HANN, make_analysis_window
+from .windows import SQRT_HANN, make_analysis_window
 
 SI_SDR_CAP_DB = 100.0
 
+# The loss STFT's (window, params): 512/128 samples, the same at every sample rate.
+_LOSS_STFT = (
+    make_analysis_window(SQRT_HANN, 512),
+    FrameParams(sample_rate=16000, iws=512, ows=128, hop=128, n_dft=512),
+)
 
-def si_sdr(estimate: np.ndarray, reference: np.ndarray, cap_db: float = SI_SDR_CAP_DB) -> float:
+
+def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
     """Scale-invariant signal-to-distortion ratio in dB.
 
     ``10*log10(||a*s||^2 / ||a*s - s_hat||^2)`` with ``a = <s_hat, s>/||s||^2``.
-    The value is clamped to ``[-cap_db, cap_db]`` so that exact matches (and
+    The value is clamped to ``+-SI_SDR_CAP_DB`` so that exact matches (and
     exactly orthogonal or all-zero estimates) stay finite in reports.
     """
     est = np.asarray(estimate, dtype=np.float64)
@@ -40,24 +47,16 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray, cap_db: float = SI_SDR_C
     target = alpha * ref
     target_energy = float(np.dot(target, target))
     if target_energy == 0.0:  # an all-zero or orthogonal estimate
-        return -cap_db
+        return -SI_SDR_CAP_DB
     err_energy = float(np.dot(target - est, target - est))
     if err_energy == 0.0:
-        return cap_db
-    return float(np.clip(10.0 * np.log10(target_energy / err_energy), -cap_db, cap_db))
-
-
-def _reduce(terms: tuple[float, int], reduce: str) -> float:
-    """A loss from (sum, number of summed terms): the sum, or the mean."""
-    total, n_terms = terms
-    if reduce == "mean":
-        return total / n_terms if n_terms else 0.0
-    if reduce != "sum":
-        raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    return total
+        return SI_SDR_CAP_DB
+    db = 10.0 * np.log10(target_energy / err_energy)
+    return float(np.clip(db, -SI_SDR_CAP_DB, SI_SDR_CAP_DB))
 
 
 def _ri_mag_terms(s_hat, s) -> tuple[float, int]:
+    """The RI+magnitude loss as (sum, number of summed terms)."""
     d = s_hat - s
     total = (
         np.sum(np.abs(d.real))
@@ -68,55 +67,36 @@ def _ri_mag_terms(s_hat, s) -> tuple[float, int]:
 
 
 def _wav_mag_terms(s_hat, s, spec_hat, spec) -> tuple[float, int]:
+    """The waveform+magnitude loss as (sum, number of summed terms)."""
     total = np.sum(np.abs(s_hat - s)) + np.sum(np.abs(np.abs(spec_hat) - np.abs(spec)))
     return float(total), s.size + spec.size
 
 
-def ri_mag_loss(
-    estimate: np.ndarray, reference: np.ndarray, reduce: str = "sum"
-) -> float:
+def ri_mag_loss(estimate: np.ndarray, reference: np.ndarray) -> float:
     """L1 loss on RI components and magnitude of two complex spectrograms.
 
     Sum of three terms: |dRe|, |dIm|, and | |S_hat| - |S| |, each summed
-    over every bin. ``reduce="mean"`` divides by the number of summed
-    scalar terms (three per bin).
+    over every bin.
     """
     s_hat = np.asarray(estimate)
     s = np.asarray(reference)
     if s_hat.shape != s.shape:
         raise ValueError(f"shape mismatch: {s_hat.shape} vs {s.shape}")
-    return _reduce(_ri_mag_terms(s_hat, s), reduce)
+    return _ri_mag_terms(s_hat, s)[0]
 
 
-def default_loss_stft(sample_rate: int = 16000) -> tuple[AnalysisWindow, FrameParams]:
-    """Loss-STFT geometry: sqrt-Hann, 32 ms window, 8 ms hop."""
-    iws = int(round(0.032 * sample_rate))
-    hop = int(round(0.008 * sample_rate))
-    params = FrameParams(
-        sample_rate=sample_rate, iws=iws, ows=hop, hop=hop, n_dft=iws
-    )
-    return make_analysis_window(SQRT_HANN, iws), params
-
-
-def wav_mag_loss(
-    estimate: np.ndarray,
-    reference: np.ndarray,
-    loss_stft: tuple[AnalysisWindow, FrameParams] | None = None,
-    reduce: str = "sum",
-) -> float:
+def wav_mag_loss(estimate: np.ndarray, reference: np.ndarray) -> float:
     """L1 waveform loss plus L1 loss on the loss-STFT magnitudes.
 
-    The STFT used here is fixed by ``loss_stft`` (default
-    :func:`default_loss_stft`) and is unrelated to whatever frame geometry
-    produced the signals.
+    The loss STFT is fixed (see the module docstring) and unrelated to
+    whatever frame geometry produced the signals.
     """
     s_hat = np.asarray(estimate, dtype=np.float64)
     s = np.asarray(reference, dtype=np.float64)
     if s_hat.shape != s.shape:
         raise ValueError(f"length mismatch: {s_hat.shape} vs {s.shape}")
-    window, params = loss_stft if loss_stft is not None else default_loss_stft()
-    spectra = (analyze(s_hat, window, params), analyze(s, window, params))
-    return _reduce(_wav_mag_terms(s_hat, s, *spectra), reduce)
+    spectra = (analyze(s_hat, *_LOSS_STFT), analyze(s, *_LOSS_STFT))
+    return _wav_mag_terms(s_hat, s, *spectra)[0]
 
 
 @dataclass
@@ -138,13 +118,14 @@ class MetricReport:
 def compute_metrics(
     estimate: np.ndarray, reference: np.ndarray, offset: int = 0
 ) -> MetricReport:
-    """Build a :class:`MetricReport`.
+    """Build a :class:`MetricReport`: each loss as its sum and as its mean
+    over the summed terms.
 
     ``offset`` > 0 drops the first ``offset`` estimate samples and the last
     ``offset`` reference samples before comparison (the estimate lags the
     reference by a known integer amount); there is no alignment search.
-    Both losses use the :func:`default_loss_stft` spectra of the aligned
-    signals, each analyzed once.
+    Both losses use the loss-STFT spectra of the aligned signals, each
+    analyzed once.
     """
     est = np.asarray(estimate, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
@@ -153,16 +134,15 @@ def compute_metrics(
     if offset:
         est = est[offset:]
         ref = ref[: len(est)]
-    window, params = default_loss_stft()
-    spec_est, spec_ref = analyze(est, window, params), analyze(ref, window, params)
-    ri = _ri_mag_terms(spec_est, spec_ref)
-    wav = _wav_mag_terms(est, ref, spec_est, spec_ref)
+    spec_est, spec_ref = analyze(est, *_LOSS_STFT), analyze(ref, *_LOSS_STFT)
+    ri, n_ri = _ri_mag_terms(spec_est, spec_ref)
+    wav, n_wav = _wav_mag_terms(est, ref, spec_est, spec_ref)
     return MetricReport(
         si_sdr_db=si_sdr(est, ref),
-        ri_mag_loss=_reduce(ri, "sum"),
-        ri_mag_loss_mean=_reduce(ri, "mean"),
-        wav_mag_loss=_reduce(wav, "sum"),
-        wav_mag_loss_mean=_reduce(wav, "mean"),
+        ri_mag_loss=ri,
+        ri_mag_loss_mean=ri / n_ri if n_ri else 0.0,
+        wav_mag_loss=wav,
+        wav_mag_loss_mean=wav / n_wav if n_wav else 0.0,
         n_samples=len(est),
         alignment_offset=offset,
     )

@@ -133,7 +133,8 @@ class Session:
     binding and MCWF state. The oracle tables are analyzed from the whole
     ``reference`` and ``mixture`` given here (``oracle_mag_mask`` reads
     channel ``ref_mic`` of ``mixture``), so an oracle is causal in the
-    streamed mixture only. A ``mixture`` also sets the reference length and
+    streamed mixture only; a chain without an oracle only checks the
+    ``reference`` length. A ``mixture`` also sets the reference length and
     the number of frames a frame file must hold. Single-writer; ``close``
     ends external estimator children, after an error too.
     """
@@ -163,7 +164,8 @@ class Session:
                 raise ConfigError(
                     f"reference length {len(reference)} does not match mixture {mixture.shape[1]}"
                 )
-            ref_frames = analyze(np.concatenate([reference, tail]), g, params)
+            if config.needs_reference:
+                ref_frames = analyze(np.concatenate([reference, tail]), g, params)
         stages = [kind.kind for kind in (config.stage1, config.stage2) if kind is not None]
         if mixture is not None and "oracle_mag_mask" in stages:
             mix_ref_frames = analyze(np.concatenate([mixture[config.ref_mic], tail]), g, params)

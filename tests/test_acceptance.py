@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dualwin.beamformer import MODES, OnlineMcwf, offline_mcwf, woodbury_update
+from dualwin.beamformer import MODES, OnlineMcwf, offline_mcwf
 from dualwin.cli import main
 from dualwin.estimators import EstimatorKind
 from dualwin.framing import FrameParams
@@ -73,18 +73,19 @@ def test_criterion_2_synthesis_window_discriminates():
 
 
 def test_criterion_3_woodbury_equivalence():
-    with _criterion("3 Woodbury equivalence"):
+    with _criterion("3 running RLS inverse vs direct inverse"):
         rng = np.random.default_rng(101)
         start = time.perf_counter()
         for p in (1, 2, 6):
+            # the running RLS inverse of the online MCWF, (P, P) at its one bin
             eps = 1e-6
-            inv = np.eye(p, dtype=complex) / eps
+            bf = OnlineMcwf(p, 1, loading=eps)
             acc = eps * np.eye(p, dtype=complex)
             for _ in range(100):
                 y = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-                inv = woodbury_update(inv, y)
+                bf.update(y[:, None], np.zeros(1, complex))
                 acc += np.outer(y, y.conj())
-            assert np.max(np.abs(inv - np.linalg.inv(acc))) < 1e-8
+            assert np.max(np.abs(bf._state[:-1, :, 0] - np.linalg.inv(acc))) < 1e-8
         assert time.perf_counter() - start < 1.0
 
 

@@ -8,7 +8,6 @@ from dualwin.beamformer import (
     OnlineMcwf,
     apply_filter,
     offline_mcwf,
-    woodbury_update,
 )
 from dualwin.framing import FrameParams, analyze, build_windows
 from dualwin.simulate import make_scene
@@ -30,48 +29,6 @@ def _solved_filters(Y, S, loading=DEFAULT_LOADING, forgetting=1.0):
         phi = forgetting * phi + np.einsum("pf,qf->fpq", y, y.conj())
         rhs = forgetting * rhs + y.T * s.conj()[:, None]
         yield np.linalg.solve(phi, rhs[..., None])[..., 0]
-
-
-class TestWoodburyUpdate:
-    def test_scalar_case(self):
-        a = 2.5
-        y = np.array([0.7 - 0.3j])
-        updated = woodbury_update(np.array([[1.0 / a]], dtype=complex), y)
-        assert updated[0, 0] == pytest.approx(1.0 / (a + abs(y[0]) ** 2), abs=1e-15)
-
-    def test_zero_vector_is_identity_update(self):
-        inv = np.linalg.inv(np.array([[2.0, 0.3j], [-0.3j, 1.0]]))
-        updated = woodbury_update(inv, np.zeros(2, complex))
-        np.testing.assert_array_equal(updated, inv)
-
-    @pytest.mark.parametrize("p", [1, 2, 6])
-    def test_chain_matches_direct_inverse(self, p):
-        # 100 rank-1 updates from (eps*I)^-1 against inverting the
-        # accumulated loaded covariance directly
-        rng = np.random.default_rng(10 + p)
-        eps = 1e-6
-        inv = np.eye(p, dtype=complex) / eps
-        acc = eps * np.eye(p, dtype=complex)
-        for _ in range(100):
-            y = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-            inv = woodbury_update(inv, y)
-            acc += np.outer(y, y.conj())
-        assert np.max(np.abs(inv - np.linalg.inv(acc))) < 1e-8
-
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(11)
-        inv = np.tile(np.eye(3, dtype=complex) * 0.5, (4, 1, 1))
-        y = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        batched = woodbury_update(inv, y)
-        for f in range(4):
-            np.testing.assert_allclose(
-                batched[f], woodbury_update(inv[f], y[f]), atol=1e-14
-            )
-
-    def test_lost_definiteness_raises(self):
-        inv = -np.eye(2, dtype=complex)
-        with pytest.raises(BeamformerStateError):
-            woodbury_update(inv, np.array([1.0 + 0j, 0.0]))
 
 
 class TestApplyFilter:
@@ -153,6 +110,30 @@ class TestOnlineMcwf:
         w = bf.update(y[None, :], s)
         expected = y * s.conj() / (eps + np.abs(y) ** 2)
         np.testing.assert_allclose(w[:, 0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 6])
+    def test_inverse_block_matches_direct_inverse(self, p):
+        # 100 RLS steps from (eps*I)^-1 against inverting the accumulated
+        # loaded covariance directly; the inverse does not depend on the target
+        rng = np.random.default_rng(10 + p)
+        eps = 1e-6
+        bf = OnlineMcwf(p, 1, loading=eps)
+        acc = eps * np.eye(p, dtype=complex)
+        for _ in range(100):
+            y = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+            bf.update(y[:, None], np.zeros(1, complex))
+            acc += np.outer(y, y.conj())
+        assert np.max(np.abs(bf._state[:-1, :, 0] - np.linalg.inv(acc))) < 1e-8
+
+    def test_lost_definiteness_raises(self):
+        rng = np.random.default_rng(11)
+        bf = OnlineMcwf(3, 5)
+        bf.update(_random_spectrogram(rng, 1, 3, 5)[0], np.ones(5, complex))
+        bf._state[:-1] *= -1  # a negative-definite inverse
+        before = bf._state.tobytes()
+        with pytest.raises(BeamformerStateError):
+            bf.update(_random_spectrogram(rng, 1, 3, 5)[0], np.ones(5, complex))
+        assert bf._state.tobytes() == before
 
     def test_zero_estimate_stream_keeps_zero_filter(self):
         rng = np.random.default_rng(19)

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from dualwin.metrics import (
-    compute_metrics,
-    default_loss_stft,
-    ri_mag_loss,
-    si_sdr,
-    wav_mag_loss,
-)
+from dualwin.framing import analyze
+from dualwin.metrics import _LOSS_STFT, compute_metrics, ri_mag_loss, si_sdr, wav_mag_loss
 
 
 class TestSiSdr:
@@ -80,9 +75,6 @@ class TestRiMagLoss:
                 naive += abs(s_hat[t, f].imag - s[t, f].imag)
                 naive += abs(abs(s_hat[t, f]) - abs(s[t, f]))
         assert ri_mag_loss(s_hat, s) == pytest.approx(naive, abs=1e-12)
-        assert ri_mag_loss(s_hat, s, reduce="mean") == pytest.approx(
-            naive / (3 * 35), abs=1e-12
-        )
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -97,7 +89,7 @@ class TestWavMagLoss:
     def test_impulse_closed_form(self):
         # one active frame set: the loss is 1 (waveform term) plus n_bins
         # times the analysis window value at the impulse position per frame
-        window, params = default_loss_stft()
+        window, params = _LOSS_STFT
         n, j = 4000, 1000
         impulse = np.zeros(n)
         impulse[j] = 1.0
@@ -118,9 +110,9 @@ class TestWavMagLoss:
         assert losses[-1] == 0.0
         assert all(a >= b for a, b in zip(losses, losses[1:]))
 
-    def test_default_loss_stft_geometry(self):
-        # 32 ms window, 8 ms hop at 16 kHz, independent of pipeline params
-        window, params = default_loss_stft()
+    def test_loss_geometry_is_fixed_in_samples(self):
+        # 512/128 samples (32/8 ms at 16 kHz), independent of pipeline params
+        window, params = _LOSS_STFT
         assert (params.iws, params.hop, params.n_dft) == (512, 128, 512)
         assert window.kind.name == "sqrthann"
 
@@ -130,13 +122,6 @@ class TestWavMagLoss:
         s_hat = s + 0.1 * rng.standard_normal(2000)
         # the metric takes no pipeline geometry; both calls see the same default
         assert wav_mag_loss(s_hat, s) == wav_mag_loss(s_hat, s)
-
-    def test_custom_loss_stft(self):
-        window, params = default_loss_stft(8000)
-        assert (params.iws, params.hop) == (256, 64)
-        rng = np.random.default_rng(9)
-        s = rng.standard_normal(1000)
-        assert wav_mag_loss(s, s, (window, params)) == 0.0
 
 
 class TestComputeMetrics:
@@ -159,3 +144,14 @@ class TestComputeMetrics:
             "n_samples",
             "alignment_offset",
         }
+
+    def test_means_divide_the_sums_by_their_terms(self):
+        rng = np.random.default_rng(11)
+        ref = rng.standard_normal(3000)
+        est = ref + 0.2 * rng.standard_normal(3000)
+        report = compute_metrics(est, ref)
+        spec = analyze(ref, *_LOSS_STFT)
+        assert report.ri_mag_loss == ri_mag_loss(analyze(est, *_LOSS_STFT), spec)
+        assert report.wav_mag_loss == wav_mag_loss(est, ref)
+        assert report.ri_mag_loss_mean == report.ri_mag_loss / (3 * spec.size)
+        assert report.wav_mag_loss_mean == report.wav_mag_loss / (3000 + spec.size)

@@ -231,6 +231,18 @@ class TestSession:
         assert len(session.flush()) == 0
         np.testing.assert_allclose(out[: len(x)], x, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("stage1, calls", [("passthrough", 0), ("oracle_complex", 1)])
+    def test_reference_is_analyzed_only_for_an_oracle(self, scene, monkeypatch, stage1, calls):
+        seen = []
+        monkeypatch.setattr(pipeline, "analyze", lambda *a: seen.append(a) or analyze(*a))
+        cfg = PipelineConfig(stage1=EstimatorKind(stage1))
+        Session(cfg, 6, scene.target_direct, scene.mixture).close()
+        assert len(seen) == calls
+
+    def test_reference_length_is_checked_without_an_oracle(self, scene):
+        with pytest.raises(ConfigError, match="length"):
+            Session(PipelineConfig(), 6, scene.target_direct[:-1], scene.mixture)
+
     def test_failed_construction_closes_the_stage1_child(self, tmp_path, monkeypatch):
         closed = []
         close = estimators.ExternalEstimator.close
