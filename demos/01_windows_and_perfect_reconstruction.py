@@ -17,9 +17,9 @@ from dualwin import (
     SQRT_HANN,
     TUKEY,
     FrameParams,
-    analyze,
+    PipelineConfig,
     build_windows,
-    synthesize,
+    run_pipeline,
     verify_cola,
 )
 from dualwin.windows import make_analysis_window, make_synthesis_window
@@ -42,14 +42,14 @@ print(f"  mismatched (tukey analysis, rect-derived synthesis): "
       f"{verify_cola(g_tukey, l_rect, params.n_dft):.3e}")
 
 # ---------------------------------------------------------------------------
-# Round trip: analyze -> synthesize reconstructs the signal to double
+# Round trip: the streaming chain with a passthrough stage (analysis, one
+# frame per hop, synthesis, flush) reconstructs the signal to double
 # precision for every family.
 rng = np.random.default_rng(0)
 x = rng.standard_normal(params.sample_rate)  # one second of noise
 print("\nround-trip relative L2 error:")
 for kind in kinds:
-    g, l = build_windows(kind, params)
-    y = synthesize(analyze(x, g, params, flush=True), l, params, len(x))
+    y, _ = run_pipeline(PipelineConfig(params=params, window=kind), x)
     print(f"  {kind.name:10s} {np.linalg.norm(y - x) / np.linalg.norm(x):.3e}")
 
 # ---------------------------------------------------------------------------

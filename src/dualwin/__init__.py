@@ -16,7 +16,7 @@ caller catches; everything else is imported from its submodule.
 
 from .beamformer import BeamformerStateError
 from .estimators import EstimatorKind, ExternalProtocolError
-from .framing import FrameParams, algorithmic_latency, analyze, build_windows, synthesize
+from .framing import FrameParams, algorithmic_latency, analyze, build_windows
 from .metrics import si_sdr
 from .pipeline import ConfigError, PipelineConfig, Session, audit_all, run_pipeline
 from .simulate import make_scene

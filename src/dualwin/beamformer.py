@@ -160,15 +160,6 @@ class OnlineMcwf:
         self._tmp = np.empty_like(self._state)
         self._t = 0
 
-    @property
-    def frames_seen(self) -> int:
-        return self._t
-
-    @property
-    def filter(self) -> np.ndarray:
-        """Current (F, P) filter."""
-        return self._filter
-
     def update(self, mixture: np.ndarray, target_estimate: np.ndarray) -> np.ndarray:
         """Accumulate one frame and return the current filter.
 

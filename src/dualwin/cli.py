@@ -45,11 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("windows", help="emit a window pair and its COLA residual")
     p.add_argument("--kind", choices=WINDOW_NAMES, default="tukey")
-    p.add_argument("--tukey-alpha", type=float, default=1.0 / 16.0)
-    p.add_argument("--iws", type=int, default=256, help="analysis window, samples")
-    p.add_argument("--ows", type=int, default=64, help="output window, samples")
-    p.add_argument("--hop", type=int, default=32, help="hop, samples")
-    p.add_argument("--n-dft", type=int, default=256)
+    p.add_argument("--tukey-alpha", type=float, default=WindowKind.tukey_alpha)
+    p.add_argument("--iws", type=int, default=FrameParams.iws, help="analysis window, samples")
+    p.add_argument("--ows", type=int, default=FrameParams.ows, help="output window, samples")
+    p.add_argument("--hop", type=int, default=FrameParams.hop, help="hop, samples")
+    p.add_argument("--n-dft", type=int, default=FrameParams.n_dft)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_windows)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from .estimators import EstimatorKind
 from .framing import FrameParams
 from .pipeline import ConfigError, PipelineConfig
+from .wavio import SUPPORTED_BIT_DEPTHS
 from .windows import WindowKind
 
 _SIZE_NAMES = ("iws", "ows", "hop")
@@ -114,23 +115,23 @@ def _float(pairs, key, default=None):
     return value
 
 
-def _size_samples(pairs, name, sample_rate, default):
+def _size_samples(pairs, name, sample_rate):
     ms_key, smp_key = f"{name}_ms", f"{name}_samples"
     if ms_key in pairs and smp_key in pairs:
         raise ConfigError(f"{ms_key} and {smp_key} are both set; give exactly one")
     if smp_key in pairs:
-        return _int(pairs, smp_key, minimum=1)
+        return _int(pairs, smp_key)
     if ms_key in pairs:
         ms = _float(pairs, ms_key)
         samples = ms * sample_rate / 1000.0
         rounded = int(round(samples))
-        if abs(samples - rounded) > 1e-6 or rounded < 1:
+        if abs(samples - rounded) > 1e-6:
             raise ConfigError(
                 f"{ms_key}: {ms} ms is not a whole number of samples at "
                 f"{sample_rate} Hz"
             )
         return rounded
-    return default
+    return getattr(FrameParams, name)
 
 
 def _estimator(value: str, key: str, ref_mic: int) -> EstimatorKind | None:
@@ -167,40 +168,40 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
         if key not in pairs:
             raise ConfigError(f"{key}: required key is missing")
 
-    sample_rate = _int(pairs, "sample_rate", default=16000, minimum=1)
+    # sample_rate converts ms to samples before FrameParams can check it
+    sample_rate = _int(pairs, "sample_rate", default=FrameParams.sample_rate, minimum=1)
     try:
         params = FrameParams(
             sample_rate=sample_rate,
-            iws=_size_samples(pairs, "iws", sample_rate, 256),
-            ows=_size_samples(pairs, "ows", sample_rate, 64),
-            hop=_size_samples(pairs, "hop", sample_rate, 32),
-            n_dft=_int(pairs, "n_dft", default=256, minimum=2),
-            frames_ahead=_int(pairs, "frames_ahead", default=0, minimum=0),
+            iws=_size_samples(pairs, "iws", sample_rate),
+            ows=_size_samples(pairs, "ows", sample_rate),
+            hop=_size_samples(pairs, "hop", sample_rate),
+            n_dft=_int(pairs, "n_dft", default=FrameParams.n_dft),
+            frames_ahead=_int(pairs, "frames_ahead", default=FrameParams.frames_ahead),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    window_name = pairs.get("window", "tukey")
     try:
-        if "tukey_alpha" in pairs:
-            window = WindowKind(window_name, _float(pairs, "tukey_alpha"))
-        else:
-            window = WindowKind(window_name)
+        window = WindowKind(
+            pairs.get("window", PipelineConfig.window.name),
+            _float(pairs, "tukey_alpha", default=WindowKind.tukey_alpha),
+        )
     except ValueError as exc:
         raise ConfigError(f"window: {exc}") from None
 
     beamformer = pairs.get("beamformer", "off").lower()
     if beamformer in ("off", "none", ""):
         beamformer = None
-    ref_mic = _int(pairs, "ref_mic", default=0, minimum=0)
+    ref_mic = _int(pairs, "ref_mic", default=PipelineConfig.ref_mic)
     stage1 = _estimator(pairs.get("stage1", "passthrough"), "stage1", ref_mic)
     if stage1 is None:
         raise ConfigError("stage1: an estimator is required")
     stage2 = _estimator(pairs.get("stage2", "none"), "stage2", ref_mic)
 
-    bit_depth = _int(pairs, "bit_depth", default=32)
-    if bit_depth not in (16, 24, 32):
-        raise ConfigError(f"bit_depth: expected 16, 24, or 32, got {bit_depth}")
+    bit_depth = _int(pairs, "bit_depth", default=EnhanceJob.bit_depth)
+    if bit_depth not in SUPPORTED_BIT_DEPTHS:
+        raise ConfigError(f"bit_depth: expected one of {SUPPORTED_BIT_DEPTHS}, got {bit_depth}")
 
     pipeline = PipelineConfig(
         params=params,
@@ -209,9 +210,10 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
         beamformer=beamformer,
         stage2=stage2,
         ref_mic=ref_mic,
-        loading=_float(pairs, "loading", default=1e-6),
-        update_stride=_int(pairs, "update_stride", default=1, minimum=1),
-        forgetting=_float(pairs, "forgetting", default=1.0),
+        loading=_float(pairs, "loading", default=PipelineConfig.loading),
+        # OnlineMcwf checks the stride only when a beamformer runs
+        update_stride=_int(pairs, "update_stride", default=PipelineConfig.update_stride, minimum=1),
+        forgetting=_float(pairs, "forgetting", default=PipelineConfig.forgetting),
     )
     return EnhanceJob(
         pipeline=pipeline,

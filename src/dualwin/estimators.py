@@ -129,10 +129,8 @@ class PassthroughEstimator(Estimator):
             return self._zeros()
         if self.source == "mixture":
             return np.asarray(inp.mixture[self.channel])
-        picked = inp.stage1 if self.source == "stage1" else inp.beamformed
-        if picked is None:
-            raise ValueError(f"passthrough source {self.source!r} not present at this stage")
-        return np.asarray(picked)
+        # PipelineConfig rejects a source the stage cannot see
+        return np.asarray(inp.stage1 if self.source == "stage1" else inp.beamformed)
 
 
 class TableEstimator(Estimator):
@@ -269,9 +267,8 @@ class ExternalEstimator(Estimator):
     def estimate(self, inp, t):
         payload = self._encode(inp.mixture)
         if self.stage == 2:
-            stage1 = inp.stage1 if inp.stage1 is not None else self._zeros()
             beamformed = inp.beamformed if inp.beamformed is not None else self._zeros()
-            payload += self._encode(stage1) + self._encode(beamformed)
+            payload += self._encode(inp.stage1) + self._encode(beamformed)
         try:
             self._write_all(struct.pack("<I", len(payload)) + payload)
             raw = self._read_reply()

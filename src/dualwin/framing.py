@@ -229,7 +229,8 @@ def analyze(
     ``T = floor(n / hop)``: the frames an :class:`AnalysisStream` emits
     for the same samples. With ``flush=True`` the signal is zero-padded so
     that ``T = params.frames_to_release(n)``: the frames that synthesis
-    needs to release all ``n`` samples.
+    needs to release all ``n`` samples; ``pipeline.Session`` sizes its
+    oracle tables this way at ``frames_ahead=0``, where row t is output slot t.
 
     The primed signal is framed ``_ANALYZE_FRAMES`` frames at a time into
     the preallocated result, through one reused buffer of window products,
@@ -365,28 +366,6 @@ class SynthesisStream:
             return np.empty(0)
         gap, self._released = max(start, 0) - self._released, end
         return np.concatenate([np.zeros(gap), acc[lo + max(-start, 0) : lo + n]])
-
-
-def synthesize(
-    frames: np.ndarray,
-    l: SynthesisWindow,
-    params: FrameParams,
-    length: int | None = None,
-) -> np.ndarray:
-    """One-shot synthesis of a (T, n_bins) spectrogram.
-
-    Overlap-adds every frame, then zero chunks up to
-    ``params.frames_to_release(length)`` frames; the result has ``length``
-    samples when given, else ``T * hop``. Contributions beyond the given
-    frames are zeros, so the last ``ows - hop`` covered samples are only
-    fully reconstructed when the spectrogram includes the tail frames (see
-    ``analyze(..., flush=True)``).
-    """
-    if length is None:
-        length = len(frames) * params.hop
-    tail = max(params.frames_to_release(length) - len(frames), 0)
-    chunks = np.concatenate([synthesize_block(frames, l, params), np.zeros((tail, params.ows))])
-    return SynthesisStream(params).push(chunks)[:length]
 
 
 def build_windows(

@@ -13,7 +13,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,9 +110,6 @@ class MetricReport:
     wav_mag_loss_mean: float
     n_samples: int
     alignment_offset: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compute_metrics(

@@ -14,7 +14,6 @@ intermediate stages always work on the current frame.
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from contextlib import closing
@@ -119,9 +118,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 class Session:
     """One stream through the configured chain, fed as its samples arrive.
@@ -151,9 +147,7 @@ class Session:
             raise ConfigError("an oracle estimator is configured but no reference was given")
         params = self.params = config.params
         g, self._l = build_windows(config.window, params)
-        # output sample n - 1 needs oracle rows up to ceil((n + ows) / hop) - 2 only,
-        # so ows trailing zeros give the tables every row that reaches the output
-        tail = np.zeros(params.ows)
+        slots = replace(params, frames_ahead=0)  # table row r is output slot r at every k
         ref_frames = mix_ref_frames = expected_frames = None
         if mixture is not None:
             mixture = np.atleast_2d(np.asarray(mixture, dtype=np.float64))
@@ -165,10 +159,10 @@ class Session:
                     f"reference length {len(reference)} does not match mixture {mixture.shape[1]}"
                 )
             if config.needs_reference:
-                ref_frames = analyze(np.concatenate([reference, tail]), g, params)
+                ref_frames = analyze(reference, g, slots, True)
         stages = [kind.kind for kind in (config.stage1, config.stage2) if kind is not None]
         if mixture is not None and "oracle_mag_mask" in stages:
-            mix_ref_frames = analyze(np.concatenate([mixture[config.ref_mic], tail]), g, params)
+            mix_ref_frames = analyze(mixture[config.ref_mic], g, slots, True)
 
         self._bf = None
         if config.beamformer is not None:
@@ -338,7 +332,7 @@ def audit_latency(
     b = params.hop
     expected_samples = params.ows - frames_ahead * b
     rng = np.random.default_rng(7)
-    total = 64 * b
+    total = (frames_ahead + 64) * b
 
     def identity(signal: np.ndarray) -> Session:
         return Session(config, 1, reference=np.concatenate([np.zeros(frames_ahead * b), signal]))
@@ -347,11 +341,13 @@ def audit_latency(
         session = identity(signal)
         return np.concatenate([session.push(signal), session.flush()])
 
-    # timing: the ingest count at which output sample n is first released
+    # timing: the ingest count at which output sample n is first released; the
+    # probes sit k hops later, so that no horizon releases them before any input
     x = rng.standard_normal(total)
     session = identity(x)
     released = np.cumsum([len(session.push(x[i : i + 1])) for i in range(total)])
-    deltas = [int(np.searchsorted(released, n, side="right")) + 1 - n for n in (16 * b, 24 * b)]
+    probes = ((frames_ahead + 16) * b, (frames_ahead + 24) * b)
+    deltas = [int(np.searchsorted(released, n, side="right")) + 1 - n for n in probes]
     timing_ok = all(d == expected_samples for d in deltas)
 
     # impulse content lands frames_ahead hops late through an identity chain

@@ -19,31 +19,18 @@ SPEED_OF_SOUND = 343.0
 ACTIVE_FLOOR_DBFS = -60.0
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Microphone xy positions in meters, shape (P, 2)."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.float64)
-        positions.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-
-    @property
-    def channels(self) -> int:
-        return self.positions.shape[0]
-
-
-def array_geometry(channels: int, diameter: float) -> ArrayGeometry:
-    """Uniform circular array: mic p at angle 2*pi*p/P, radius diameter/2."""
+def array_geometry(channels: int, diameter: float) -> np.ndarray:
+    """Uniform circular array: mic p at angle 2*pi*p/P, radius diameter/2.
+    Returns the read-only (P, 2) xy positions in meters."""
     if channels < 1:
         raise ValueError(f"need at least one microphone, got {channels}")
     if diameter <= 0:
         raise ValueError(f"diameter must be positive, got {diameter}")
     angles = 2.0 * np.pi * np.arange(channels) / channels
     r = diameter / 2.0
-    return ArrayGeometry(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
+    positions = np.column_stack([r * np.cos(angles), r * np.sin(angles)])
+    positions.setflags(write=False)
+    return positions
 
 
 def fractional_delay(signal: np.ndarray, delay: float, taps: int = 64) -> np.ndarray:
@@ -73,12 +60,13 @@ def fractional_delay(signal: np.ndarray, delay: float, taps: int = 64) -> np.nda
 def spatialize(
     source: np.ndarray,
     azimuth: float,
-    geometry: ArrayGeometry,
+    positions: np.ndarray,
     sample_rate: int,
     c: float = SPEED_OF_SOUND,
 ) -> np.ndarray:
     """Far-field plane-wave rendering of a source onto the array.
 
+    ``positions`` are the (P, 2) mic positions of :func:`array_geometry`.
     Returns a (P, n) array. Per-channel delays are referenced to the array
     center and offset so the earliest channel has zero delay; inter-channel
     delays are what matters for beamforming.
@@ -86,9 +74,8 @@ def spatialize(
     source = np.asarray(source, dtype=np.float64)
     if not np.all(np.isfinite(source)):
         raise ValueError("source contains non-finite samples")
-    pos = geometry.positions
-    mic_angles = np.arctan2(pos[:, 1], pos[:, 0])
-    radii = np.hypot(pos[:, 0], pos[:, 1])
+    mic_angles = np.arctan2(positions[:, 1], positions[:, 0])
+    radii = np.hypot(positions[:, 0], positions[:, 1])
     tau = -(radii / c) * np.cos(azimuth - mic_angles)
     delays = (tau - tau.min()) * sample_rate
     return np.stack([fractional_delay(source, d) for d in delays])
@@ -157,6 +144,8 @@ def mix(
         raise ValueError("target must be (channels, samples)")
     if not noises:
         raise ValueError("at least one noise source is required")
+    if not 0 <= ref_mic < len(target):
+        raise ValueError(f"ref_mic {ref_mic} out of range for {len(target)} channels")
     stacked = np.stack([np.asarray(n, dtype=np.float64) for n in noises])
     if stacked.shape[1:] != target.shape:
         raise ValueError(
@@ -215,6 +204,8 @@ def make_scene(
         raise ValueError(f"need at least one noise source, got {n_noises}")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
+    if n < 1:
+        raise ValueError(f"a duration of {duration_s} s at {sample_rate} Hz gives no samples")
     geom = array_geometry(channels, diameter)
     hi = 0.45 * sample_rate
 

@@ -58,10 +58,9 @@ TUKEY = WindowKind("tukey")
 
 @dataclass(frozen=True)
 class AnalysisWindow:
-    """Real-valued analysis taper of length ``n`` with its kind tag."""
+    """Real-valued analysis taper of length ``n``."""
 
     samples: np.ndarray
-    kind: WindowKind
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -161,7 +160,7 @@ def make_analysis_window(
         g = _tukey(n_samples, kind.tukey_alpha)
     else:
         g = _asqrt_hann(n_samples, hop)
-    return AnalysisWindow(g, kind)
+    return AnalysisWindow(g)
 
 
 def make_synthesis_window(

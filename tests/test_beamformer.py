@@ -262,7 +262,7 @@ class TestOnlineMcwf:
             for _ in range(warm):
                 bf.update(_random_spectrogram(rng, 1, 2, 3)[0], _random_spectrogram(rng, 1, 1, 3)[0, 0])
             # the whole stacked state: inverse rows and filter row
-            before = (bf.frames_seen, bf.filter.copy(), bf._state.copy())
+            before = (bf._t, bf._filter.copy(), bf._state.copy())
             for bad_y in (True, False):
                 for value in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
                     y = _random_spectrogram(rng, 1, 2, 3)[0]
@@ -274,8 +274,8 @@ class TestOnlineMcwf:
                         ValueError, match="non-finite values in beamformer update"
                     ):
                         bf.update(y, s)
-                    assert bf.frames_seen == before[0]
-                    assert np.array_equal(bf.filter, before[1])
+                    assert bf._t == before[0]
+                    assert np.array_equal(bf._filter, before[1])
                     assert np.array_equal(bf._state, before[2])
 
     def test_constructor_validation(self):

@@ -332,6 +332,44 @@ class TestLatencyCheckCommand:
             assert line.endswith("PASS")
 
 
+class TestErrorContract:
+    """Each subcommand exits 1 on invalid input with one ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, config, cause",
+        [
+            (["windows", "--hop", "0"], None, "hop must be positive, got 0"),
+            (["simulate", "--ref-mic", "7", "--channels", "6"], None, "ref_mic 7 out of range for 6 channels"),
+            (["simulate", "--ref-mic", "-1"], None, "ref_mic -1 out of range for 6 channels"),
+            (["simulate", "--duration", "0"], None, "a duration of 0.0 s at 16000 Hz gives no samples"),
+            (["simulate", "--sample-rate", "0"], None, "a duration of 1.0 s at 0 Hz gives no samples"),
+            (["enhance"], ["stage1 = passthrough:mixture:9"], "passthrough channel 9 out of range for 6 channels"),
+            (["latency-check", "--frames-ahead", "-1"], None, "frames_ahead must be >= 0, got -1"),
+        ],
+        ids=[
+            "windows-hop-0",
+            "simulate-ref-mic-past-channels",
+            "simulate-negative-ref-mic",
+            "simulate-duration-0",
+            "simulate-sample-rate-0",
+            "enhance-passthrough-channel-past-channels",
+            "latency-check-negative-horizon",
+        ],
+    )
+    def test_invalid_input_exits_1_with_one_line(self, tmp_path, request, capsys, argv, config, cause):
+        out_dir = tmp_path / "out"
+        if argv[0] == "simulate":
+            argv = [*argv, "--out-dir", str(out_dir)]
+        if config is not None:
+            scene_dir = request.getfixturevalue("scene_dir")
+            capsys.readouterr()
+            lines = [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {out_dir / 'x.wav'}", *config]
+            argv = [*argv, "--config", _write_config(tmp_path / "run.conf", lines)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {cause}"]
+        assert not out_dir.exists()
+
+
 class TestArgumentHandling:
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["windows", "--no-such-flag"]) == 1

@@ -1,7 +1,7 @@
 import pytest
 
 from dualwin.config import build_job, parse_pairs
-from dualwin.pipeline import ConfigError
+from dualwin.pipeline import ConfigError, PipelineConfig
 
 
 def _job(text):
@@ -33,6 +33,7 @@ class TestBuildJob:
         assert job.pipeline.stage2 is None
         assert job.pipeline.beamformer is None
         assert job.bit_depth == 32
+        assert job.pipeline == PipelineConfig()  # loading, forgetting, update_stride, ref_mic too
 
     def test_ms_and_samples_units_agree(self):
         a = _job("iws_ms = 16\nows_ms = 4\nhop_ms = 2\n").pipeline.params

@@ -53,11 +53,6 @@ class TestPassthrough:
             PassthroughEstimator(4, 0, source="beamformer").estimate(inp, 0), bf
         )
 
-    def test_missing_source_rejected(self):
-        est = PassthroughEstimator(4, 0, source="beamformer")
-        with pytest.raises(ValueError, match="not present"):
-            est.estimate(EstimatorInput(np.zeros((1, 4), complex)), 0)
-
 
 def _bind_oracle(kind, frames_ahead, reference, mixture=None):
     # a geometry with as many bins as the tables (n_bins = n_dft/2 + 1, at least 2)

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualwin import framing
+from dualwin.estimators import EstimatorKind
 from dualwin.framing import (
     AnalysisStream,
     FrameParams,
@@ -12,18 +13,17 @@ from dualwin.framing import (
     algorithmic_latency,
     analyze,
     build_windows,
-    synthesize,
     synthesize_block,
     synthesize_frame,
 )
+from dualwin.pipeline import PipelineConfig, run_pipeline
 from dualwin.windows import ASQRT_HANN, RECT, SQRT_HANN, TUKEY, make_analysis_window
 
 ALL_KINDS = [SQRT_HANN, ASQRT_HANN, RECT, TUKEY]
 
 
 def _roundtrip(x, kind, params):
-    g, l = build_windows(kind, params)
-    return synthesize(analyze(x, g, params, flush=True), l, params, len(x))
+    return run_pipeline(PipelineConfig(params=params, window=kind), x)[0]
 
 
 class TestFrameParams:
@@ -50,7 +50,7 @@ class TestFrameParams:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_frames_to_release_is_the_flush_loop_count(self, data):
-        # the loop run_pipeline and synthesize used to spell out: push until
+        # the loop run_pipeline used to spell out: push until
         # every whole input hop has run and n samples are out
         hop = data.draw(st.sampled_from([1, 2, 4, 8, 16, 32]), label="hop")
         ows = hop * data.draw(st.integers(1, 4), label="ows_mult")
@@ -326,22 +326,24 @@ class TestSynthesis:
         kind = data.draw(st.sampled_from(ALL_KINDS), label="kind")
         params = FrameParams(iws=iws, ows=ows, hop=hop, n_dft=256)
         try:
-            g, l = build_windows(kind, params)
+            build_windows(kind, params)
         except ValueError:
             # a window that vanishes over a whole hop comb (e.g. iws == ows
             # with a zero first sample) has no perfect-reconstruction partner
             assume(False)
         x = np.random.default_rng(11).standard_normal(40 * hop)
-        out = synthesize(analyze(x, g, params, flush=True), l, params, len(x))
+        out = _roundtrip(x, kind, params)
         assert np.linalg.norm(out - x) / np.linalg.norm(x) < 1e-10
 
     def test_future_frame_shift_places_chunks_one_hop_later(self):
-        # with k=1 each chunk lands one hop later in its own timeline, so an
-        # identity chain delays content by exactly one hop
+        # with k=1 each chunk lands one hop later in its own timeline; an
+        # oracle of the input delayed one hop replays frame t of the input at
+        # frame t, so this identity chain delays content by exactly one hop
         params_k1 = FrameParams(frames_ahead=1)
         x = np.random.default_rng(6).standard_normal(4000)
-        out = _roundtrip(x, TUKEY, params_k1)
         hop = params_k1.hop
+        cfg = PipelineConfig(params=params_k1, stage1=EstimatorKind("oracle_complex"))
+        out, _ = run_pipeline(cfg, x, np.concatenate([np.zeros(hop), x[:-hop]]))
         np.testing.assert_allclose(out[hop:], x[:-hop], atol=1e-10)
 
 

@@ -20,18 +20,18 @@ def _chirp(n, fs, f0=100.0, f1=6000.0):
 class TestGeometry:
     def test_six_mic_circle(self):
         geom = array_geometry(6, 0.20)
-        assert geom.channels == 6
-        np.testing.assert_allclose(geom.positions[0], [0.10, 0.0], atol=1e-15)
-        np.testing.assert_allclose(np.hypot(*geom.positions.T), 0.10, atol=1e-15)
+        assert geom.shape == (6, 2) and not geom.flags.writeable
+        np.testing.assert_allclose(geom[0], [0.10, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.hypot(*geom.T), 0.10, atol=1e-15)
 
     def test_two_mics_are_antipodal(self):
         geom = array_geometry(2, 0.20)
-        spacing = np.linalg.norm(geom.positions[0] - geom.positions[1])
+        spacing = np.linalg.norm(geom[0] - geom[1])
         assert spacing == pytest.approx(0.20, abs=1e-15)
 
     def test_single_mic(self):
         geom = array_geometry(1, 0.10)
-        np.testing.assert_allclose(geom.positions, [[0.05, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(geom, [[0.05, 0.0]], atol=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestSpatialize:
 
     def test_aligned_mic_leads(self):
         geom = array_geometry(6, 0.20)
-        angles = np.arctan2(geom.positions[:, 1], geom.positions[:, 0])
+        angles = np.arctan2(geom[:, 1], geom[:, 0])
         for p in range(6):
             tau = -(0.10 / SPEED_OF_SOUND) * np.cos(angles[p] - angles)
             assert np.argmin(tau) == p
@@ -82,7 +82,7 @@ class TestSpatialize:
         geom = array_geometry(6, 0.20)
         x = _chirp(8000, fs)
         out = spatialize(x, 0.0, geom, fs)
-        angles = np.arctan2(geom.positions[:, 1], geom.positions[:, 0])
+        angles = np.arctan2(geom[:, 1], geom[:, 0])
         tau = -(0.10 / SPEED_OF_SOUND) * np.cos(0.0 - angles)
         expected_lags = (tau - tau.min()) * fs
         ref_ch = int(np.argmin(expected_lags))
@@ -139,6 +139,9 @@ class TestMix:
             mix(np.zeros_like(target), [target], 0.0, 16000)
         with pytest.raises(ValueError, match="zero power"):
             mix(target, [np.zeros_like(target)], 0.0, 16000)
+        for ref_mic in (-1, 3):  # a negative index would pick the last mic
+            with pytest.raises(ValueError, match=f"ref_mic {ref_mic} out of range for 3 channels"):
+                mix(target, [target], 0.0, 16000, ref_mic=ref_mic)
 
 
 class TestScenes:

@@ -104,12 +104,12 @@ class TestSynthesisWindow:
         # scaling the analysis window by c scales the synthesis window by 1/c
         g = make_analysis_window(TUKEY, 256)
         l = make_synthesis_window(g, 64, 32)
-        scaled = AnalysisWindow(0.25 * g.samples, g.kind)
+        scaled = AnalysisWindow(0.25 * g.samples)
         l_scaled = make_synthesis_window(scaled, 64, 32)
         np.testing.assert_allclose(l_scaled.samples, 4.0 * l.samples, rtol=1e-14)
 
     def test_zero_denominator_names_index(self):
-        g = AnalysisWindow(np.concatenate([np.ones(192), np.zeros(64)]), RECT)
+        g = AnalysisWindow(np.concatenate([np.ones(192), np.zeros(64)]))
         with pytest.raises(ValueError, match="index 0"):
             make_synthesis_window(g, 64, 32)
 
