@@ -22,7 +22,6 @@ from dualwin import (
     run_pipeline,
     verify_cola,
 )
-from dualwin.windows import make_analysis_window, make_synthesis_window
 
 params = FrameParams()  # 16 kHz, iws=256, ows=64, hop=32, 256-pt DFT
 kinds = [SQRT_HANN, ASQRT_HANN, RECT, TUKEY]
@@ -33,13 +32,13 @@ kinds = [SQRT_HANN, ASQRT_HANN, RECT, TUKEY]
 print("COLA residual per window family (matched pairs):")
 for kind in kinds:
     g, l = build_windows(kind, params)
-    print(f"  {kind.name:10s} {verify_cola(g, l, params.n_dft):.3e}")
+    print(f"  {kind.name:10s} {verify_cola(g, l, params):.3e}")
 
 # A mismatched pair is loud -- the check genuinely discriminates.
-g_tukey = make_analysis_window(TUKEY, params.iws)
-l_rect = make_synthesis_window(make_analysis_window(RECT, params.iws), 64, 32)
+g_tukey = build_windows(TUKEY, params)[0]
+l_rect = build_windows(RECT, params)[1]
 print(f"  mismatched (tukey analysis, rect-derived synthesis): "
-      f"{verify_cola(g_tukey, l_rect, params.n_dft):.3e}")
+      f"{verify_cola(g_tukey, l_rect, params):.3e}")
 
 # ---------------------------------------------------------------------------
 # Round trip: the streaming chain with a passthrough stage (analysis, one
@@ -63,8 +62,8 @@ try:
     fig, axes = plt.subplots(2, 1, figsize=(8, 6), sharex=True)
     for kind in kinds:
         g, l = build_windows(kind, params)
-        axes[0].plot(g.samples, label=kind.name)
-        axes[1].plot(np.arange(params.iws - params.ows, params.iws), l.samples,
+        axes[0].plot(g, label=kind.name)
+        axes[1].plot(np.arange(params.iws - params.ows, params.iws), l,
                      label=kind.name)
     axes[0].set_title("analysis windows (16 ms)")
     axes[1].set_title("synthesis windows (last 4 ms)")

@@ -15,11 +15,11 @@ import sys
 from .beamformer import BeamformerStateError
 from .config import load_job
 from .estimators import ExternalProtocolError
-from .framing import FrameParams
+from .framing import FrameParams, build_windows
 from .pipeline import ConfigError, audit_all, run_pipeline
 from .simulate import make_scene
-from .wavio import WavError, read_wav, write_wav
-from .windows import WINDOW_NAMES, WindowKind, make_analysis_window, make_synthesis_window, verify_cola
+from .wavio import WavError, check_format, read_wav, write_wav
+from .windows import WINDOW_NAMES, WindowKind, verify_cola
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,10 +85,9 @@ def _write_text(text: str, out_path: str | None):
 
 
 def cmd_windows(args) -> int:
-    kind = WindowKind(args.kind, args.tukey_alpha)
-    g = make_analysis_window(kind, args.iws, hop=args.hop)
-    l = make_synthesis_window(g, args.ows, args.hop)
-    residual = verify_cola(g, l, args.n_dft)
+    params = FrameParams(iws=args.iws, ows=args.ows, hop=args.hop, n_dft=args.n_dft)
+    g, l = build_windows(WindowKind(args.kind, args.tukey_alpha), params)
+    residual = verify_cola(g, l, params)
     if args.format == "json":
         text = json.dumps(
             {
@@ -99,8 +98,8 @@ def cmd_windows(args) -> int:
                 "hop": args.hop,
                 "n_dft": args.n_dft,
                 "cola_residual": residual,
-                "analysis": g.samples.tolist(),
-                "synthesis": l.samples.tolist(),
+                "analysis": g.tolist(),
+                "synthesis": l.tolist(),
             },
             indent=2,
             sort_keys=True,
@@ -109,8 +108,8 @@ def cmd_windows(args) -> int:
     else:
         offset = args.iws - args.ows  # synthesis window spans the last ows samples
         lines = [f"# kind={args.kind} cola_residual={residual:.3e}", "index,analysis,synthesis"]
-        for i, value in enumerate(g.samples):
-            synth = repr(float(l.samples[i - offset])) if i >= offset else ""
+        for i, value in enumerate(g):
+            synth = repr(float(l[i - offset])) if i >= offset else ""
             lines.append(f"{i},{float(value)!r},{synth}")
         _write_text("\n".join(lines) + "\n", args.out)
     return 0
@@ -129,6 +128,7 @@ def cmd_simulate(args) -> int:
         sample_rate=args.sample_rate,
         ref_mic=args.ref_mic,
     )
+    check_format(len(scene.mixture), scene.sample_rate)  # before anything is written
     os.makedirs(args.out_dir, exist_ok=True)
     mixture_path = os.path.join(args.out_dir, "mixture.wav")
     reference_path = os.path.join(args.out_dir, "reference.wav")

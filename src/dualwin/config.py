@@ -193,7 +193,8 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
     beamformer = pairs.get("beamformer", "off").lower()
     if beamformer in ("off", "none", ""):
         beamformer = None
-    ref_mic = _int(pairs, "ref_mic", default=PipelineConfig.ref_mic)
+    # checked here too: it is the default passthrough channel, which EstimatorKind checks first
+    ref_mic = _int(pairs, "ref_mic", default=PipelineConfig.ref_mic, minimum=0)
     stage1 = _estimator(pairs.get("stage1", "passthrough"), "stage1", ref_mic)
     if stage1 is None:
         raise ConfigError("stage1: an estimator is required")

@@ -83,6 +83,8 @@ class EstimatorKind:
             raise ValueError(
                 f"unknown estimator kind {self.kind!r}, expected one of {ESTIMATOR_KINDS}"
             )
+        if self.channel < 0:
+            raise ValueError(f"estimator channel must be >= 0, got {self.channel}")
         if self.kind == "passthrough" and self.source not in PASSTHROUGH_SOURCES:
             raise ValueError(
                 f"passthrough source must be one of {PASSTHROUGH_SOURCES}, "

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .windows import AnalysisWindow, SynthesisWindow, WindowKind, make_analysis_window, make_synthesis_window
+from .windows import WindowKind, make_analysis_window, make_synthesis_window
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,11 @@ class SpectrumFrame(NamedTuple):
 _ANALYZE_FRAMES = 128
 
 
-def _check_window(window: AnalysisWindow, params: FrameParams):
-    if window.n != params.iws:
-        raise ValueError(f"window length {window.n} does not match iws {params.iws}")
-
-
 def _frames(
     data: np.ndarray,
     start: int,
     stop: int,
-    window: AnalysisWindow,
+    window: np.ndarray,
     params: FrameParams,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -150,7 +145,7 @@ def _frames(
     view = np.ndarray(
         (n_frames, data.shape[0], iws), data.dtype, data, start * sample, (hop * sample, step, sample)
     )
-    prod = np.multiply(view, window.samples, out=None if work is None else work[:n_frames])
+    prod = np.multiply(view, window, out=None if work is None else work[:n_frames])
     return np.fft.rfft(prod, n=params.n_dft, axis=-1)
 
 
@@ -166,8 +161,9 @@ class AnalysisStream:
     push concurrently on one stream.
     """
 
-    def __init__(self, window: AnalysisWindow, params: FrameParams, channels: int = 1):
-        _check_window(window, params)
+    def __init__(self, window: np.ndarray, params: FrameParams, channels: int = 1):
+        if len(window) != params.iws:
+            raise ValueError(f"window length {len(window)} does not match iws {params.iws}")
         if channels < 1:
             raise ValueError(f"channels must be >= 1, got {channels}")
         self.window = window
@@ -218,7 +214,7 @@ class AnalysisStream:
 
 def analyze(
     signal: np.ndarray,
-    window: AnalysisWindow,
+    window: np.ndarray,
     params: FrameParams,
     flush: bool = False,
 ) -> np.ndarray:
@@ -239,7 +235,8 @@ def analyze(
     default geometry, however long the signal. Each frame's arithmetic is
     that of one unblocked call, so the bytes do not depend on the blocking.
     """
-    _check_window(window, params)
+    if len(window) != params.iws:
+        raise ValueError(f"window length {len(window)} does not match iws {params.iws}")
     signal = np.asarray(signal, dtype=np.float64)
     n, hop = signal.shape[-1], params.hop
     n_frames = params.frames_to_release(n) if flush else n // hop
@@ -281,11 +278,11 @@ def _synthesis_basis(window: bytes, iws: int, n_dft: int) -> np.ndarray:
 
 
 def synthesize_block(
-    bins: np.ndarray, l: SynthesisWindow, params: FrameParams, first_frame: int = 0
+    bins: np.ndarray, l: np.ndarray, params: FrameParams, first_frame: int = 0
 ) -> np.ndarray:
     """Invert frames ``first_frame, ...``, bins (T, n_bins) or (n_bins,), to
     their windowed overlap-add chunks, (T, ows) or (ows,): each is
-    ``irfft(bins, n_dft)[iws - ows : iws] * l.samples``, the last ``ows``
+    ``irfft(bins, n_dft)[iws - ows : iws] * l``, the last ``ows``
     samples of the analysis segment before padding, as one product of the
     cached basis of those rows, window folded in, with the (re, im) float64
     view of its bins; a gemm over the block would change the roundings."""
@@ -297,18 +294,15 @@ def synthesize_block(
     if not np.logical_and.reduce(finite, axis=None):  # without .all()'s Python wrapper
         bad = first_frame + int(np.argmin(finite.all(axis=-1)))
         raise ValueError(f"non-finite bins in frame {bad}")
-    if l.a != params.ows or l.hop != params.hop:
-        raise ValueError(
-            f"synthesis window ({l.a}/{l.hop}) does not match params "
-            f"({params.ows}/{params.hop})"
-        )
-    basis = _synthesis_basis(l.samples.tobytes(), params.iws, params.n_dft)
+    if len(l) != params.ows:
+        raise ValueError(f"window length {len(l)} does not match ows {params.ows}")
+    basis = _synthesis_basis(l.tobytes(), params.iws, params.n_dft)
     if v.ndim == 2 and len(v) > 1:
         return np.matmul(basis, v[..., np.newaxis])[..., 0]
     return np.dot(basis, v.T).T  # the same gemv, without matmul's ~2 us of set-up
 
 
-def synthesize_frame(frame: SpectrumFrame, l: SynthesisWindow, params: FrameParams) -> np.ndarray:
+def synthesize_frame(frame: SpectrumFrame, l: np.ndarray, params: FrameParams) -> np.ndarray:
     """:func:`synthesize_block` of one frame: its (ows,) chunk."""
     return synthesize_block(frame.bins, l, params, frame.frame_index)
 
@@ -368,10 +362,8 @@ class SynthesisStream:
         return np.concatenate([np.zeros(gap), acc[lo + max(-start, 0) : lo + n]])
 
 
-def build_windows(
-    kind: WindowKind, params: FrameParams
-) -> tuple[AnalysisWindow, SynthesisWindow]:
-    """Matched analysis/synthesis pair for the given geometry."""
-    g = make_analysis_window(kind, params.iws, hop=params.hop)
-    l = make_synthesis_window(g, params.ows, params.hop)
-    return g, l
+def build_windows(kind: WindowKind, params: FrameParams) -> tuple[np.ndarray, np.ndarray]:
+    """Matched (analysis, synthesis) pair for the given geometry: read-only
+    arrays of ``iws`` and ``ows`` samples."""
+    g = make_analysis_window(kind, params)
+    return g, make_synthesis_window(g, params)

@@ -13,6 +13,7 @@ here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,8 @@ from .windows import SQRT_HANN, make_analysis_window
 SI_SDR_CAP_DB = 100.0
 
 # The loss STFT's (window, params): 512/128 samples, the same at every sample rate.
-_LOSS_STFT = (
-    make_analysis_window(SQRT_HANN, 512),
-    FrameParams(sample_rate=16000, iws=512, ows=128, hop=128, n_dft=512),
-)
+_LOSS_PARAMS = FrameParams(sample_rate=16000, iws=512, ows=128, hop=128, n_dft=512)
+_LOSS_STFT = (make_analysis_window(SQRT_HANN, _LOSS_PARAMS), _LOSS_PARAMS)
 
 
 def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
@@ -34,13 +33,17 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
 
     ``10*log10(||a*s||^2 / ||a*s - s_hat||^2)`` with ``a = <s_hat, s>/||s||^2``.
     The value is clamped to ``+-SI_SDR_CAP_DB`` so that exact matches (and
-    exactly orthogonal or all-zero estimates) stay finite in reports.
+    exactly orthogonal or all-zero estimates) stay finite in reports; a
+    non-finite sample in either signal raises ``ValueError``.
     """
     est = np.asarray(estimate, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
     if est.shape != ref.shape:
         raise ValueError(f"length mismatch: {est.shape} vs {ref.shape}")
     ref_energy = float(np.dot(ref, ref))
+    # inf or nan in a signal makes its energy non-finite: one dot, not an isfinite pass
+    if not math.isfinite(ref_energy + float(np.dot(est, est))):
+        raise ValueError("estimate or reference is not finite")
     if ref_energy == 0.0:
         raise ValueError("reference signal has zero energy")
     alpha = float(np.dot(est, ref)) / ref_energy

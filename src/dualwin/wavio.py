@@ -104,22 +104,38 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     return flat[: n_frames * channels].reshape(n_frames, channels).T.copy(), rate
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
-    """Write samples, shape (channels, n) or (n,), to a WAV file.
-
-    ``bit_depth`` 16 and 24 write PCM (values rounded and clipped to
-    [-1, 1]); 32 writes IEEE float32 verbatim.
-    """
+def check_format(channels: int, sample_rate: int, bit_depth: int = 32):
+    """Raise :class:`WavError` unless a WAV header can hold this format:
+    a supported bit depth, a sample rate of at least 1 Hz, and a block
+    size and byte rate that fit their 16- and 32-bit header fields."""
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
         raise WavError(
             f"unsupported bit depth {bit_depth}, expected one of {SUPPORTED_BIT_DEPTHS}"
         )
+    block_align = channels * (bit_depth // 8)
+    if block_align > 0xFFFF:
+        raise WavError(f"{channels} channels of {bit_depth} bits do not fit a WAV header")
+    if sample_rate < 1 or sample_rate * block_align > 0xFFFFFFFF:
+        raise WavError(
+            f"sample rate {sample_rate} Hz with {channels} channels of {bit_depth} bits "
+            f"does not fit a WAV header"
+        )
+
+
+def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
+    """Write samples, shape (channels, n) or (n,), to a WAV file.
+
+    ``bit_depth`` 16 and 24 write PCM (values rounded and clipped to
+    [-1, 1]); 32 writes IEEE float32 verbatim. A format that
+    :func:`check_format` rejects raises before the file is opened.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples[np.newaxis, :]
     if samples.ndim != 2:
         raise WavError(f"samples must be 1-D or (channels, n), got shape {samples.shape}")
     channels, n = samples.shape
+    check_format(channels, sample_rate, bit_depth)
     interleaved = samples.T.reshape(-1)
 
     if bit_depth == 32:
@@ -139,8 +155,7 @@ def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
         payload = triplets.tobytes()
         tag = _FORMAT_PCM
 
-    bytes_per_sample = 4 if bit_depth == 32 else bit_depth // 8
-    block_align = channels * bytes_per_sample
+    block_align = channels * (bit_depth // 8)
     fmt = struct.pack(
         "<HHIIHH",
         tag,

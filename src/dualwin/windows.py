@@ -1,23 +1,33 @@
 """Analysis/synthesis window construction for dual-window overlap-add.
 
+A window is a read-only float64 ``np.ndarray`` whose length comes from a
+:class:`~dualwin.framing.FrameParams`: the analysis window ``g`` has
+``iws`` samples, the synthesis window ``l`` has ``ows``. ``FrameParams``
+checks that geometry once; the functions here check only the window's
+values and the family's own rules.
+
 Four analysis window families are supported: square-root Hann, asymmetric
 square-root Hann, rectangular, and Tukey. For any analysis window ``g`` of
-length ``N``, a synthesis window ``l`` of length ``A`` (the output window
-size) with hop ``B`` is derived from the last ``A`` samples of ``g``::
+length ``N = iws``, the synthesis window ``l`` of length ``A = ows`` with
+hop ``B`` is derived from the last ``A`` samples of ``g``::
 
     l[n] = g[N-A+n] / sum_{k=0}^{A/B-1} g[N-A+(n mod B)+k*B]**2
 
 which makes the overlap-added window products sum to exactly one at every
 steady-state output position, i.e. the analysis/synthesis pair achieves
 perfect reconstruction for any analysis window whose hop-aligned comb sums
-are nonzero.
+are nonzero (the low-delay design of Mauler & Martin, EUSIPCO 2007).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .framing import FrameParams
 
 WINDOW_NAMES = ("sqrthann", "asqrthann", "rect", "tukey")
 
@@ -56,44 +66,6 @@ RECT = WindowKind("rect")
 TUKEY = WindowKind("tukey")
 
 
-@dataclass(frozen=True)
-class AnalysisWindow:
-    """Real-valued analysis taper of length ``n``."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
-class SynthesisWindow:
-    """Synthesis taper of length ``a`` paired with overlap-add hop ``hop``."""
-
-    samples: np.ndarray
-    hop: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        if self.hop <= 0 or len(samples) % self.hop != 0:
-            raise ValueError(
-                f"window length {len(samples)} must be a positive multiple "
-                f"of hop {self.hop}"
-            )
-
-    @property
-    def a(self) -> int:
-        return len(self.samples)
-
-
 def _sqrt_hann(m: int) -> np.ndarray:
     # periodic (DFT-even) convention: sqrt(0.5 - 0.5*cos(2*pi*n/m)) = sin(pi*n/m)
     return np.sin(np.pi * np.arange(m) / m)
@@ -115,94 +87,47 @@ def _asqrt_hann(n_samples: int, hop: int) -> np.ndarray:
     # Left part: first half of a sqrt-Hann of length 2*(N-h); right part:
     # second half of a sqrt-Hann one hop long (h = hop/2). For N=256,
     # hop=32 this is the 240+16 split of a 30 ms and a 2 ms sqrt-Hann
-    # at 16 kHz.
-    if hop is None:
-        raise ValueError("asqrthann window requires the hop size")
-    if hop < 2 or hop % 2 != 0:
+    # at 16 kHz. h < N holds because hop <= ows <= iws.
+    if hop % 2 != 0:
         raise ValueError(f"asqrthann requires an even hop >= 2, got {hop}")
     h = hop // 2
-    if h >= n_samples:
-        raise ValueError(
-            f"asqrthann segment of {h} samples does not fit a "
-            f"{n_samples}-sample window"
-        )
     left = _sqrt_hann(2 * (n_samples - h))[: n_samples - h]
     right = _sqrt_hann(2 * h)[h:]
     return np.concatenate([left, right])
 
 
-def make_analysis_window(
-    kind: WindowKind, n_samples: int, hop: int | None = None
-) -> AnalysisWindow:
-    """Construct an analysis window.
+def make_analysis_window(kind: WindowKind, params: FrameParams) -> np.ndarray:
+    """The ``params.iws``-sample analysis window of family ``kind``.
 
-    Parameters
-    ----------
-    kind : WindowKind
-        Window family (and Tukey taper fraction).
-    n_samples : int
-        Window length in samples.
-    hop : int, optional
-        Hop size in samples. Required for ``asqrthann``, whose two
-        constituent half-window lengths depend on it; ignored otherwise.
-
-    Returns
-    -------
-    AnalysisWindow
+    ``asqrthann`` also reads ``params.hop``: its two half-window lengths
+    depend on it, and it needs an even hop.
     """
-    if n_samples <= 0:
-        raise ValueError(f"window length must be positive, got {n_samples}")
+    n = params.iws
     if kind.name == "rect":
-        g = np.ones(n_samples)
+        g = np.ones(n)
     elif kind.name == "sqrthann":
-        g = _sqrt_hann(n_samples)
+        g = _sqrt_hann(n)
     elif kind.name == "tukey":
-        g = _tukey(n_samples, kind.tukey_alpha)
+        g = _tukey(n, kind.tukey_alpha)
     else:
-        g = _asqrt_hann(n_samples, hop)
-    return AnalysisWindow(g)
+        g = _asqrt_hann(n, params.hop)
+    g.setflags(write=False)
+    return g
 
 
-def make_synthesis_window(
-    g: AnalysisWindow, a_samples: int, b_samples: int
-) -> SynthesisWindow:
-    """Derive the perfect-reconstruction synthesis window for ``g``.
-
-    Parameters
-    ----------
-    g : AnalysisWindow
-        Analysis window of length ``N``.
-    a_samples : int
-        Output window size ``A`` (length of the synthesis window), a
-        multiple of ``b_samples`` and at most ``N``.
-    b_samples : int
-        Hop size ``B``.
-
-    Returns
-    -------
-    SynthesisWindow
+def make_synthesis_window(g: np.ndarray, params: FrameParams) -> np.ndarray:
+    """The ``params.ows``-sample perfect-reconstruction synthesis window
+    for the analysis window ``g``, at hop ``params.hop``.
 
     Raises
     ------
     ValueError
-        If the sizes are inconsistent, or the analysis window vanishes
-        over an entire hop-aligned comb so a denominator is zero.
+        If the analysis window vanishes over an entire hop-aligned comb,
+        so a denominator is zero.
     """
-    if b_samples <= 0:
-        raise ValueError(f"hop must be positive, got {b_samples}")
-    if a_samples <= 0 or a_samples % b_samples != 0:
-        raise ValueError(
-            f"output window size {a_samples} must be a positive multiple "
-            f"of hop {b_samples}"
-        )
-    if a_samples > g.n:
-        raise ValueError(
-            f"output window size {a_samples} exceeds analysis window "
-            f"length {g.n}"
-        )
-    tail = g.samples[g.n - a_samples :]
-    comb = tail.reshape(a_samples // b_samples, b_samples)
-    denom = np.sum(comb**2, axis=0)
+    a, b = params.ows, params.hop
+    tail = g[-a:]
+    denom = np.sum(tail.reshape(a // b, b) ** 2, axis=0)
     zero = np.flatnonzero(denom == 0.0)
     if zero.size:
         raise ValueError(
@@ -210,29 +135,23 @@ def make_synthesis_window(
             f"index {zero[0]}; no perfect-reconstruction synthesis window "
             f"exists"
         )
-    l = tail / denom[np.arange(a_samples) % b_samples]
-    return SynthesisWindow(l, b_samples)
+    l = tail / denom[np.arange(a) % b]
+    l.setflags(write=False)
+    return l
 
 
-def verify_cola(g: AnalysisWindow, l: SynthesisWindow, n_dft: int) -> float:
+def verify_cola(g: np.ndarray, l: np.ndarray, params: FrameParams) -> float:
     """Residual of the constant-overlap-add check for a window pair.
 
     Routes the analysis window through a forward/inverse DFT of size
-    ``n_dft`` (so right zero-padding is part of what is checked), forms the
-    overlap-added products of the last ``A`` analysis samples with the
+    ``params.n_dft`` (so right zero-padding is part of what is checked),
+    forms the overlap-added products of its last ``ows`` samples with the
     synthesis window, and returns the maximum deviation from one over all
     steady-state output positions. Matched pairs built with
     :func:`make_synthesis_window` sit at double-precision rounding level;
     mismatched pairs are orders of magnitude above it.
     """
-    if n_dft < g.n:
-        raise ValueError(f"n_dft {n_dft} smaller than window length {g.n}")
-    a, b = l.a, l.hop
-    if a > g.n:
-        raise ValueError(
-            f"synthesis window length {a} exceeds analysis window length {g.n}"
-        )
-    g_round = np.fft.irfft(np.fft.rfft(g.samples, n_dft), n_dft)[: g.n]
-    products = g_round[g.n - a :] * l.samples
-    sums = products.reshape(a // b, b).sum(axis=0)
+    iws, a, b = params.iws, params.ows, params.hop
+    g_round = np.fft.irfft(np.fft.rfft(g, params.n_dft), params.n_dft)[iws - a : iws]
+    sums = (g_round * l).reshape(a // b, b).sum(axis=0)
     return float(np.max(np.abs(sums - 1.0)))

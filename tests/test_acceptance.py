@@ -64,10 +64,11 @@ def test_criterion_1_perfect_reconstruction():
 
 def test_criterion_2_synthesis_window_discriminates():
     with _criterion("2 COLA check discriminates"):
-        g_tukey = make_analysis_window(TUKEY, 256)
-        g_rect = make_analysis_window(RECT, 256)
-        matched = verify_cola(g_tukey, make_synthesis_window(g_tukey, 64, 32), 256)
-        mismatched = verify_cola(g_tukey, make_synthesis_window(g_rect, 64, 32), 256)
+        params = FrameParams()
+        g_tukey = make_analysis_window(TUKEY, params)
+        g_rect = make_analysis_window(RECT, params)
+        matched = verify_cola(g_tukey, make_synthesis_window(g_tukey, params), params)
+        mismatched = verify_cola(g_tukey, make_synthesis_window(g_rect, params), params)
         assert matched < 1e-10
         assert mismatched > 1e-3
 

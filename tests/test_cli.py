@@ -343,8 +343,20 @@ class TestErrorContract:
             (["simulate", "--ref-mic", "-1"], None, "ref_mic -1 out of range for 6 channels"),
             (["simulate", "--duration", "0"], None, "a duration of 0.0 s at 16000 Hz gives no samples"),
             (["simulate", "--sample-rate", "0"], None, "a duration of 1.0 s at 0 Hz gives no samples"),
+            (
+                ["simulate", "--sample-rate", "200000000", "--duration", "0.0005"],
+                None,
+                "sample rate 200000000 Hz with 6 channels of 32 bits does not fit a WAV header",
+            ),
+            (
+                ["simulate", "--channels", "16384", "--duration", "0.001"],
+                None,
+                "16384 channels of 32 bits do not fit a WAV header",
+            ),
             (["enhance"], ["stage1 = passthrough:mixture:9"], "passthrough channel 9 out of range for 6 channels"),
+            (["enhance"], ["stage1 = passthrough:mixture:-1"], "stage1: estimator channel must be >= 0, got -1"),
             (["latency-check", "--frames-ahead", "-1"], None, "frames_ahead must be >= 0, got -1"),
+            (["windows", "--n-dft", "257"], None, "n_dft must be even, got 257"),
         ],
         ids=[
             "windows-hop-0",
@@ -352,8 +364,12 @@ class TestErrorContract:
             "simulate-negative-ref-mic",
             "simulate-duration-0",
             "simulate-sample-rate-0",
+            "simulate-byte-rate-past-wav-header",
+            "simulate-block-size-past-wav-header",
             "enhance-passthrough-channel-past-channels",
+            "enhance-negative-passthrough-channel",
             "latency-check-negative-horizon",
+            "windows-odd-n-dft",
         ],
     )
     def test_invalid_input_exits_1_with_one_line(self, tmp_path, request, capsys, argv, config, cause):

@@ -115,3 +115,5 @@ class TestBuildJob:
             _job("frames_ahead = soon\n")
         with pytest.raises(ConfigError, match="bit_depth"):
             _job("bit_depth = 20\n")
+        with pytest.raises(ConfigError, match="ref_mic"):
+            _job("ref_mic = -1\n")  # also the default passthrough channel

@@ -43,6 +43,8 @@ class TestFrameParams:
         with pytest.raises(ValueError):
             FrameParams(ows=512)  # ows > iws
         with pytest.raises(ValueError):
+            FrameParams(iws=0)  # no window samples
+        with pytest.raises(ValueError):
             FrameParams(n_dft=255)
         with pytest.raises(ValueError):
             FrameParams(frames_ahead=-1)
@@ -68,25 +70,25 @@ class TestFrameParams:
 class TestAnalysisStream:
     def test_priming_first_frame_content(self):
         params = FrameParams()
-        g = make_analysis_window(TUKEY, params.iws)
+        g = make_analysis_window(TUKEY, params)
         stream = AnalysisStream(g, params)
         x = np.arange(1.0, 33.0)
         frames = stream.push(x)
         assert len(frames) == 1
         padded = np.concatenate([np.zeros(224), x])
         np.testing.assert_array_equal(
-            frames[0].bins[0], np.fft.rfft(g.samples * padded, 256)
+            frames[0].bins[0], np.fft.rfft(g * padded, 256)
         )
 
     def test_empty_push_yields_nothing(self):
         params = FrameParams()
-        g = make_analysis_window(TUKEY, params.iws)
+        g = make_analysis_window(TUKEY, params)
         stream = AnalysisStream(g, params)
         assert stream.push(np.empty(0)) == []
 
     def test_split_push_equals_single_push(self):
         params = FrameParams()
-        g = make_analysis_window(TUKEY, params.iws)
+        g = make_analysis_window(TUKEY, params)
         x = np.random.default_rng(1).standard_normal(32)
         a = AnalysisStream(g, params)
         assert a.push(x[:16]) == []
@@ -97,7 +99,7 @@ class TestAnalysisStream:
 
     def test_hermitian_bins_for_real_input(self):
         params = FrameParams()
-        g = make_analysis_window(SQRT_HANN, params.iws)
+        g = make_analysis_window(SQRT_HANN, params)
         frames = AnalysisStream(g, params).push(
             np.random.default_rng(2).standard_normal(320)
         )
@@ -109,7 +111,7 @@ class TestAnalysisStream:
     @given(st.lists(st.integers(min_value=0, max_value=97), min_size=1, max_size=12))
     def test_chunking_invariance(self, cut_sizes):
         params = FrameParams()
-        g = make_analysis_window(TUKEY, params.iws)
+        g = make_analysis_window(TUKEY, params)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(sum(cut_sizes))
         chunked = AnalysisStream(g, params)
@@ -134,7 +136,7 @@ class TestAnalysisStream:
         n = data.draw(st.integers(0, 40 * hop), label="n")
         kind = data.draw(st.sampled_from(ALL_KINDS), label="kind")
         params = FrameParams(iws=iws, ows=ows, hop=hop, n_dft=n_dft)
-        g = make_analysis_window(kind, iws, hop=hop)
+        g = make_analysis_window(kind, params)
         x = np.random.default_rng(n).standard_normal((channels, n))
         stream = AnalysisStream(g, params, channels)
         frames = [f for i in range(0, n, hop) for f in stream.push(x[:, i : i + hop])]
@@ -145,7 +147,7 @@ class TestAnalysisStream:
         # the per-hop transform that batched framing replaced
         primed = np.concatenate([np.zeros((channels, iws - hop)), x], axis=1)
         loop = [
-            np.fft.rfft(g.samples * primed[:, t * hop : t * hop + iws], n=n_dft, axis=1)
+            np.fft.rfft(g * primed[:, t * hop : t * hop + iws], n=n_dft, axis=1)
             for t in range(n // hop)
         ]
         assert np.array_equal(whole, np.reshape(loop, whole.shape))
@@ -174,7 +176,7 @@ class TestAnalysisStream:
         )
         sizes = [size for other in sizes for size in (hop, other)]  # one-hop pushes in between
         params = FrameParams(iws=iws, ows=ows, hop=hop, n_dft=n_dft)
-        g = make_analysis_window(kind, iws, hop=hop)
+        g = make_analysis_window(kind, params)
         x = np.random.default_rng(len(sizes)).standard_normal((channels, sum(sizes)))
         stream = AnalysisStream(g, params, channels)
         frames, copies = [], []
@@ -197,7 +199,7 @@ def _unblocked_analysis(x, g, params, n_frames):
     hop, iws = params.hop, params.iws
     primed = np.pad(x, ((0, 0), (iws - hop, max(n_frames * hop - x.shape[1], 0))))
     segments = np.reshape([primed[:, t * hop : t * hop + iws] for t in range(n_frames)], (n_frames, len(x), iws))
-    return np.fft.rfft(segments * g.samples, n=params.n_dft, axis=-1)
+    return np.fft.rfft(segments * g, n=params.n_dft, axis=-1)
 
 
 B = framing._ANALYZE_FRAMES
@@ -271,7 +273,7 @@ class TestSynthesis:
         # the full inverse this replaces; complex64 bins are taken at their exact
         # values (irfft would run in single precision on them)
         seg = np.fft.irfft(bins.astype(np.complex128), params.n_dft)
-        expected = seg[iws - ows : iws] * l.samples
+        expected = seg[iws - ows : iws] * l
         assert got.shape == (ows,)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -418,6 +420,19 @@ class TestBlocks:
             synthesize_block(bins, l, params, first)
         with pytest.raises(ValueError, match=message):
             synthesize_frame(SpectrumFrame(bins[bad[0]], first + bad[0]), l, params)
+
+
+@pytest.mark.parametrize("entry", ["analyze", "AnalysisStream", "synthesize_block"])
+def test_window_of_another_geometry_is_rejected(entry):
+    params = FrameParams()
+    g, l = build_windows(TUKEY, FrameParams(iws=128, ows=32))  # sized for other params
+    call = {
+        "analyze": lambda: analyze(np.zeros(320), g, params),
+        "AnalysisStream": lambda: AnalysisStream(g, params),
+        "synthesize_block": lambda: synthesize_block(np.zeros((2, params.n_bins), complex), l, params),
+    }[entry]
+    with pytest.raises(ValueError, match=r"window length (128 does not match iws 256|32 does not match ows 64)"):
+        call()
 
 
 class TestLatencyAccounting:

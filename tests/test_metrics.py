@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dualwin.framing import analyze
+from dualwin.framing import FrameParams, analyze
 from dualwin.metrics import _LOSS_STFT, compute_metrics, ri_mag_loss, si_sdr, wav_mag_loss
 from dualwin.windows import SQRT_HANN, make_analysis_window
 
@@ -54,6 +54,15 @@ class TestSiSdr:
         with pytest.raises(ValueError):
             si_sdr(np.ones(10), np.ones(11))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["estimate", "reference"])
+    def test_non_finite_input_rejected(self, bad, where):
+        ref = np.random.default_rng(7).standard_normal(100)
+        est = ref + 0.1
+        (est if where == "estimate" else ref)[17] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            si_sdr(est, ref)
+
 
 class TestRiMagLoss:
     def test_zero_on_identical(self):
@@ -100,7 +109,7 @@ class TestWavMagLoss:
         for t in range(n // params.hop):
             pos = j - ((t + 1) * params.hop - params.iws)
             if 0 <= pos < params.iws:
-                expected += params.n_bins * window.samples[pos]
+                expected += params.n_bins * window[pos]
         assert wav_mag_loss(impulse, np.zeros(n)) == pytest.approx(expected, rel=1e-12)
 
     def test_decreases_along_interpolation_to_target(self):
@@ -117,7 +126,7 @@ class TestWavMagLoss:
         # 512/128 samples (32/8 ms at 16 kHz), independent of pipeline params
         window, params = _LOSS_STFT
         assert (params.iws, params.hop, params.n_dft) == (512, 128, 512)
-        assert np.array_equal(window.samples, make_analysis_window(SQRT_HANN, 512).samples)
+        assert np.array_equal(window, make_analysis_window(SQRT_HANN, FrameParams(iws=512, ows=128, hop=128, n_dft=512)))
 
     def test_independent_of_pipeline_frame_params(self):
         rng = np.random.default_rng(8)

@@ -104,6 +104,17 @@ class TestErrors:
         with pytest.raises(WavError, match="bit depth"):
             write_wav(tmp_path / "x.wav", np.zeros(10), 16000, bit_depth=12)
 
+    @pytest.mark.parametrize(
+        "shape, rate",
+        [((6, 10), 200_000_000), ((1, 10), 0), ((20_000, 1), 16000)],
+        ids=["byte-rate-past-32-bits", "rate-0", "block-past-16-bits"],
+    )
+    def test_format_past_the_header_fields_rejected_before_writing(self, tmp_path, shape, rate):
+        path = tmp_path / "x.wav"
+        with pytest.raises(WavError, match="does not fit a WAV header|do not fit a WAV header"):
+            write_wav(path, np.zeros(shape), rate)
+        assert not path.exists()
+
     def test_pcm_values_are_clipped_not_wrapped(self, tmp_path):
         path = tmp_path / "clip.wav"
         write_wav(path, np.array([2.0, -2.0]), 16000, bit_depth=16)
