@@ -12,13 +12,15 @@ accuracy for a further hop of latency each, down to 0 ms or below.
 
 The names below are what the README and the demos use, plus the exceptions a
 caller catches; everything else is imported from its submodule.
+``audit_latency(k)`` measures the latency of one prediction horizon k on the
+default geometry; loop over the horizons to audit several.
 """
 
 from .beamformer import BeamformerStateError
 from .estimators import EstimatorKind, ExternalProtocolError
 from .framing import FrameParams, algorithmic_latency, analyze, build_windows
 from .metrics import si_sdr
-from .pipeline import ConfigError, PipelineConfig, Session, audit_all, run_pipeline
+from .pipeline import ConfigError, PipelineConfig, Session, audit_latency, run_pipeline
 from .simulate import make_scene
 from .wavio import WavError
 from .windows import ASQRT_HANN, RECT, SQRT_HANN, TUKEY, verify_cola

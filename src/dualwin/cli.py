@@ -1,7 +1,8 @@
 """Command-line surface: simulate, enhance, windows, latency-check.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags, config schema
-violations, malformed inputs), 2 on runtime failures.
+violations, malformed inputs), 2 on runtime failures, running out of memory
+among them.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .beamformer import BeamformerStateError
 from .config import load_job
 from .estimators import ExternalProtocolError
 from .framing import FrameParams, build_windows
-from .pipeline import ConfigError, audit_all, run_pipeline
+from .pipeline import ConfigError, audit_latency, run_pipeline
 from .simulate import make_scene
 from .wavio import WavError, check_format, read_wav, write_wav
 from .windows import WINDOW_NAMES, WindowKind, verify_cola
@@ -172,7 +174,7 @@ def cmd_enhance(args) -> int:
         reference = reference[0]
     enhanced, report = run_pipeline(job.pipeline, mixture, reference)
     write_wav(job.output_path, enhanced, fs, bit_depth=job.bit_depth)
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["job"] = {
         "mixture": job.mixture_path,
         "reference": job.reference_path,
@@ -189,9 +191,8 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_latency_check(args) -> int:
-    results = audit_all(args.frames_ahead, FrameParams())
     all_ok = True
-    for r in results:
+    for r in map(audit_latency, args.frames_ahead):
         verdict = "PASS" if r.ok else "FAIL"
         all_ok &= r.ok
         print(
@@ -212,6 +213,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ExternalProtocolError, BeamformerStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -220,7 +220,6 @@ class ExternalEstimator(Estimator):
 
     def __init__(self, n_bins, frames_ahead, command, channels, stage, timeout=10.0):
         super().__init__(n_bins, frames_ahead)
-        self.channels = channels
         self.stage = stage
         self.timeout = timeout
         self._failed = False  # a timeout or protocol error: close kills the child

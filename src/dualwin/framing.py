@@ -73,10 +73,6 @@ class FrameParams:
         return 1000.0 * samples / self.sample_rate
 
     @property
-    def iws_ms(self) -> float:
-        return self.ms(self.iws)
-
-    @property
     def ows_ms(self) -> float:
         return self.ms(self.ows)
 
@@ -124,12 +120,7 @@ _ANALYZE_FRAMES = 128
 
 
 def _frames(
-    data: np.ndarray,
-    start: int,
-    stop: int,
-    window: np.ndarray,
-    params: FrameParams,
-    work: np.ndarray | None = None,
+    data: np.ndarray, start: int, stop: int, window: np.ndarray, params: FrameParams, work: np.ndarray
 ) -> np.ndarray:
     """Spectra, shape (T, channels, n_bins), of the T = (stop - start - iws)
     // hop + 1 frames ``data[:, s : s + iws]``, ``s = start + t*hop``, that
@@ -137,7 +128,7 @@ def _frames(
 
     One strided view is windowed and transformed in one batch. ``np.ndarray``
     builds the view, bounds-checked, in under 1 us per live hop; ``as_strided``
-    takes about 4 us. The window products go to ``work[:T]`` when given.
+    takes about 4 us. The window products go to ``work[:T]``.
     """
     hop, iws = params.hop, params.iws
     n_frames = (stop - start - iws) // hop + 1
@@ -145,7 +136,7 @@ def _frames(
     view = np.ndarray(
         (n_frames, data.shape[0], iws), data.dtype, data, start * sample, (hop * sample, step, sample)
     )
-    prod = np.multiply(view, window, out=None if work is None else work[:n_frames])
+    prod = np.multiply(view, window, out=work[:n_frames])
     return np.fft.rfft(prod, n=params.n_dft, axis=-1)
 
 

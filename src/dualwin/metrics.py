@@ -8,7 +8,9 @@ dedicated loss STFT: square-root Hann, a 512-sample window and a 128-sample
 hop (32/8 ms at 16 kHz). That geometry is fixed in samples at every sample
 rate and is independent of the enhancement pipeline's frame geometry. Both
 losses are sums, evaluated as plain scalars; there is no gradient machinery
-here.
+here. ``compute_metrics`` compares sample n of an estimate with sample n
+of its reference: the enhancement chain releases output sample n aligned
+to input sample n, so there is no offset to undo.
 """
 
 from __future__ import annotations
@@ -112,28 +114,19 @@ class MetricReport:
     wav_mag_loss: float
     wav_mag_loss_mean: float
     n_samples: int
-    alignment_offset: int
 
 
-def compute_metrics(
-    estimate: np.ndarray, reference: np.ndarray, offset: int = 0
-) -> MetricReport:
+def compute_metrics(estimate: np.ndarray, reference: np.ndarray) -> MetricReport:
     """Build a :class:`MetricReport`: each loss as its sum and as its mean
     over the summed terms.
 
-    ``offset`` > 0 drops the first ``offset`` estimate samples and the last
-    ``offset`` reference samples before comparison (the estimate lags the
-    reference by a known integer amount); there is no alignment search.
-    Both losses use the loss-STFT spectra of the aligned signals, each
+    Sample n of the estimate is compared with sample n of the reference,
+    as the frame-online chain aligns them; there is no alignment search.
+    Both losses use the loss-STFT spectra of the two signals, each
     analyzed once.
     """
     est = np.asarray(estimate, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
-    if offset < 0:
-        raise ValueError(f"offset must be >= 0, got {offset}")
-    if offset:
-        est = est[offset:]
-        ref = ref[: len(est)]
     spec_est, spec_ref = analyze(est, *_LOSS_STFT), analyze(ref, *_LOSS_STFT)
     ri, n_ri = _ri_mag_terms(spec_est, spec_ref)
     wav, n_wav = _wav_mag_terms(est, ref, spec_est, spec_ref)
@@ -144,5 +137,4 @@ def compute_metrics(
         wav_mag_loss=wav,
         wav_mag_loss_mean=wav / n_wav if n_wav else 0.0,
         n_samples=len(est),
-        alignment_offset=offset,
     )

@@ -81,18 +81,6 @@ class PipelineConfig:
                 "beamformer-terminated chain cannot predict ahead"
             )
 
-    def validate_channels(self, channels: int):
-        if self.ref_mic >= channels:
-            raise ConfigError(
-                f"ref_mic {self.ref_mic} out of range for {channels} channels"
-            )
-        if self.beamformer is not None and channels == 1:
-            warnings.warn(
-                "beamforming a single channel degenerates to a single-channel "
-                "Wiener filter",
-                stacklevel=3,
-            )
-
     @property
     def needs_reference(self) -> bool:
         return self.stage1.is_oracle or (self.stage2 is not None and self.stage2.is_oracle)
@@ -115,9 +103,6 @@ class RunReport:
     frame_time_ms_mean: float
     frame_time_ms_max: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class Session:
     """One stream through the configured chain, fed as its samples arrive.
@@ -130,9 +115,10 @@ class Session:
     ``reference`` and ``mixture`` given here (``oracle_mag_mask`` reads
     channel ``ref_mic`` of ``mixture``), so an oracle is causal in the
     streamed mixture only; a chain without an oracle only checks the
-    ``reference`` length. A ``mixture`` also sets the reference length and
-    the number of frames a frame file must hold. Single-writer; ``close``
-    ends external estimator children, after an error too.
+    ``reference`` length. A ``mixture`` must have ``channels`` rows; it also
+    sets the reference length and the number of frames a frame file must
+    hold. Single-writer; ``close`` ends external estimator children, after
+    an error too.
     """
 
     def __init__(
@@ -142,7 +128,13 @@ class Session:
         reference: np.ndarray | None = None,
         mixture: np.ndarray | None = None,
     ):
-        config.validate_channels(channels)
+        if config.ref_mic >= channels:
+            raise ConfigError(f"ref_mic {config.ref_mic} out of range for {channels} channels")
+        if config.beamformer is not None and channels == 1:
+            warnings.warn(
+                "beamforming a single channel degenerates to a single-channel Wiener filter",
+                stacklevel=2,
+            )
         if config.needs_reference and reference is None:
             raise ConfigError("an oracle estimator is configured but no reference was given")
         params = self.params = config.params
@@ -151,6 +143,8 @@ class Session:
         ref_frames = mix_ref_frames = expected_frames = None
         if mixture is not None:
             mixture = np.atleast_2d(np.asarray(mixture, dtype=np.float64))
+            if mixture.shape[0] != channels:
+                raise ConfigError(f"mixture has {mixture.shape[0]} channels, expected {channels}")
             expected_frames = mixture.shape[1] // params.hop
         if reference is not None:
             reference = np.asarray(reference, dtype=np.float64).reshape(-1)
@@ -169,11 +163,9 @@ class Session:
             self._bf = OnlineMcwf(
                 channels,
                 params.n_bins,
-                mode=config.beamformer,
                 loading=config.loading,
                 update_stride=config.update_stride,
                 forgetting=config.forgetting,
-                ref_mic=config.ref_mic,
             )
         k = params.frames_ahead
         stage1_is_last = config.stage2 is None and config.beamformer is None
@@ -196,7 +188,6 @@ class Session:
         self._astream = AnalysisStream(g, params, channels)
         self._sstream = SynthesisStream(params)
         self._pushed = 0
-        self._final = np.empty((1, params.n_bins), dtype=np.complex128)  # reused: 0.3 us a push
 
     @property
     def frames(self) -> int:
@@ -207,9 +198,7 @@ class Session:
         """Ingest samples, shape (channels, n) or (n,), any n; returns the
         output samples released (possibly none)."""
         frames = self._astream.push(chunk)
-        if len(frames) > len(self._final):
-            self._final = np.empty((len(frames), self.params.n_bins), dtype=np.complex128)
-        final = self._final[: len(frames)]
+        final = np.empty((len(frames), self.params.n_bins), dtype=np.complex128)
         for i, (y, t) in enumerate(frames):
             out = s1 = self._est1.estimate(EstimatorInput(y), t)
             bf_out = None
@@ -305,12 +294,9 @@ class LatencyCheck:
         return self.timing_ok and self.impulse_ok and self.causality_ok
 
 
-def audit_latency(
-    frames_ahead: int,
-    params: FrameParams | None = None,
-    window: WindowKind = TUKEY,
-) -> LatencyCheck:
-    """Empirically verify the latency arithmetic for one horizon.
+def audit_latency(frames_ahead: int) -> LatencyCheck:
+    """Empirically verify the latency arithmetic for one horizon of the
+    default 16/4/2 ms geometry and window.
 
     Three checks, each on a :class:`Session` of an identity chain: an
     ``oracle_complex`` stage whose reference is the input delayed by
@@ -327,8 +313,8 @@ def audit_latency(
     * causality: zeroing every input sample after a cut point never
       changes anything already released at the cut, bit-exactly.
     """
-    params = replace(params or FrameParams(), frames_ahead=frames_ahead)
-    config = PipelineConfig(params=params, window=window, stage1=EstimatorKind("oracle_complex"))
+    params = FrameParams(frames_ahead=frames_ahead)
+    config = PipelineConfig(params=params, stage1=EstimatorKind("oracle_complex"))
     b = params.hop
     expected_samples = params.ows - frames_ahead * b
     rng = np.random.default_rng(7)
@@ -384,11 +370,3 @@ def audit_latency(
         impulse_ok=impulse_ok,
         causality_ok=causality_ok,
     )
-
-
-def audit_all(
-    horizons=(0, 1, 2, 3),
-    params: FrameParams | None = None,
-    window: WindowKind = TUKEY,
-) -> list[LatencyCheck]:
-    return [audit_latency(k, params, window) for k in horizons]

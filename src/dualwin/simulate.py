@@ -2,21 +2,24 @@
 
 Sources are far-field plane waves: each microphone of a uniform circular
 array receives the source delayed by ``-(r/c) * cos(azimuth - mic_angle)``
-relative to the array center, realized with a 64-tap Hann-windowed-sinc
-fractional delay (interpolation error well below test tolerances for
-band-limited material). No room acoustics: the direct path is the whole
-transfer function, and the target's direct-path signal at the reference
-microphone doubles as the metric reference.
+relative to the array center (c = ``SPEED_OF_SOUND``), realized with a
+``DELAY_TAPS``-tap Hann-windowed-sinc fractional delay (interpolation error
+well below test tolerances for band-limited material). No room acoustics:
+the direct path is the whole transfer function, and the target's
+direct-path signal at the reference microphone doubles as the metric
+reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SPEED_OF_SOUND = 343.0
 ACTIVE_FLOOR_DBFS = -60.0
+DELAY_TAPS = 64
 
 
 def array_geometry(channels: int, diameter: float) -> np.ndarray:
@@ -33,19 +36,19 @@ def array_geometry(channels: int, diameter: float) -> np.ndarray:
     return positions
 
 
-def fractional_delay(signal: np.ndarray, delay: float, taps: int = 64) -> np.ndarray:
+def fractional_delay(signal: np.ndarray, delay: float) -> np.ndarray:
     """Delay a signal by a non-negative, possibly fractional number of samples.
 
-    Hann-windowed sinc interpolation; output has the same length as the
-    input (content shifted right, zero-filled at the head).
+    ``DELAY_TAPS``-tap Hann-windowed sinc interpolation; output has the
+    same length as the input (content shifted right, zero-filled at the head).
     """
     if delay < 0:
         raise ValueError(f"delay must be >= 0, got {delay}")
     x = np.asarray(signal, dtype=np.float64)
     d_int = int(np.floor(delay))
     d_frac = delay - d_int
-    half = taps // 2
-    t = np.arange(taps) - (half - 1) - d_frac
+    half = DELAY_TAPS // 2
+    t = np.arange(DELAY_TAPS) - (half - 1) - d_frac
     kernel = np.sinc(t) * (0.5 + 0.5 * np.cos(np.pi * t / half))
     full = np.convolve(x, kernel)
     out = np.zeros(len(x))
@@ -58,11 +61,7 @@ def fractional_delay(signal: np.ndarray, delay: float, taps: int = 64) -> np.nda
 
 
 def spatialize(
-    source: np.ndarray,
-    azimuth: float,
-    positions: np.ndarray,
-    sample_rate: int,
-    c: float = SPEED_OF_SOUND,
+    source: np.ndarray, azimuth: float, positions: np.ndarray, sample_rate: int
 ) -> np.ndarray:
     """Far-field plane-wave rendering of a source onto the array.
 
@@ -76,20 +75,20 @@ def spatialize(
         raise ValueError("source contains non-finite samples")
     mic_angles = np.arctan2(positions[:, 1], positions[:, 0])
     radii = np.hypot(positions[:, 0], positions[:, 1])
-    tau = -(radii / c) * np.cos(azimuth - mic_angles)
+    tau = -(radii / SPEED_OF_SOUND) * np.cos(azimuth - mic_angles)
     delays = (tau - tau.min()) * sample_rate
     return np.stack([fractional_delay(source, d) for d in delays])
 
 
-def active_power(signal: np.ndarray, floor_dbfs: float = ACTIVE_FLOOR_DBFS) -> float:
+def active_power(signal: np.ndarray) -> float:
     """Mean-square power over samples above the activity floor.
 
-    Samples at or below ``floor_dbfs`` (relative to full scale 1.0) are
-    treated as silence and excluded, so padded or gappy clips are scaled by
-    their active content.
+    Samples at or below ``ACTIVE_FLOOR_DBFS`` (relative to full scale 1.0)
+    are treated as silence and excluded, so padded or gappy clips are scaled
+    by their active content.
     """
     x = np.asarray(signal, dtype=np.float64)
-    active = np.abs(x) > 10.0 ** (floor_dbfs / 20.0)
+    active = np.abs(x) > 10.0 ** (ACTIVE_FLOOR_DBFS / 20.0)
     if not np.any(active):
         return 0.0
     return float(np.mean(x[active] ** 2))
@@ -137,7 +136,8 @@ def mix(
 
     The summed noise is scaled so the power ratio between the target and
     the noise at the reference microphone is exactly ``snr_db``; the
-    mixture is ``target + scale * sum(noises)``.
+    mixture is ``target + scale * sum(noises)``. ``ValueError`` if that
+    power ratio or scale does not fit a float.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.ndim != 2:
@@ -158,7 +158,12 @@ def mix(
         raise ValueError("target has zero power at the reference microphone")
     if p_noise == 0.0:
         raise ValueError("summed noise has zero power at the reference microphone")
-    scale = float(np.sqrt(p_target / (p_noise * 10.0 ** (snr_db / 10.0))))
+    try:
+        scale = float(np.sqrt(p_target / (p_noise * 10.0 ** (snr_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):  # 10 ** x overflowed or underflowed to 0
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"snr_db {snr_db} gives a noise power ratio out of float range")
     return Scene(
         mixture=target + scale * noise_sum,
         target_direct=target[ref_mic].copy(),

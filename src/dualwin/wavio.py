@@ -5,7 +5,7 @@ Samples cross this boundary as float64 in [-1, 1] with shape
 clip); the float format is stored as float32, so writing float32-valued
 data and reading it back is bit-exact. Malformed or truncated files raise
 :class:`WavError` naming the byte offset where parsing failed; float data
-holding an inf or NaN raises it too.
+holding an inf or NaN raises it too, and so does writing one.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
 
     ``bit_depth`` 16 and 24 write PCM (values rounded and clipped to
     [-1, 1]); 32 writes IEEE float32 verbatim. A format that
-    :func:`check_format` rejects raises before the file is opened.
+    :func:`check_format` rejects, a sample that is not finite, or at 32 bits
+    one beyond the float32 range, raises before the file is opened.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
@@ -136,6 +137,9 @@ def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
         raise WavError(f"samples must be 1-D or (channels, n), got shape {samples.shape}")
     channels, n = samples.shape
     check_format(channels, sample_rate, bit_depth)
+    peak = np.max(np.abs(samples), initial=0.0)  # nan if any sample is nan
+    if not peak <= np.finfo(np.float32 if bit_depth == 32 else np.float64).max:
+        raise WavError(f"cannot write a sample of magnitude {peak:g} at {bit_depth} bits")
     interleaved = samples.T.reshape(-1)
 
     if bit_depth == 32:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import sys
 from functools import partial
 
@@ -255,8 +256,11 @@ class TestMalformedInputs:
         # rejected when read, before any numpy warning from the chain
         path = tmp_path / "inf.wav"
         mixture = np.random.default_rng(3).uniform(-0.5, 0.5, (2, 4000))
-        mixture[1, 1234] = np.inf
         write_wav(path, mixture, 16000)
+        blob = bytearray(path.read_bytes())  # write_wav refuses inf: store it as mixture[1, 1234]
+        start = blob.index(b"data") + 8 + 4 * (2 * 1234 + 1)
+        blob[start : start + 4] = struct.pack("<f", np.inf)
+        path.write_bytes(bytes(blob))
         code = self._enhance(tmp_path, path, ["beamformer = woodbury"])
         err = capsys.readouterr().err.splitlines()
         assert code == 1
@@ -320,6 +324,17 @@ class TestRuntimeErrors:
         assert code == 2
         assert err == ["error: RLS denominator <= 0; inverse is no longer positive-definite"]
 
+    def test_out_of_memory_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_pipeline", exhausted)
+        code = self._enhance(tmp_path, scene_dir, [])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: out of memory: Unable to allocate 7.28 TiB for an array"]
+        assert not (tmp_path / "out.wav").exists()
+
 
 class TestLatencyCheckCommand:
     def test_reports_paper_latency_column(self, capsys):
@@ -342,6 +357,8 @@ class TestErrorContract:
             (["simulate", "--ref-mic", "7", "--channels", "6"], None, "ref_mic 7 out of range for 6 channels"),
             (["simulate", "--ref-mic", "-1"], None, "ref_mic -1 out of range for 6 channels"),
             (["simulate", "--duration", "0"], None, "a duration of 0.0 s at 16000 Hz gives no samples"),
+            (["simulate", "--snr-db=4000"], None, "snr_db 4000.0 gives a noise power ratio out of float range"),
+            (["simulate", "--snr-db=-4000"], None, "snr_db -4000.0 gives a noise power ratio out of float range"),
             (["simulate", "--sample-rate", "0"], None, "a duration of 1.0 s at 0 Hz gives no samples"),
             (
                 ["simulate", "--sample-rate", "200000000", "--duration", "0.0005"],
@@ -363,6 +380,8 @@ class TestErrorContract:
             "simulate-ref-mic-past-channels",
             "simulate-negative-ref-mic",
             "simulate-duration-0",
+            "simulate-snr-ratio-overflows",
+            "simulate-snr-ratio-underflows",
             "simulate-sample-rate-0",
             "simulate-byte-rate-past-wav-header",
             "simulate-block-size-past-wav-header",
@@ -384,6 +403,15 @@ class TestErrorContract:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {cause}"]
         assert not out_dir.exists()
+
+    def test_noise_scale_past_float32_exits_1_without_a_mixture(self, tmp_path, capsys):
+        # -800 dB asks for a finite noise scale of about 1e40, which float32 cannot hold
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--out-dir", str(out_dir), "--duration", "0.01", "--snr-db=-800"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write a sample of magnitude ")
+        assert err[0].endswith(" at 32 bits")
+        assert not (out_dir / "mixture.wav").exists()
 
 
 class TestArgumentHandling:

@@ -33,7 +33,7 @@ class TestFrameParams:
             16000, 256, 64, 32, 256, 0,
         )
         assert p.n_bins == 129
-        assert (p.iws_ms, p.ows_ms, p.hop_ms) == (16.0, 4.0, 2.0)
+        assert (p.ms(p.iws), p.ows_ms, p.hop_ms) == (16.0, 4.0, 2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

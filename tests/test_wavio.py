@@ -13,6 +13,15 @@ def stereo():
     return np.clip(0.5 * rng.standard_normal((2, 500)), -1.0, 1.0)
 
 
+def _poison_float_sample(path, index, value):
+    """Store ``value`` as interleaved sample ``index`` of a 32-bit float WAV:
+    the only way to make a non-finite one, since ``write_wav`` refuses."""
+    blob = bytearray(path.read_bytes())
+    start = blob.index(b"data") + 8 + 4 * index
+    blob[start : start + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+
+
 class TestRoundTrips:
     def test_float32_round_trip_is_bit_exact(self, tmp_path, stereo):
         data = stereo.astype(np.float32).astype(np.float64)
@@ -68,9 +77,8 @@ class TestErrors:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_float_sample_rejected(self, tmp_path, stereo, value):
         path = tmp_path / "non-finite.wav"
-        stereo = stereo.copy()
-        stereo[1, 250] = value
         write_wav(path, stereo, 16000)
+        _poison_float_sample(path, 2 * 250 + 1, value)  # stereo[1, 250]
         with pytest.raises(WavError, match="non-finite sample value"):
             read_wav(path)
 
@@ -114,6 +122,25 @@ class TestErrors:
         with pytest.raises(WavError, match="does not fit a WAV header|do not fit a WAV header"):
             write_wav(path, np.zeros(shape), rate)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "value, bit_depth",
+        [(np.nan, 16), (np.nan, 24), (np.nan, 32), (np.inf, 16), (-np.inf, 32), (1e39, 32)],
+    )
+    def test_unwritable_sample_rejected_before_writing(self, tmp_path, stereo, value, bit_depth):
+        path = tmp_path / "x.wav"
+        stereo = stereo.copy()
+        stereo[1, 250] = value
+        with pytest.raises(WavError, match=f"cannot write a sample of magnitude .* at {bit_depth} bits"):
+            write_wav(path, stereo, 16000, bit_depth=bit_depth)
+        assert not path.exists()
+
+    def test_largest_float32_is_written(self, tmp_path):
+        # the range check stops at float32's limit, not before it
+        path = tmp_path / "max.wav"
+        peak = float(np.finfo(np.float32).max)
+        write_wav(path, np.array([peak, -peak]), 16000)
+        assert read_wav(path)[0].tolist() == [[peak, -peak]]
 
     def test_pcm_values_are_clipped_not_wrapped(self, tmp_path):
         path = tmp_path / "clip.wav"
