@@ -20,7 +20,7 @@ from .estimators import ExternalProtocolError
 from .framing import FrameParams, build_windows
 from .pipeline import ConfigError, audit_latency, run_pipeline
 from .simulate import make_scene
-from .wavio import WavError, check_format, read_wav, write_wav
+from .wavio import WavError, check_writable, read_wav, write_wav
 from .windows import WINDOW_NAMES, WindowKind, verify_cola
 
 
@@ -130,7 +130,8 @@ def cmd_simulate(args) -> int:
         sample_rate=args.sample_rate,
         ref_mic=args.ref_mic,
     )
-    check_format(len(scene.mixture), scene.sample_rate)  # before anything is written
+    for samples in (scene.mixture, scene.target_direct):  # before anything is written
+        check_writable(samples, scene.sample_rate)
     os.makedirs(args.out_dir, exist_ok=True)
     mixture_path = os.path.join(args.out_dir, "mixture.wav")
     reference_path = os.path.join(args.out_dir, "reference.wav")

@@ -4,6 +4,12 @@ These stand in for the trained networks of a two-stage enhancement system:
 each estimator consumes the current mixture frame (plus, in stage 2, the
 stage-1 estimate and the beamformed frame) and produces an estimate of the
 target spectrum at the reference channel for frame ``t + frames_ahead``.
+``Estimator.estimate_block`` does this for a block of consecutive frames at
+once, the way ``pipeline.Session`` runs a push; frame ``t`` of the block
+still reads only frame ``t``'s inputs. The per-frame ``estimate``, fed an
+:class:`EstimatorInput`, is the entry point of the benchmark adapter, which
+composes the chain from ``framing.SpectrumFrame`` and these calls; both stay
+until that per-frame API is deleted (ROADMAP item 4 (c)).
 
 Oracle estimators are deliberately clairvoyant: they are bound to
 spectrograms of the clean reference (and, for the magnitude mask, of the
@@ -113,6 +119,19 @@ class Estimator:
     def estimate(self, inp: EstimatorInput, t: int) -> np.ndarray:
         raise NotImplementedError
 
+    def estimate_block(
+        self,
+        mixture: np.ndarray,
+        stage1: np.ndarray | None,
+        beamformed: np.ndarray | None,
+        t0: int,
+    ) -> np.ndarray:
+        """Estimates of frames ``t0 .. t0 + T - 1``, shape (T, n_bins), from
+        the (T, channels, n_bins) mixture and, in stage 2, the (T, n_bins)
+        stage-1 and beamformed blocks; row i equals ``estimate`` of frame
+        ``t0 + i``. The result may be a view of the inputs or of a table."""
+        raise NotImplementedError
+
     def close(self):
         pass
 
@@ -134,6 +153,13 @@ class PassthroughEstimator(Estimator):
         # PipelineConfig rejects a source the stage cannot see
         return np.asarray(inp.stage1 if self.source == "stage1" else inp.beamformed)
 
+    def estimate_block(self, mixture, stage1, beamformed, t0):
+        if self.frames_ahead != 0:
+            return np.zeros((len(mixture), self.n_bins), dtype=np.complex128)
+        if self.source == "mixture":
+            return mixture[:, self.channel]
+        return stage1 if self.source == "stage1" else beamformed
+
 
 class TableEstimator(Estimator):
     """Replays row ``t + k`` of a (T, n_bins) table built at bind time, or
@@ -149,6 +175,15 @@ class TableEstimator(Estimator):
         if 0 <= idx < len(self.table):
             return self.table[idx]
         return self._zeros()
+
+    def estimate_block(self, mixture, stage1, beamformed, t0):
+        start = t0 + self.frames_ahead
+        rows = self.table[start : start + len(mixture)]  # short past the table's end
+        if len(rows) == len(mixture):
+            return rows
+        block = np.zeros((len(mixture), self.n_bins), dtype=np.complex128)
+        block[: len(rows)] = rows
+        return block
 
 
 def _mask_table(reference_frames: np.ndarray, mixture_frames: np.ndarray) -> np.ndarray:
@@ -282,6 +317,15 @@ class ExternalEstimator(Estimator):
             self._failed = True
             raise
         return est
+
+    def estimate_block(self, mixture, stage1, beamformed, t0):
+        # one message per frame, in frame order: the wire bytes of per-frame estimate
+        block = np.empty((len(mixture), self.n_bins), dtype=np.complex128)
+        for i in range(len(mixture)):
+            s1 = None if stage1 is None else stage1[i]
+            bf = None if beamformed is None else beamformed[i]
+            block[i] = self.estimate(EstimatorInput(mixture[i], s1, bf), t0 + i)
+        return block
 
     def close(self):
         """End the child: EOF and a grace period after clean use, so it can

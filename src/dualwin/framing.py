@@ -106,10 +106,41 @@ def algorithmic_latency(params: FrameParams) -> float:
 
 class SpectrumFrame(NamedTuple):
     """One-sided DFT coefficients at frame ``frame_index``: (n_bins,) for one
-    channel, or (channels, n_bins) as :meth:`AnalysisStream.push` returns."""
+    channel, or (channels, n_bins) as a :class:`FrameBlock` yields them."""
 
     bins: np.ndarray
     frame_index: int
+
+
+class FrameBlock:
+    """The frames of one :meth:`AnalysisStream.push`: ``bins``, shape
+    (T, channels, n_bins), of frames ``first_frame .. first_frame + T - 1``.
+
+    ``pipeline.Session`` runs its stages over ``bins`` whole. Per-frame
+    callers, such as the benchmark adapter until the per-frame API is
+    deleted (ROADMAP item 4 (c)), read it as a sequence of T
+    :class:`SpectrumFrame`: ``len``, integer indexing and iteration build
+    them on demand.
+    """
+
+    __slots__ = ("bins", "first_frame")
+
+    def __init__(self, bins: np.ndarray, first_frame: int):
+        self.bins = bins
+        self.first_frame = first_frame
+
+    def __len__(self) -> int:
+        return len(self.bins)
+
+    def __getitem__(self, i: int) -> SpectrumFrame:
+        t0 = self.first_frame
+        return SpectrumFrame(self.bins[i], range(t0, t0 + len(self.bins))[i])
+
+    def __iter__(self):
+        # indexing beats iterating the array, and a generator beats building a list
+        bins, t0 = self.bins, self.first_frame
+        for i in range(len(bins)):
+            yield SpectrumFrame(bins[i], t0 + i)
 
 
 # Frames per block of analyze: one block's window products and spectra, 128 * (iws * 8 +
@@ -172,9 +203,9 @@ class AnalysisStream:
     def frames_emitted(self) -> int:
         return self._t
 
-    def push(self, chunk: np.ndarray) -> list[SpectrumFrame]:
+    def push(self, chunk: np.ndarray) -> FrameBlock:
         """Ingest samples, shape (n,) for mono or (channels, n); returns
-        one frame per completed hop (possibly none)."""
+        the block of one frame per completed hop (possibly none)."""
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.ndim == 1:
             chunk = chunk[np.newaxis, :]
@@ -197,10 +228,9 @@ class AnalysisStream:
             self._work = np.empty((n_frames, self.channels, iws))
         bins = _frames(self._buf, lo, hi, self.window, self.params, self._work)
         self._lo, self._hi = lo + n_frames * hop, hi
-        t0 = self._t
+        block = FrameBlock(bins, self._t)
         self._t += n_frames
-        # indexing beats iterating the array: 0.8 against 1.3 us for one frame
-        return [SpectrumFrame(bins[i], t0 + i) for i in range(n_frames)]
+        return block
 
 
 def analyze(
@@ -325,7 +355,11 @@ class SynthesisStream:
     def push(self, chunks: np.ndarray) -> np.ndarray:
         """Add one chunk, shape (ows,), or T chunks, shape (T, ows), oldest
         first; returns the output samples (possibly empty) that became final.
-        One slice-add per chunk in frame order keeps the sums bit-identical
+
+        T > 1 chunks are added in ``ows / hop`` slice-adds, one per hop of a
+        chunk, each through one (T, hop) view. Running them from a chunk's
+        last hop to its first adds each output sample's terms in frame
+        order, as one push per chunk does, so the sums are bit-identical
         however the chunks are split into pushes."""
         a, b = self.params.ows, self.params.hop
         chunks = np.asarray(chunks, dtype=np.float64)
@@ -338,9 +372,13 @@ class SynthesisStream:
             acc = np.zeros(max(len(acc), 2 * (a - b + n)))
             acc[: a - b] = self._acc[lo : lo + a - b]
             self._acc, lo = acc, 0
-        for i in range(len(chunks)):
-            target = acc[lo + i * b : lo + i * b + a]
-            target += chunks[i]  # on a view: no write-back through __setitem__
+        if len(chunks) == 1:  # per-frame path: one slice-add, 0.7 us against 3.6 for two passes
+            target = acc[lo : lo + a]
+            target += chunks[0]  # on a view: no write-back through __setitem__
+        else:
+            for r in range(a - b, -1, -b):
+                target = acc[lo + r : lo + r + n].reshape(-1, b)
+                target += chunks[:, r : r + b]
         self._lo, start = lo + n, self._start
         end = self._start = start + n  # released now: output samples [start, end)
         if start == self._released:

@@ -53,28 +53,30 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
     target_energy = float(np.dot(target, target))
     if target_energy == 0.0:  # an all-zero or orthogonal estimate
         return -SI_SDR_CAP_DB
-    err_energy = float(np.dot(target - est, target - est))
+    err = target - est
+    err_energy = float(np.dot(err, err))
     if err_energy == 0.0:
         return SI_SDR_CAP_DB
     db = 10.0 * np.log10(target_energy / err_energy)
     return float(np.clip(db, -SI_SDR_CAP_DB, SI_SDR_CAP_DB))
 
 
-def _ri_mag_terms(s_hat, s) -> tuple[float, int]:
-    """The RI+magnitude loss as (sum, number of summed terms)."""
+def _mag_term(s_hat, s) -> np.float64:
+    """``sum | |S_hat| - |S| |``: the magnitude term both losses share."""
+    return np.sum(np.abs(np.abs(s_hat) - np.abs(s)))
+
+
+def _ri_mag_terms(s_hat, s, mag) -> tuple[float, int]:
+    """The RI+magnitude loss as (sum, number of summed terms), given
+    ``mag = _mag_term(s_hat, s)``."""
     d = s_hat - s
-    total = (
-        np.sum(np.abs(d.real))
-        + np.sum(np.abs(d.imag))
-        + np.sum(np.abs(np.abs(s_hat) - np.abs(s)))
-    )
-    return float(total), 3 * s.size
+    return float(np.sum(np.abs(d.real)) + np.sum(np.abs(d.imag)) + mag), 3 * s.size
 
 
-def _wav_mag_terms(s_hat, s, spec_hat, spec) -> tuple[float, int]:
-    """The waveform+magnitude loss as (sum, number of summed terms)."""
-    total = np.sum(np.abs(s_hat - s)) + np.sum(np.abs(np.abs(spec_hat) - np.abs(spec)))
-    return float(total), s.size + spec.size
+def _wav_mag_terms(s_hat, s, mag, spec_size) -> tuple[float, int]:
+    """The waveform+magnitude loss as (sum, number of summed terms), given
+    ``mag``, the magnitude term of the two signals' ``spec_size`` loss-STFT bins."""
+    return float(np.sum(np.abs(s_hat - s)) + mag), s.size + spec_size
 
 
 def ri_mag_loss(estimate: np.ndarray, reference: np.ndarray) -> float:
@@ -87,7 +89,7 @@ def ri_mag_loss(estimate: np.ndarray, reference: np.ndarray) -> float:
     s = np.asarray(reference)
     if s_hat.shape != s.shape:
         raise ValueError(f"shape mismatch: {s_hat.shape} vs {s.shape}")
-    return _ri_mag_terms(s_hat, s)[0]
+    return _ri_mag_terms(s_hat, s, _mag_term(s_hat, s))[0]
 
 
 def wav_mag_loss(estimate: np.ndarray, reference: np.ndarray) -> float:
@@ -100,8 +102,8 @@ def wav_mag_loss(estimate: np.ndarray, reference: np.ndarray) -> float:
     s = np.asarray(reference, dtype=np.float64)
     if s_hat.shape != s.shape:
         raise ValueError(f"length mismatch: {s_hat.shape} vs {s.shape}")
-    spectra = (analyze(s_hat, *_LOSS_STFT), analyze(s, *_LOSS_STFT))
-    return _wav_mag_terms(s_hat, s, *spectra)[0]
+    spec_hat, spec = analyze(s_hat, *_LOSS_STFT), analyze(s, *_LOSS_STFT)
+    return _wav_mag_terms(s_hat, s, _mag_term(spec_hat, spec), spec.size)[0]
 
 
 @dataclass
@@ -123,13 +125,14 @@ def compute_metrics(estimate: np.ndarray, reference: np.ndarray) -> MetricReport
     Sample n of the estimate is compared with sample n of the reference,
     as the frame-online chain aligns them; there is no alignment search.
     Both losses use the loss-STFT spectra of the two signals, each
-    analyzed once.
+    analyzed once, and share their magnitude term, summed once.
     """
     est = np.asarray(estimate, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
     spec_est, spec_ref = analyze(est, *_LOSS_STFT), analyze(ref, *_LOSS_STFT)
-    ri, n_ri = _ri_mag_terms(spec_est, spec_ref)
-    wav, n_wav = _wav_mag_terms(est, ref, spec_est, spec_ref)
+    mag = _mag_term(spec_est, spec_ref)
+    ri, n_ri = _ri_mag_terms(spec_est, spec_ref, mag)
+    wav, n_wav = _wav_mag_terms(est, ref, mag, spec_ref.size)
     return MetricReport(
         si_sdr_db=si_sdr(est, ref),
         ri_mag_loss=ri,

@@ -2,11 +2,19 @@
 
 The streaming topology is: analysis -> stage-1 estimator -> (optional)
 frame-online MCWF -> (optional) stage-2 estimator -> dual-window synthesis,
-run one frame per hop by a :class:`Session`; :func:`run_pipeline` pushes
-32 hops at a time. It works in the complex STFT domain, so the beamformer
-adds no algorithmic latency; the only look-ahead in the whole chain is the
-output window span minus the predicted hops, and :func:`audit_latency`
-measures that on a Session against :func:`dualwin.framing.algorithmic_latency`.
+one frame per hop, run by a :class:`Session`; :func:`run_pipeline` pushes
+32 hops at a time. A push runs the chain stage-major over the
+``framing.FrameBlock`` of its frames, through each estimator's
+``estimate_block``. The per-frame entry points, ``framing.SpectrumFrame``,
+``Estimator.estimate`` and ``framing.synthesize_frame``, compose the same
+chain one frame at a time; they stay as the benchmark adapter's entry until
+that per-frame API is deleted (ROADMAP item 4 (c)), and tests hold the two
+compositions equal bit for bit.
+
+The chain works in the complex STFT domain, so the beamformer adds no
+algorithmic latency; the only look-ahead in the whole chain is the output
+window span minus the predicted hops, and :func:`audit_latency` measures
+that on a Session against :func:`dualwin.framing.algorithmic_latency`.
 
 Future-frame prediction applies to the last estimator stage only;
 intermediate stages always work on the current frame.
@@ -22,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .beamformer import DEFAULT_LOADING, MODES, OnlineMcwf, apply_filter
-from .estimators import EstimatorInput, EstimatorKind, make_estimator
+from .estimators import EstimatorKind, make_estimator
 from .framing import (
     AnalysisStream,
     FrameParams,
@@ -108,17 +116,20 @@ class Session:
     """One stream through the configured chain, fed as its samples arrive.
 
     Each completed input hop runs one frame through analysis, stage 1, the
-    MCWF, stage 2 and synthesis; the frames of one push share one analysis,
-    synthesis and overlap-add call. Construction does everything before the
-    first frame: validation, window design, the oracle tables, estimator
-    binding and MCWF state. The oracle tables are analyzed from the whole
-    ``reference`` and ``mixture`` given here (``oracle_mag_mask`` reads
-    channel ``ref_mic`` of ``mixture``), so an oracle is causal in the
-    streamed mixture only; a chain without an oracle only checks the
-    ``reference`` length. A ``mixture`` must have ``channels`` rows; it also
-    sets the reference length and the number of frames a frame file must
-    hold. Single-writer; ``close`` ends external estimator children, after
-    an error too.
+    MCWF, stage 2 and synthesis. A push runs them stage-major over its
+    frames: one analysis call, stage 1 over the block, the MCWF frame by
+    frame, stage 2 over the block, one synthesis and overlap-add call.
+    Stage 1 and stage 2 read only frame t's inputs at frame t, so the
+    output equals a frame-by-frame run bit for bit. Construction does
+    everything before the first frame: validation, window design, the
+    oracle tables, estimator binding and MCWF state. The oracle tables are
+    analyzed from the whole ``reference`` and ``mixture`` given here
+    (``oracle_mag_mask`` reads channel ``ref_mic`` of ``mixture``), so an
+    oracle is causal in the streamed mixture only; a chain without an
+    oracle only checks the ``reference`` length. A ``mixture`` must have
+    ``channels`` rows; it also sets the reference length and the number of
+    frames a frame file must hold. Single-writer; ``close`` ends external
+    estimator children, after an error too.
     """
 
     def __init__(
@@ -197,18 +208,18 @@ class Session:
     def push(self, chunk: np.ndarray) -> np.ndarray:
         """Ingest samples, shape (channels, n) or (n,), any n; returns the
         output samples released (possibly none)."""
-        frames = self._astream.push(chunk)
-        final = np.empty((len(frames), self.params.n_bins), dtype=np.complex128)
-        for i, (y, t) in enumerate(frames):
-            out = s1 = self._est1.estimate(EstimatorInput(y), t)
-            bf_out = None
-            if self._bf is not None:
-                out = bf_out = apply_filter(self._bf.update(y, s1), y)
-            if self._est2 is not None:
-                out = self._est2.estimate(EstimatorInput(y, s1, bf_out), t)
-            final[i] = out
+        block = self._astream.push(chunk)
+        y, t0 = block.bins, block.first_frame
+        out = s1 = self._est1.estimate_block(y, None, None, t0)
+        bf_out = None
+        if self._bf is not None:  # the only stage whose frame t reads frames before t
+            out = bf_out = np.empty((len(y), self.params.n_bins), dtype=np.complex128)
+            for i in range(len(y)):
+                bf_out[i] = apply_filter(self._bf.update(y[i], s1[i]), y[i])
+        if self._est2 is not None:
+            out = self._est2.estimate_block(y, s1, bf_out, t0)
         self._pushed += np.shape(chunk)[-1]
-        return self._sstream.push(synthesize_block(final, self._l, self.params, self.frames - len(final)))
+        return self._sstream.push(synthesize_block(out, self._l, self.params, t0))
 
     def flush(self) -> np.ndarray:
         """Push zero hops up to ``params.frames_to_release`` of the samples

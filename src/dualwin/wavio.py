@@ -81,27 +81,25 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             raise WavError("fmt chunk declares zero channels")
 
     if tag == _FORMAT_FLOAT and bits == 32:
-        flat = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4").astype(
-            np.float64
-        )
-        if not np.isfinite(flat).all():
+        flat, scale = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4"), 1.0
+        if not np.isfinite(flat).all():  # float32 holds an inf or NaN exactly when float64 does
             raise WavError(f"non-finite sample value in the float data of {path}")
     elif tag == _FORMAT_PCM and bits == 16:
-        flat = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2").astype(
-            np.float64
-        ) / 32768.0
+        flat, scale = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2"), 32768.0
     elif tag == _FORMAT_PCM and bits == 24:
         raw = np.frombuffer(data[: len(data) - len(data) % 3], dtype=np.uint8)
         triplets = raw.reshape(-1, 3).astype(np.int64)
         values = triplets[:, 0] | (triplets[:, 1] << 8) | (triplets[:, 2] << 16)
-        values = (values ^ 0x800000) - 0x800000  # sign-extend 24 bits
-        flat = values.astype(np.float64) / float(2**23)
+        flat, scale = (values ^ 0x800000) - 0x800000, float(2**23)  # sign-extend 24 bits
     else:
         raise WavError(
             f"unsupported codec: format tag {tag:#06x} with {bits} bits per sample"
         )
     n_frames = len(flat) // channels
-    return flat[: n_frames * channels].reshape(n_frames, channels).T.copy(), rate
+    # one pass from the interleaved file samples to the (channels, n) float64 result
+    samples = np.empty((channels, n_frames))
+    np.divide(flat[: n_frames * channels].reshape(n_frames, channels).T, scale, out=samples)
+    return samples, rate
 
 
 def check_format(channels: int, sample_rate: int, bit_depth: int = 32):
@@ -122,24 +120,32 @@ def check_format(channels: int, sample_rate: int, bit_depth: int = 32):
         )
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
-    """Write samples, shape (channels, n) or (n,), to a WAV file.
-
-    ``bit_depth`` 16 and 24 write PCM (values rounded and clipped to
-    [-1, 1]); 32 writes IEEE float32 verbatim. A format that
-    :func:`check_format` rejects, a sample that is not finite, or at 32 bits
-    one beyond the float32 range, raises before the file is opened.
-    """
+def check_writable(samples: np.ndarray, sample_rate: int, bit_depth: int = 32) -> np.ndarray:
+    """Raise :class:`WavError` unless :func:`write_wav` can store these
+    samples: shape (channels, n) or (n,), a format :func:`check_format`
+    accepts, and every sample finite and, at 32 bits, within the float32
+    range. Returns the samples as a (channels, n) float64 array."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples[np.newaxis, :]
     if samples.ndim != 2:
         raise WavError(f"samples must be 1-D or (channels, n), got shape {samples.shape}")
-    channels, n = samples.shape
-    check_format(channels, sample_rate, bit_depth)
+    check_format(len(samples), sample_rate, bit_depth)
     peak = np.max(np.abs(samples), initial=0.0)  # nan if any sample is nan
     if not peak <= np.finfo(np.float32 if bit_depth == 32 else np.float64).max:
         raise WavError(f"cannot write a sample of magnitude {peak:g} at {bit_depth} bits")
+    return samples
+
+
+def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
+    """Write samples, shape (channels, n) or (n,), to a WAV file.
+
+    ``bit_depth`` 16 and 24 write PCM (values rounded and clipped to
+    [-1, 1]); 32 writes IEEE float32 verbatim. Samples that
+    :func:`check_writable` rejects raise before the file is opened.
+    """
+    samples = check_writable(samples, sample_rate, bit_depth)
+    channels, n = samples.shape
     interleaved = samples.T.reshape(-1)
 
     if bit_depth == 32:

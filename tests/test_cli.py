@@ -411,7 +411,7 @@ class TestErrorContract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write a sample of magnitude ")
         assert err[0].endswith(" at 32 bits")
-        assert not (out_dir / "mixture.wav").exists()
+        assert not out_dir.exists()
 
 
 class TestArgumentHandling:

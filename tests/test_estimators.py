@@ -372,3 +372,93 @@ class TestEstimatorKind:
             make_estimator(
                 EstimatorKind("passthrough", channel=4), params, 0, channels=2, stage=1
             )
+
+
+class TestEstimateBlock:
+    """``estimate_block`` equals the per-frame ``estimate`` of each frame, stacked."""
+
+    N_BINS, CHANNELS = 9, 3
+
+    def _inputs(self, seed, frames):
+        rng = np.random.default_rng(seed)
+        mixture = np.stack([_frame(rng, self.CHANNELS, self.N_BINS) for _ in range(frames)])
+        stage1, beamformed = (_frame(rng, frames, self.N_BINS) for _ in range(2))
+        return mixture, stage1, beamformed
+
+    @staticmethod
+    def _stacked(est, mixture, stage1, beamformed, t0):
+        rows = [
+            est.estimate(
+                EstimatorInput(
+                    mixture[i],
+                    None if stage1 is None else stage1[i],
+                    None if beamformed is None else beamformed[i],
+                ),
+                t0 + i,
+            )
+            for i in range(len(mixture))
+        ]
+        return np.reshape(rows, (len(mixture), est.n_bins))
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "channel, source", [(0, "mixture"), (2, "mixture"), (0, "stage1"), (0, "beamformer")]
+    )
+    def test_passthrough(self, k, channel, source):
+        est = PassthroughEstimator(self.N_BINS, k, channel=channel, source=source)
+        mixture, stage1, beamformed = self._inputs(40, 6)
+        got = est.estimate_block(mixture, stage1, beamformed, 4)
+        assert got.shape == (6, self.N_BINS)
+        assert np.array_equal(got, self._stacked(est, mixture, stage1, beamformed, 4))
+        if k == 0:  # forwarded, not copied
+            assert np.shares_memory(got, {"mixture": mixture, "stage1": stage1, "beamformer": beamformed}[source])
+
+    @pytest.mark.parametrize("kind", ["oracle_complex", "oracle_mag_mask", "file"])
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_table_blocks_inside_straddling_and_past_the_table(self, tmp_path, kind, k):
+        params = FrameParams(iws=16, ows=16, hop=8, n_dft=16)
+        rng = np.random.default_rng(41)
+        shape = (10, params.n_bins)
+        ref = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        path = None
+        if kind == "file":
+            path = str(tmp_path / "est.npz")
+            save_frame_file(path, ref, params)
+        est = make_estimator(
+            EstimatorKind(kind, path=path), params, k, channels=1, stage=1,
+            reference_frames=None if path else ref, mixture_ref_frames=mix,
+        )
+        table = est.table
+        for t0, frames in [(0, 1), (0, 10 - k), (0, 12), (3, 4), (10 - k - 2, 5), (10 - k, 3), (20, 2), (5, 0)]:
+            mixture = np.zeros((frames, 1, params.n_bins), complex)
+            got = est.estimate_block(mixture, None, None, t0)
+            assert got.shape == (frames, params.n_bins), (t0, frames)
+            assert np.array_equal(got, self._stacked(est, mixture, None, None, t0)), (t0, frames)
+            if frames and t0 + k + frames <= len(table):  # rows in range: a view of the table
+                assert np.shares_memory(got, table), (t0, frames)
+
+    @pytest.mark.parametrize("stage, with_beamformer", [(1, False), (2, False), (2, True)])
+    def test_external_sends_the_per_frame_bytes(self, monkeypatch, stage, with_beamformer):
+        mixture, stage1, beamformed = self._inputs(42, 5)
+        if stage == 1:
+            stage1 = beamformed = None
+        elif not with_beamformer:
+            beamformed = None
+        sent = {"block": [], "frames": []}
+        write = ExternalEstimator._write_all
+        results = {}
+        for path in ("block", "frames"):
+            monkeypatch.setattr(
+                ExternalEstimator, "_write_all", lambda self, data, path=path: sent[path].append(data) or write(self, data)
+            )
+            est = ExternalEstimator(self.N_BINS, 0, f"{sys.executable} {STUB} identity", self.CHANNELS, stage)
+            try:
+                if path == "block":
+                    results[path] = est.estimate_block(mixture, stage1, beamformed, 7)
+                else:
+                    results[path] = self._stacked(est, mixture, stage1, beamformed, 7)
+            finally:
+                est.close()
+        assert sent["block"] == sent["frames"] and len(sent["block"]) == 1 + len(mixture)
+        assert np.array_equal(results["block"], results["frames"])

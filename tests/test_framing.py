@@ -84,14 +84,16 @@ class TestAnalysisStream:
         params = FrameParams()
         g = make_analysis_window(TUKEY, params)
         stream = AnalysisStream(g, params)
-        assert stream.push(np.empty(0)) == []
+        block = stream.push(np.empty(0))
+        assert len(block) == 0 and list(block) == []
+        assert block.bins.shape == (0, 1, params.n_bins) and block.first_frame == 0
 
     def test_split_push_equals_single_push(self):
         params = FrameParams()
         g = make_analysis_window(TUKEY, params)
         x = np.random.default_rng(1).standard_normal(32)
         a = AnalysisStream(g, params)
-        assert a.push(x[:16]) == []
+        assert len(a.push(x[:16])) == 0
         frames_split = a.push(x[16:])
         frames_once = AnalysisStream(g, params).push(x)
         assert len(frames_split) == len(frames_once) == 1
@@ -402,6 +404,20 @@ class TestBlocks:
             want = np.concatenate([np.empty(0), *expected[start : start + size]])
             assert np.array_equal(got, want)
             start += size
+        assert block.released == single.released
+
+    @pytest.mark.parametrize("ratio", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_t_chunk_push_equals_t_one_chunk_pushes_bytes(self, ratio, k):
+        # every chunk count from 0 to 33, each against one push per chunk, with the
+        # accumulator's unreleased sums carried from push to push
+        params = FrameParams(iws=256, ows=32 * ratio, hop=32, n_dft=256, frames_ahead=k)
+        rng = np.random.default_rng(ratio + 10 * k)
+        single, block = SynthesisStream(params), SynthesisStream(params)
+        for size in [*range(34), 1, 33, 7]:
+            chunks = rng.standard_normal((size, params.ows)) * 10.0 ** rng.integers(-8, 8, (size, 1))
+            want = np.concatenate([np.empty(0), *(single.push(chunk) for chunk in chunks)])
+            assert block.push(chunks).tobytes() == want.tobytes(), size
         assert block.released == single.released
 
     @settings(max_examples=40, deadline=None)

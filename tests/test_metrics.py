@@ -161,3 +161,28 @@ class TestComputeMetrics:
         assert report.wav_mag_loss == wav_mag_loss(est, ref)
         assert report.ri_mag_loss_mean == report.ri_mag_loss / (3 * spec.size)
         assert report.wav_mag_loss_mean == report.wav_mag_loss / (3000 + spec.size)
+
+    # seeds whose RI sum changes if its three terms are added in another order
+    @pytest.mark.parametrize("seed, n", [(14, 3000), (14, 4097), (29, 700)])
+    def test_every_field_equals_the_unshared_expressions(self, seed, n):
+        # each field spelled out with nothing shared: the magnitude term summed
+        # once per loss and target - est formed twice, as before they were shared
+        rng = np.random.default_rng(seed)
+        ref = rng.standard_normal(n)
+        est = 0.8 * ref + 0.3 * rng.standard_normal(n)
+        s_hat, s = analyze(est, *_LOSS_STFT), analyze(ref, *_LOSS_STFT)
+        d = s_hat - s
+        ri = float(
+            np.sum(np.abs(d.real)) + np.sum(np.abs(d.imag)) + np.sum(np.abs(np.abs(s_hat) - np.abs(s)))
+        )
+        wav = float(np.sum(np.abs(est - ref)) + np.sum(np.abs(np.abs(s_hat) - np.abs(s))))
+        target = float(np.dot(est, ref)) / float(np.dot(ref, ref)) * ref
+        db = 10.0 * np.log10(float(np.dot(target, target)) / float(np.dot(target - est, target - est)))
+        assert asdict(compute_metrics(est, ref)) == {
+            "si_sdr_db": float(np.clip(db, -100.0, 100.0)),
+            "ri_mag_loss": ri,
+            "ri_mag_loss_mean": ri / (3 * s.size),
+            "wav_mag_loss": wav,
+            "wav_mag_loss_mean": wav / (n + s.size),
+            "n_samples": n,
+        }

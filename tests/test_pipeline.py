@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 from dataclasses import asdict
 
 import numpy as np
@@ -265,8 +266,10 @@ def _per_frame_chain(cfg, mixture, reference):
     as the benchmark's live streams (``perfbench/adapter.py``) compose it:
     ``AnalysisStream.push``, the estimators, ``OnlineMcwf.update`` and
     ``apply_filter``, ``synthesize_frame`` and ``SynthesisStream.push``, then
-    zero hops until every input sample is out."""
+    zero hops until every input sample is out. The last estimator stage
+    predicts ``frames_ahead`` frames, as in a ``Session``."""
     params = cfg.params
+    k = params.frames_ahead
     channels, n = mixture.shape
     g, l = build_windows(cfg.window, params)
     tail = np.zeros(params.ows)
@@ -276,10 +279,11 @@ def _per_frame_chain(cfg, mixture, reference):
         mixture_ref_frames=analyze(np.concatenate([mixture[cfg.ref_mic], tail]), g, params),
         expected_frames=n // params.hop,
     )
-    est1 = make_estimator(cfg.stage1, params, frames_ahead=0, stage=1, **bound)
+    stage1_is_last = cfg.stage2 is None and cfg.beamformer is None
+    est1 = make_estimator(cfg.stage1, params, frames_ahead=k if stage1_is_last else 0, stage=1, **bound)
     est2 = bf = None
     if cfg.stage2 is not None:
-        est2 = make_estimator(cfg.stage2, params, frames_ahead=0, stage=2, **bound)
+        est2 = make_estimator(cfg.stage2, params, frames_ahead=k, stage=2, **bound)
     if cfg.beamformer is not None:
         # every keyword the benchmark adapter passes
         bf = OnlineMcwf(
@@ -336,6 +340,96 @@ class TestPerFrameEntryPoints:
         mixture, reference = scene.mixture[:, :n], scene.target_direct[:n]
         expected, _ = run_pipeline(cfg, mixture, reference)
         np.testing.assert_array_equal(_per_frame_chain(cfg, mixture, reference), expected)
+
+
+EXTERNAL = EstimatorKind("external", command=f"{sys.executable} {STUB} identity")
+BLOCK_CHAINS = {
+    "passthrough": {},
+    "passthrough-channel-5": {"stage1": EstimatorKind("passthrough", channel=5)},
+    "complex": {"stage1": EstimatorKind("oracle_complex")},
+    "mask": {"stage1": MASK},
+    "file": {"stage1": "file"},
+    "external": {"stage1": EXTERNAL},
+    "complex-passthrough-stage1": {
+        "stage1": EstimatorKind("oracle_complex"),
+        "stage2": EstimatorKind("passthrough", source="stage1"),
+    },
+    "mask-direct-out": {"stage1": MASK, "beamformer": "woodbury"},
+    "mask-woodbury-passthrough": {"stage1": MASK, "beamformer": "woodbury", "stage2": TO_BEAMFORMER},
+    "mask-woodbury-complex": {
+        "stage1": MASK, "beamformer": "woodbury", "stage2": EstimatorKind("oracle_complex")
+    },
+    "mask-woodbury-external": {"stage1": MASK, "beamformer": "woodbury", "stage2": EXTERNAL},
+}
+
+
+class TestBlockPath:
+    """A Session runs each push stage-major over its frame block; its output
+    must be the per-frame chain's, bit for bit, whatever the push size."""
+
+    N = 5000  # 156 hops and 8 samples
+
+    @pytest.fixture(scope="class")
+    def per_frame(self, scene, tmp_path_factory):
+        """(config, mixture, reference, per-frame output) per (chain, k), made once."""
+        cache = {}
+        mixture, reference = scene.mixture[:, : self.N], scene.target_direct[: self.N]
+
+        def get(chain, k):
+            if (chain, k) not in cache:
+                params = FrameParams(frames_ahead=k)
+                stages = dict(BLOCK_CHAINS[chain])
+                if stages.get("stage1") == "file":
+                    path = tmp_path_factory.mktemp("frames") / "est.npz"
+                    g, _ = build_windows(TUKEY, params)
+                    save_frame_file(path, 0.5 * analyze(reference, g, params), params)
+                    stages["stage1"] = EstimatorKind("file", path=str(path))
+                cfg = PipelineConfig(params=params, **stages)
+                cache[chain, k] = cfg, _per_frame_chain(cfg, mixture, reference)
+            return cache[chain, k]
+
+        return mixture, reference, get
+
+    @pytest.mark.parametrize("hops", [1, 7, 32, 33])
+    @pytest.mark.parametrize(
+        "chain, k",
+        # a beamformer-terminated chain cannot predict ahead
+        [(chain, k) for chain in BLOCK_CHAINS for k in range(4) if k == 0 or chain != "mask-direct-out"],
+    )
+    def test_session_equals_the_per_frame_chain(self, per_frame, chain, k, hops):
+        mixture, reference, get = per_frame
+        cfg, expected = get(chain, k)
+        step = hops * cfg.params.hop
+        with closing(Session(cfg, mixture.shape[0], reference, mixture)) as session:
+            parts = [session.push(mixture[:, i : i + step]) for i in range(0, self.N, step)]
+            parts.append(session.flush())
+        assert np.array_equal(np.concatenate(parts)[: self.N], expected)
+
+    @pytest.mark.parametrize("chain", ["mask", "mask-woodbury-passthrough"])
+    def test_each_push_analyzes_once_and_runs_the_frames_it_counts(self, per_frame, monkeypatch, chain):
+        # perfbench counts a run's frames as the len() of every AnalysisStream.push result
+        mixture, reference, get = per_frame
+        cfg, _ = get(chain, 0)
+        lengths, synthesized = [], []
+        push, synthesize = AnalysisStream.push, pipeline.synthesize_block
+
+        def counting_push(self, chunk):
+            block = push(self, chunk)
+            lengths.append(len(block))
+            return block
+
+        def counting_synthesize(bins, *args):
+            synthesized.append(len(bins))
+            return synthesize(bins, *args)
+
+        monkeypatch.setattr(AnalysisStream, "push", counting_push)
+        monkeypatch.setattr(pipeline, "synthesize_block", counting_synthesize)
+        with closing(Session(cfg, mixture.shape[0], reference, mixture)) as session:
+            for size in (1, 31, 32, 33, 7 * 32, 33 * 32, 0, self.N):
+                session.push(mixture[:, :size])
+            session.flush()
+        assert len(lengths) == 9 and lengths == synthesized
+        assert sum(lengths) == session.frames and lengths[-1] > 0
 
 
 class TestRunReport:
