@@ -105,6 +105,12 @@ class EstimatorKind:
     def is_oracle(self) -> bool:
         return self.kind in ("oracle_complex", "oracle_mag_mask")
 
+    @property
+    def reads_mixture(self) -> bool:
+        """Whether a stage of this kind reads the live mixture frames; a
+        table kind reads only the rows it was bound to."""
+        return self.kind == "external" or (self.kind == "passthrough" and self.source == "mixture")
+
 
 class Estimator:
     """Session-bound estimator: maps (input, t) to the estimate at t + k."""

@@ -5,7 +5,9 @@ frame-online MCWF -> (optional) stage-2 estimator -> dual-window synthesis,
 one frame per hop, run by a :class:`Session`; :func:`run_pipeline` pushes
 32 hops at a time. A push runs the chain stage-major over the
 ``framing.FrameBlock`` of its frames, through each estimator's
-``estimate_block``. The per-frame entry points, ``framing.SpectrumFrame``,
+``estimate_block``. The live mixture is analyzed only for the MCWF, an
+``external`` stage or a ``passthrough`` of the mixture; other chains only
+frame the hops. The per-frame entry points, ``framing.SpectrumFrame``,
 ``Estimator.estimate`` and ``framing.synthesize_frame``, compose the same
 chain one frame at a time; they stay as the benchmark adapter's entry until
 that per-frame API is deleted (ROADMAP item 4 (c)), and tests hold the two
@@ -120,16 +122,21 @@ class Session:
     frames: one analysis call, stage 1 over the block, the MCWF frame by
     frame, stage 2 over the block, one synthesis and overlap-add call.
     Stage 1 and stage 2 read only frame t's inputs at frame t, so the
-    output equals a frame-by-frame run bit for bit. Construction does
-    everything before the first frame: validation, window design, the
-    oracle tables, estimator binding and MCWF state. The oracle tables are
-    analyzed from the whole ``reference`` and ``mixture`` given here
-    (``oracle_mag_mask`` reads channel ``ref_mic`` of ``mixture``), so an
-    oracle is causal in the streamed mixture only; a chain without an
-    oracle only checks the ``reference`` length. A ``mixture`` must have
-    ``channels`` rows; it also sets the reference length and the number of
-    frames a frame file must hold. Single-writer; ``close`` ends external
-    estimator children, after an error too.
+    output equals a frame-by-frame run bit for bit. The mixture is
+    analyzed only when a stage reads it: the MCWF, an ``external`` stage at
+    either position, or a ``passthrough`` whose source is ``mixture``
+    (``EstimatorKind.reads_mixture``). Every other chain frames each hop
+    through a zero-channel ``AnalysisStream``, so its blocks hold (T, 0,
+    n_bins) bins; frame indices, ``frames`` and the output do not change.
+    Construction does everything before the first frame: validation,
+    window design, the oracle tables, estimator binding and MCWF state.
+    The oracle tables are analyzed from the whole ``reference`` and
+    ``mixture`` given here (``oracle_mag_mask`` reads channel ``ref_mic``
+    of ``mixture``), so an oracle is causal in the streamed mixture only; a
+    chain without an oracle only checks the ``reference`` length. A
+    ``mixture`` must have ``channels`` rows; it also sets the reference
+    length and the number of frames a frame file must hold. Single-writer;
+    ``close`` ends external estimator children, after an error too.
     """
 
     def __init__(
@@ -196,7 +203,11 @@ class Session:
         except BaseException:
             self.close()
             raise
-        self._astream = AnalysisStream(g, params, channels)
+        self.channels = channels
+        reads = config.beamformer is not None or any(
+            kind is not None and kind.reads_mixture for kind in (config.stage1, config.stage2)
+        )
+        self._astream = AnalysisStream(g, params, channels if reads else 0)
         self._sstream = SynthesisStream(params)
         self._pushed = 0
 
@@ -206,9 +217,17 @@ class Session:
         return self._astream.frames_emitted
 
     def push(self, chunk: np.ndarray) -> np.ndarray:
-        """Ingest samples, shape (channels, n) or (n,), any n; returns the
-        output samples released (possibly none)."""
-        block = self._astream.push(chunk)
+        """Ingest samples, shape (channels, n), or (n,) for one channel, any
+        n; returns the output samples released (possibly none). A chunk of
+        another shape raises ``ValueError`` and changes nothing."""
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if chunk.ndim == 1 and self.channels == 1:
+            chunk = chunk[np.newaxis]
+        if chunk.ndim != 2:
+            raise ValueError(f"expected a ({self.channels}, n) chunk, got shape {chunk.shape}")
+        if len(chunk) != self.channels:
+            raise ValueError(f"expected {self.channels} channels, got {len(chunk)}")
+        block = self._astream.push(chunk[: self._astream.channels])
         y, t0 = block.bins, block.first_frame
         out = s1 = self._est1.estimate_block(y, None, None, t0)
         bf_out = None
@@ -218,14 +237,14 @@ class Session:
                 bf_out[i] = apply_filter(self._bf.update(y[i], s1[i]), y[i])
         if self._est2 is not None:
             out = self._est2.estimate_block(y, s1, bf_out, t0)
-        self._pushed += np.shape(chunk)[-1]
+        self._pushed += chunk.shape[1]
         return self._sstream.push(synthesize_block(out, self._l, self.params, t0))
 
     def flush(self) -> np.ndarray:
         """Push zero hops up to ``params.frames_to_release`` of the samples
         pushed, releasing all of them; returns that output. Push no more."""
         n = max(self.params.frames_to_release(self._pushed) - self.frames, 0) * self.params.hop
-        out = self.push(np.zeros((self._astream.channels, n)))
+        out = self.push(np.zeros((self.channels, n)))
         self._pushed -= n  # padding, not input: a second flush releases nothing
         return out
 

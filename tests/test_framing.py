@@ -127,6 +127,25 @@ class TestAnalysisStream:
         for fa, fb in zip(frames, whole):
             np.testing.assert_array_equal(fa.bins, fb.bins)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=97), min_size=1, max_size=12))
+    def test_zero_channels_count_the_frames_of_one(self, cut_sizes):
+        params = FrameParams()
+        g = make_analysis_window(TUKEY, params)
+        counting, mono = AnalysisStream(g, params, 0), AnalysisStream(g, params)
+        for size in cut_sizes:
+            empty, block = counting.push(np.zeros((0, size))), mono.push(np.zeros(size))
+            assert empty.bins.shape == (len(block), 0, params.n_bins)
+            assert empty.first_frame == block.first_frame
+            assert counting.frames_emitted == mono.frames_emitted
+        with pytest.raises(ValueError, match="expected 0 channels, got 1"):
+            counting.push(np.zeros(32))
+
+    def test_negative_channels_rejected(self):
+        params = FrameParams()
+        with pytest.raises(ValueError, match="channels must be >= 0, got -1"):
+            AnalysisStream(make_analysis_window(TUKEY, params), params, -1)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_analyze_equals_per_hop_pushes(self, data):

@@ -354,6 +354,10 @@ BLOCK_CHAINS = {
         "stage1": EstimatorKind("oracle_complex"),
         "stage2": EstimatorKind("passthrough", source="stage1"),
     },
+    "complex-passthrough-mixture": {  # only stage 2 reads the mixture
+        "stage1": EstimatorKind("oracle_complex"),
+        "stage2": EstimatorKind("passthrough", channel=3),
+    },
     "mask-direct-out": {"stage1": MASK, "beamformer": "woodbury"},
     "mask-woodbury-passthrough": {"stage1": MASK, "beamformer": "woodbury", "stage2": TO_BEAMFORMER},
     "mask-woodbury-complex": {
@@ -361,6 +365,8 @@ BLOCK_CHAINS = {
     },
     "mask-woodbury-external": {"stage1": MASK, "beamformer": "woodbury", "stage2": EXTERNAL},
 }
+
+TABLE_CHAINS = ("complex", "mask", "file", "complex-passthrough-stage1")  # no stage reads the mixture
 
 
 class TestBlockPath:
@@ -405,17 +411,19 @@ class TestBlockPath:
             parts.append(session.flush())
         assert np.array_equal(np.concatenate(parts)[: self.N], expected)
 
-    @pytest.mark.parametrize("chain", ["mask", "mask-woodbury-passthrough"])
+    @pytest.mark.parametrize("chain", BLOCK_CHAINS)
     def test_each_push_analyzes_once_and_runs_the_frames_it_counts(self, per_frame, monkeypatch, chain):
-        # perfbench counts a run's frames as the len() of every AnalysisStream.push result
+        # perfbench counts a run's frames as the len() of every AnalysisStream.push result;
+        # a chain that reads no mixture row analyzes none, and the others every row
         mixture, reference, get = per_frame
         cfg, _ = get(chain, 0)
-        lengths, synthesized = [], []
+        lengths, synthesized, rows = [], [], set()
         push, synthesize = AnalysisStream.push, pipeline.synthesize_block
 
         def counting_push(self, chunk):
             block = push(self, chunk)
             lengths.append(len(block))
+            rows.update((len(chunk), block.bins.shape[1]))
             return block
 
         def counting_synthesize(bins, *args):
@@ -430,6 +438,7 @@ class TestBlockPath:
             session.flush()
         assert len(lengths) == 9 and lengths == synthesized
         assert sum(lengths) == session.frames and lengths[-1] > 0
+        assert rows == {0 if chain in TABLE_CHAINS else mixture.shape[0]}
 
 
 class TestRunReport:
@@ -513,6 +522,29 @@ class TestValidation:
         mixture = scene.mixture[:rows]
         with pytest.raises(ConfigError, match=f"mixture has {rows} channels, expected 2"):
             Session(cfg, 2, reference=scene.target_direct, mixture=mixture)
+
+    @pytest.mark.parametrize(
+        "stages",
+        [{"stage1": EstimatorKind("oracle_complex")}, {"stage1": MASK, "beamformer": "woodbury"}],
+        ids=["table-only", "beamformer"],
+    )
+    @pytest.mark.parametrize(
+        "shape, match",
+        [
+            ((5, 64), "expected 6 channels, got 5"),
+            ((64,), r"expected a \(6, n\) chunk, got shape \(64,\)"),
+            ((6, 2, 32), r"expected a \(6, n\) chunk, got shape \(6, 2, 32\)"),
+        ],
+        ids=["5-rows", "1-d", "3-d"],
+    )
+    def test_push_checks_the_chunk_shape(self, scene, stages, shape, match):
+        cfg = PipelineConfig(**stages)
+        with closing(Session(cfg, 6, scene.target_direct, scene.mixture)) as session:
+            with pytest.raises(ValueError, match=match):
+                session.push(np.zeros(shape))
+            assert session.frames == 0
+            session.push(scene.mixture[:, :64])  # a rejected chunk leaves the stream usable
+            assert session.frames == 2
 
     def test_reference_length_mismatch(self, scene):
         cfg = PipelineConfig(stage1=EstimatorKind("oracle_complex"))
