@@ -11,15 +11,18 @@ still reads only frame ``t``'s inputs. The per-frame ``estimate``, fed an
 composes the chain from ``framing.SpectrumFrame`` and these calls; both stay
 until that per-frame API is deleted (ROADMAP item 4 (c)).
 
-Oracle estimators are deliberately clairvoyant: they are bound to
-spectrograms of the clean reference (and, for the magnitude mask, of the
-mixture reference channel) computed with the identical analysis framing as
-the live stream, so they exercise the exact dual-window signal path while
-providing performance ceilings. Oracles and frame files alike become a
-table that is built once at bind time and replayed one row per frame. The
-``external`` kind delegates to a child process speaking a synchronous
-one-frame-in/one-frame-out stdio protocol, which is the extension point
-for real models.
+Oracle estimators are deliberately clairvoyant: they replay frames of the
+clean reference (and, for the magnitude mask, of the mixture reference
+channel) computed with the identical analysis framing as the live stream,
+so they exercise the exact dual-window signal path while providing
+performance ceilings. Oracles and frame files alike are replayed one row
+per frame by a :class:`TableEstimator`. A ``pipeline.Session`` frames its
+oracle rows in the push that reads them, from the signals given at
+construction (``framing.SignalFrames``, :class:`MaskRows`);
+:func:`make_estimator` binds whole frame tables, as the benchmark adapter
+and the tests pass them, and frame files. The ``external`` kind delegates
+to a child process speaking a synchronous one-frame-in/one-frame-out stdio
+protocol, which is the extension point for real models.
 
 External protocol: after spawn, the parent writes one ASCII handshake line
 ``"<n_bins> <channels> <stage>\\n"``. Per frame it then writes a 4-byte
@@ -168,18 +171,20 @@ class PassthroughEstimator(Estimator):
 
 
 class TableEstimator(Estimator):
-    """Replays row ``t + k`` of a (T, n_bins) table built at bind time, or
-    zeros outside it: the reference frames, a frame file, or the oracle
-    magnitude-masked mixture."""
+    """Replays row ``t + k`` of a (T, n_bins) table, or zeros outside it:
+    the reference frames, a frame file, or the oracle magnitude-masked
+    mixture. The table is an array, or rows framed when they are read
+    (``framing.SignalFrames``, :class:`MaskRows`): only ``len`` and
+    contiguous slices of it are read."""
 
     def __init__(self, n_bins, frames_ahead, table):
         super().__init__(n_bins, frames_ahead)
-        self.table = np.asarray(table)
+        self.table = table
 
     def estimate(self, inp, t):
         idx = t + self.frames_ahead
         if 0 <= idx < len(self.table):
-            return self.table[idx]
+            return self.table[idx : idx + 1][0]
         return self._zeros()
 
     def estimate_block(self, mixture, stage1, beamformed, t0):
@@ -192,28 +197,56 @@ class TableEstimator(Estimator):
         return block
 
 
-def _mask_table(reference_frames: np.ndarray, mixture_frames: np.ndarray) -> np.ndarray:
-    """``min(|S| / max(|Y|, MASK_FLOOR), MASK_CLIP) * Y`` over the shorter of
-    S and Y (the ratio is never negative, so it needs no lower clip).
+def _mask_block(s: np.ndarray, y: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Write ``min(|S| / max(|Y|, MASK_FLOOR), MASK_CLIP) * Y`` of one block
+    of rows into ``out``, through the two float buffers ``work[0]`` and
+    ``work[1]`` of its shape; returns ``out``.
 
     Keeps the mixture phase; the clip stops spectral nulls from blowing the
-    filter up. Computed ``_MASK_ROWS`` rows at a time in two reused float
-    buffers, each block multiplied by Y into the preallocated result, so
-    besides the result only those two (``_MASK_ROWS``, F) buffers exist.
+    filter up, and the ratio is never negative, so it needs no lower clip.
     """
+    m, mag_s = work
+    np.abs(y, out=m)
+    np.maximum(m, MASK_FLOOR, out=m)
+    np.divide(np.abs(s, out=mag_s), m, out=m)
+    np.minimum(m, MASK_CLIP, out=m)
+    return np.multiply(m, y, out=out)
+
+
+def _mask_table(reference_frames: np.ndarray, mixture_frames: np.ndarray) -> np.ndarray:
+    """:func:`_mask_block` over the shorter of S and Y, ``_MASK_ROWS`` rows
+    at a time into the preallocated result, so besides the result only the
+    two (``_MASK_ROWS``, F) float buffers exist."""
     n = min(len(reference_frames), len(mixture_frames))
     s, y = np.asarray(reference_frames)[:n], np.asarray(mixture_frames)[:n]
     table = np.empty(y.shape, dtype=np.result_type(y.dtype, np.float64))
-    mask, mag_s = np.empty((2, min(n, _MASK_ROWS)) + y.shape[1:])
+    work = np.empty((2, min(n, _MASK_ROWS)) + y.shape[1:])
     for t in range(0, n, _MASK_ROWS):
         stop = min(t + _MASK_ROWS, n)
-        m, a = mask[: stop - t], mag_s[: stop - t]
-        np.abs(y[t:stop], out=m)
-        np.maximum(m, MASK_FLOOR, out=m)
-        np.divide(np.abs(s[t:stop], out=a), m, out=m)
-        np.minimum(m, MASK_CLIP, out=m)
-        np.multiply(m, y[t:stop], out=table[t:stop])
+        _mask_block(s[t:stop], y[t:stop], table[t:stop], work[:, : stop - t])
     return table
+
+
+class MaskRows:
+    """The oracle-mask rows of ``pairs``, masked when they are read.
+
+    ``pairs`` is a ``framing.SignalFrames`` of two signals, the reference
+    and the mixture's reference channel, so one ``rfft`` frames both.
+    ``rows[a:b]`` is :func:`_mask_block` of the (T, 2, n_bins) slice
+    ``pairs[a:b]``: the rows of :func:`_mask_table` over the two signals'
+    frames, byte for byte.
+    """
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        pairs = self._pairs[key]
+        s, y = pairs[:, 0], pairs[:, 1]
+        return _mask_block(s, y, np.empty(y.shape, dtype=np.complex128), np.empty((2,) + y.shape))
 
 
 def save_frame_file(path, frames: np.ndarray, params: FrameParams):
@@ -367,7 +400,7 @@ def make_estimator(
     if kind.is_oracle and reference_frames is None:
         raise ValueError(f"{kind.kind} estimator requires a reference signal")
     if kind.kind == "oracle_complex":
-        return TableEstimator(n_bins, frames_ahead, reference_frames)
+        return TableEstimator(n_bins, frames_ahead, np.asarray(reference_frames))
     if kind.kind == "oracle_mag_mask":
         if mixture_ref_frames is None:
             raise ValueError("oracle_mag_mask requires mixture reference-channel frames")

@@ -241,43 +241,93 @@ class AnalysisStream:
         return block
 
 
-def analyze(
-    signal: np.ndarray,
-    window: np.ndarray,
-    params: FrameParams,
-    flush: bool = False,
-) -> np.ndarray:
-    """One-shot analysis of a full signal.
+class SignalFrames:
+    """The analysis frames of a whole signal, framed when they are read.
 
-    ``signal`` may be (n,) or (channels, n). Returns the complex
-    spectrogram, shape (T, n_bins) or (T, channels, n_bins), with
-    ``T = floor(n / hop)``: the frames an :class:`AnalysisStream` emits
-    for the same samples. With ``flush=True`` the signal is zero-padded so
-    that ``T = params.frames_to_release(n)``: the frames that synthesis
-    needs to release all ``n`` samples; ``pipeline.Session`` sizes its
-    oracle tables this way at ``frames_ahead=0``, where row t is output slot t.
+    ``signal`` is one (n,) signal, or C signals of n samples: a (C, n)
+    array, or a list of (n,) arrays, which are primed without being stacked
+    first. ``frames[a:b]`` are frames a .. b - 1 (a contiguous slice, clipped
+    to ``len(frames)`` as an array slice is), shape (T, n_bins) for one (n,)
+    signal and (T, C, n_bins) otherwise: the frames an
+    :class:`AnalysisStream` emits for the same samples. There are
+    ``n // hop`` frames, or with ``flush=True`` ``params.frames_to_release(n)``:
+    the frames synthesis needs to release all n samples, the last of them
+    reaching into zeros past the signal's end.
 
-    The primed signal is framed ``_ANALYZE_FRAMES`` frames at a time into
-    the preallocated result, through one reused buffer of window products,
-    so besides the result and the primed copy of the input only one block's
-    window products and spectra are alive: 0.5 MB per channel at the
-    default geometry, however long the signal. Each frame's arithmetic is
-    that of one unblocked call, so the bytes do not depend on the blocking.
+    Set-up keeps only the primed copy of the signals. A slice frames its
+    rows through :func:`_frames` with one ``rfft``, its window products in a
+    work buffer kept and grown to the largest slice read. ``pipeline.Session``
+    frames its oracle rows this way, one push at a time, and :func:`analyze`
+    frames a whole signal block by block through :meth:`block`.
     """
-    if len(window) != params.iws:
-        raise ValueError(f"window length {len(window)} does not match iws {params.iws}")
-    signal = np.asarray(signal, dtype=np.float64)
-    n, hop = signal.shape[-1], params.hop
-    n_frames = params.frames_to_release(n) if flush else n // hop
-    primed = np.pad(
-        np.atleast_2d(signal), ((0, 0), (params.iws - hop, max(n_frames * hop - n, 0)))
-    )
-    bins = np.empty((n_frames, len(primed), params.n_bins), dtype=np.complex128)
-    work = np.empty((min(n_frames, _ANALYZE_FRAMES), len(primed), params.iws))
-    for t in range(0, n_frames, _ANALYZE_FRAMES):
-        stop = min(t + _ANALYZE_FRAMES, n_frames)
-        bins[t:stop] = _frames(primed, t * hop, (stop - 1) * hop + params.iws, window, params, work)
-    return bins[:, 0, :] if signal.ndim == 1 else bins
+
+    def __init__(self, signal, window: np.ndarray, params: FrameParams, flush: bool = False):
+        if len(window) != params.iws:
+            raise ValueError(f"window length {len(window)} does not match iws {params.iws}")
+        if not isinstance(signal, list):
+            signal = np.asarray(signal, dtype=np.float64)
+        self.mono = isinstance(signal, np.ndarray) and signal.ndim == 1
+        rows = [signal] if self.mono else signal
+        n = signal.shape[-1] if isinstance(signal, np.ndarray) else len(signal[0])
+        hop, lead = params.hop, params.iws - params.hop
+        self._n = params.frames_to_release(n) if flush else n // hop
+        # zeroing only the pads: np.zeros then a copy writes every sample twice
+        self._primed = np.empty((len(rows), lead + max(self._n * hop, n)))
+        self._primed[:, :lead] = self._primed[:, lead + n :] = 0.0
+        for primed, row in zip(self._primed, rows):
+            primed[lead : lead + n] = row
+        self.window, self.params = window, params
+        self._work = np.empty((0, len(rows), params.iws))
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def channels(self) -> int:
+        return len(self._primed)
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Frames ``start .. stop - 1``, ``0 <= start <= stop <= len``, as a
+        new (stop - start, C, n_bins) array."""
+        if stop - start > len(self._work):
+            self._work = np.empty((stop - start,) + self._work.shape[1:])
+        params = self.params
+        stop_sample = (stop - 1) * params.hop + params.iws
+        return _frames(self._primed, start * params.hop, stop_sample, self.window, params, self._work)
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        start, stop, _ = key.indices(self._n)
+        rows = self.block(start, max(start, stop))
+        return rows[:, 0] if self.mono else rows
+
+
+def analyze(signal, window: np.ndarray, params: FrameParams) -> np.ndarray:
+    """One-shot analysis of a full signal, as :class:`SignalFrames` takes it.
+
+    Returns the complex spectrogram, shape (T, n_bins) for an (n,) signal or
+    (T, C, n_bins) for C signals, with ``T = floor(n / hop)``: the frames an
+    :class:`AnalysisStream` emits for the same samples.
+
+    A signal of at most ``_ANALYZE_FRAMES`` frames is one ``rfft``, whose
+    result is returned. A longer one is framed ``_ANALYZE_FRAMES`` frames at
+    a time into the preallocated result, so besides the result and the
+    primed copy of the input only one block's window products and spectra
+    are alive: 0.5 MB per channel at the default geometry, however long the
+    signal. Each frame's arithmetic is that of one unblocked call, so the
+    bytes do not depend on the blocking.
+    """
+    frames = SignalFrames(signal, window, params)
+    n_frames = len(frames)
+    if n_frames <= _ANALYZE_FRAMES:
+        bins = frames.block(0, n_frames)
+    else:
+        # copying each block's spectra beats an rfft into the result's fresh pages:
+        # paired p25 of a 25 s mono analyze on 2 vCPUs, 20.7-22.0 against 22.6-22.8 ms
+        bins = np.empty((n_frames, frames.channels, params.n_bins), dtype=np.complex128)
+        for t in range(0, n_frames, _ANALYZE_FRAMES):
+            stop = min(t + _ANALYZE_FRAMES, n_frames)
+            bins[t:stop] = frames.block(t, stop)
+    return bins[:, 0, :] if frames.mono else bins
 
 
 @functools.lru_cache(maxsize=32)

@@ -61,6 +61,22 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
     return float(np.clip(db, -SI_SDR_CAP_DB, SI_SDR_CAP_DB))
 
 
+def _signals(estimate, reference) -> tuple[np.ndarray, np.ndarray]:
+    """The two signals as float64 arrays, checked to be (n,) of one length."""
+    est = np.asarray(estimate, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
+    if est.ndim != 1 or est.shape != ref.shape:
+        raise ValueError(f"expected two (n,) signals of one length, got shapes {est.shape} and {ref.shape}")
+    return est, ref
+
+
+def _loss_spectra(est: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Loss-STFT spectra of both signals, framed as one 2-row signal, so one
+    ``rfft`` per block serves both."""
+    spec = analyze([est, ref], *_LOSS_STFT)
+    return spec[:, 0], spec[:, 1]
+
+
 def _mag_term(s_hat, s) -> np.float64:
     """``sum | |S_hat| - |S| |``: the magnitude term both losses share."""
     return np.sum(np.abs(np.abs(s_hat) - np.abs(s)))
@@ -98,11 +114,8 @@ def wav_mag_loss(estimate: np.ndarray, reference: np.ndarray) -> float:
     The loss STFT is fixed (see the module docstring) and unrelated to
     whatever frame geometry produced the signals.
     """
-    s_hat = np.asarray(estimate, dtype=np.float64)
-    s = np.asarray(reference, dtype=np.float64)
-    if s_hat.shape != s.shape:
-        raise ValueError(f"length mismatch: {s_hat.shape} vs {s.shape}")
-    spec_hat, spec = analyze(s_hat, *_LOSS_STFT), analyze(s, *_LOSS_STFT)
+    s_hat, s = _signals(estimate, reference)
+    spec_hat, spec = _loss_spectra(s_hat, s)
     return _wav_mag_terms(s_hat, s, _mag_term(spec_hat, spec), spec.size)[0]
 
 
@@ -124,12 +137,12 @@ def compute_metrics(estimate: np.ndarray, reference: np.ndarray) -> MetricReport
 
     Sample n of the estimate is compared with sample n of the reference,
     as the frame-online chain aligns them; there is no alignment search.
-    Both losses use the loss-STFT spectra of the two signals, each
-    analyzed once, and share their magnitude term, summed once.
+    Both losses use the loss-STFT spectra of the two signals, analyzed
+    together once, and share their magnitude term, summed once. Signals
+    that are not two (n,) arrays of one length raise ``ValueError`` first.
     """
-    est = np.asarray(estimate, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    spec_est, spec_ref = analyze(est, *_LOSS_STFT), analyze(ref, *_LOSS_STFT)
+    est, ref = _signals(estimate, reference)
+    spec_est, spec_ref = _loss_spectra(est, ref)
     mag = _mag_term(spec_est, spec_ref)
     ri, n_ri = _ri_mag_terms(spec_est, spec_ref, mag)
     wav, n_wav = _wav_mag_terms(est, ref, mag, spec_ref.size)

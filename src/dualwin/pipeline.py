@@ -7,11 +7,13 @@ one frame per hop, run by a :class:`Session`; :func:`run_pipeline` pushes
 ``framing.FrameBlock`` of its frames, through each estimator's
 ``estimate_block``. The live mixture is analyzed only for the MCWF, an
 ``external`` stage or a ``passthrough`` of the mixture; other chains only
-frame the hops. The per-frame entry points, ``framing.SpectrumFrame``,
-``Estimator.estimate`` and ``framing.synthesize_frame``, compose the same
-chain one frame at a time; they stay as the benchmark adapter's entry until
-that per-frame API is deleted (ROADMAP item 4 (c)), and tests hold the two
-compositions equal bit for bit.
+frame the hops. Oracle rows are framed in the push that reads them, from
+the signals given at construction. The per-frame entry points,
+``framing.SpectrumFrame``, ``Estimator.estimate`` and
+``framing.synthesize_frame``, compose the same chain one frame at a time;
+they stay as the benchmark adapter's entry until that per-frame API is
+deleted (ROADMAP item 4 (c)), and tests hold the two compositions equal bit
+for bit.
 
 The chain works in the complex STFT domain, so the beamformer adds no
 algorithmic latency; the only look-ahead in the whole chain is the output
@@ -32,13 +34,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .beamformer import DEFAULT_LOADING, MODES, OnlineMcwf, apply_filter
-from .estimators import EstimatorKind, make_estimator
+from .estimators import EstimatorKind, MaskRows, TableEstimator, make_estimator
 from .framing import (
     AnalysisStream,
     FrameParams,
+    SignalFrames,
     SynthesisStream,
     algorithmic_latency,
-    analyze,
     build_windows,
     synthesize_block,
 )
@@ -129,14 +131,17 @@ class Session:
     through a zero-channel ``AnalysisStream``, so its blocks hold (T, 0,
     n_bins) bins; frame indices, ``frames`` and the output do not change.
     Construction does everything before the first frame: validation,
-    window design, the oracle tables, estimator binding and MCWF state.
-    The oracle tables are analyzed from the whole ``reference`` and
-    ``mixture`` given here (``oracle_mag_mask`` reads channel ``ref_mic``
-    of ``mixture``), so an oracle is causal in the streamed mixture only; a
-    chain without an oracle only checks the ``reference`` length. A
-    ``mixture`` must have ``channels`` rows; it also sets the reference
-    length and the number of frames a frame file must hold. Single-writer;
-    ``close`` ends external estimator children, after an error too.
+    window design, estimator binding and MCWF state. An oracle stage keeps
+    only its primed time-domain signals, the ``reference`` given here and,
+    for ``oracle_mag_mask``, channel ``ref_mic`` of the ``mixture`` given
+    here, as one ``framing.SignalFrames``; each push frames the rows it
+    reads, ``t0 + k .. t0 + k + T - 1``, with one ``rfft``, and the mask
+    is applied to that block. So no whole-signal spectrogram is kept, and
+    an oracle is causal in the streamed mixture only. A chain without an
+    oracle only checks the ``reference`` length. A ``mixture`` must have
+    ``channels`` rows; it also sets the reference length and the number of
+    frames a frame file must hold. Single-writer; ``close`` ends external
+    estimator children, after an error too.
     """
 
     def __init__(
@@ -157,8 +162,7 @@ class Session:
             raise ConfigError("an oracle estimator is configured but no reference was given")
         params = self.params = config.params
         g, self._l = build_windows(config.window, params)
-        slots = replace(params, frames_ahead=0)  # table row r is output slot r at every k
-        ref_frames = mix_ref_frames = expected_frames = None
+        expected_frames = None
         if mixture is not None:
             mixture = np.atleast_2d(np.asarray(mixture, dtype=np.float64))
             if mixture.shape[0] != channels:
@@ -170,11 +174,20 @@ class Session:
                 raise ConfigError(
                     f"reference length {len(reference)} does not match mixture {mixture.shape[1]}"
                 )
-            if config.needs_reference:
-                ref_frames = analyze(reference, g, slots, True)
-        stages = [kind.kind for kind in (config.stage1, config.stage2) if kind is not None]
-        if mixture is not None and "oracle_mag_mask" in stages:
-            mix_ref_frames = analyze(mixture[config.ref_mic], g, slots, True)
+        slots = replace(params, frames_ahead=0)  # row r is output slot r at every k
+
+        def bind(kind: EstimatorKind, frames_ahead: int, stage: int):
+            if kind.kind == "oracle_complex":
+                rows = SignalFrames(reference, g, slots, flush=True)
+            elif kind.kind == "oracle_mag_mask":
+                if mixture is None:
+                    raise ConfigError("oracle_mag_mask masks the mixture, but no mixture was given")
+                rows = MaskRows(SignalFrames([reference, mixture[config.ref_mic]], g, slots, flush=True))
+            else:
+                return make_estimator(
+                    kind, params, frames_ahead, channels, stage, expected_frames=expected_frames
+                )
+            return TableEstimator(params.n_bins, frames_ahead, rows)
 
         self._bf = None
         if config.beamformer is not None:
@@ -187,19 +200,11 @@ class Session:
             )
         k = params.frames_ahead
         stage1_is_last = config.stage2 is None and config.beamformer is None
-        bound = dict(
-            channels=channels,
-            reference_frames=ref_frames,
-            mixture_ref_frames=mix_ref_frames,
-            expected_frames=expected_frames,
-        )
-        self._est1 = make_estimator(
-            config.stage1, params, frames_ahead=k if stage1_is_last else 0, stage=1, **bound
-        )
+        self._est1 = bind(config.stage1, k if stage1_is_last else 0, 1)
         self._est2 = None
         try:
             if config.stage2 is not None:
-                self._est2 = make_estimator(config.stage2, params, frames_ahead=k, stage=2, **bound)
+                self._est2 = bind(config.stage2, k, 2)
         except BaseException:
             self.close()
             raise

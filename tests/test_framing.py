@@ -8,6 +8,7 @@ from dualwin.estimators import EstimatorKind
 from dualwin.framing import (
     AnalysisStream,
     FrameParams,
+    SignalFrames,
     SpectrumFrame,
     SynthesisStream,
     algorithmic_latency,
@@ -247,13 +248,21 @@ class TestBlockedAnalyze:
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("n_frames", [B - 1, B, B + 1, 2 * B + 5])
     def test_flush_matches_unblocked_bytes(self, n_frames, channels, params):
-        # the longest input that flushes to exactly n_frames frames, some of them past its end
+        # SignalFrames(flush=True) frames a Session's oracle rows; the longest input
+        # that flushes to exactly n_frames frames, some of them past its end
         g, _ = build_windows(TUKEY, params)
         n = max(m for m in range(n_frames * params.hop) if params.frames_to_release(m) == n_frames)
         x = np.random.default_rng(n_frames).standard_normal((channels, n))
-        flushed = analyze(x, g, params, flush=True)
-        assert n // params.hop < n_frames and flushed.shape == (n_frames, channels, params.n_bins)
+        frames = SignalFrames(x, g, params, flush=True)
+        assert n // params.hop < n_frames == len(frames)
+        # framed a slice at a time, as a Session reads its oracle rows
+        flushed = np.concatenate([frames[a : a + 37] for a in range(0, n_frames + 40, 37)])
+        assert flushed.shape == (n_frames, channels, params.n_bins)
         assert flushed.tobytes() == _unblocked_analysis(x, g, params, n_frames).tobytes()
+        assert frames[: n_frames + 5].tobytes() == flushed.tobytes()
+        assert SignalFrames(list(x), g, params, flush=True)[:].tobytes() == flushed.tobytes()
+        mono = SignalFrames(x[0], g, params, flush=True)[2:9]
+        assert mono.tobytes() == np.ascontiguousarray(flushed[2:9, 0]).tobytes()
         stream = AnalysisStream(g, params, channels)
         pushed = stream.push(np.concatenate([x, np.zeros((channels, n_frames * params.hop - n))], axis=1))
         assert flushed.tobytes() == np.reshape([f.bins for f in pushed], flushed.shape).tobytes()

@@ -7,9 +7,11 @@ deterministic. No test here times anything.
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from dualwin.estimators import _mask_table
+from dualwin.estimators import EstimatorKind, _mask_table
 from dualwin.framing import FrameParams, analyze, build_windows
+from dualwin.pipeline import PipelineConfig, Session
 from dualwin.windows import TUKEY
 
 MB = 1_000_000
@@ -50,3 +52,17 @@ def test_mask_table_peak_is_result_plus_two_row_blocks():
     table, peak = _traced(lambda: _mask_table(s, y))
     assert table.shape == y.shape
     assert peak <= table.nbytes + MB, (peak, table.nbytes)
+
+
+@pytest.mark.parametrize("kind, signals", [("oracle_mag_mask", 2), ("oracle_complex", 1)])
+def test_oracle_session_set_up_keeps_only_the_primed_signals(kind, signals):
+    # the oracle rows are framed in the push that reads them, not tabled at set-up
+    params = FrameParams()
+    n = SECONDS * params.sample_rate
+    rng = np.random.default_rng(2)
+    mixture, reference = rng.standard_normal((6, n)), rng.standard_normal(n)
+    cfg = PipelineConfig(stage1=EstimatorKind(kind))
+    session, peak = _traced(lambda: Session(cfg, 6, reference, mixture))
+    session.close()
+    primed = signals * (params.iws - params.hop + params.frames_to_release(n) * params.hop) * 8
+    assert peak <= primed + MB, (peak, primed)

@@ -1,8 +1,10 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from dualwin import metrics
 from dualwin.framing import FrameParams, analyze
 from dualwin.metrics import _LOSS_STFT, compute_metrics, ri_mag_loss, si_sdr, wav_mag_loss
 from dualwin.windows import SQRT_HANN, make_analysis_window
@@ -150,6 +152,18 @@ class TestComputeMetrics:
             "wav_mag_loss_mean",
             "n_samples",
         }
+
+    @pytest.mark.parametrize(
+        "est_shape, ref_shape", [((3000,), (1900,)), ((2, 3000), (2, 3000)), ((3000,), (1, 3000))]
+    )
+    def test_inputs_are_checked_before_any_analysis(self, monkeypatch, est_shape, ref_shape):
+        # one error naming both shapes, not numpy's broadcast or alignment error
+        monkeypatch.setattr(metrics, "analyze", lambda *a: pytest.fail("analyzed unchecked input"))
+        rng = np.random.default_rng(12)
+        est, ref = rng.standard_normal(est_shape), rng.standard_normal(ref_shape)
+        for metric in (compute_metrics, wav_mag_loss):
+            with pytest.raises(ValueError, match=re.escape(f"got shapes {est_shape} and {ref_shape}")):
+                metric(est, ref)
 
     def test_means_divide_the_sums_by_their_terms(self):
         rng = np.random.default_rng(11)

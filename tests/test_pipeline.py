@@ -14,6 +14,7 @@ from dualwin.estimators import EstimatorInput, EstimatorKind, make_estimator, sa
 from dualwin.framing import (
     AnalysisStream,
     FrameParams,
+    SignalFrames,
     SpectrumFrame,
     SynthesisStream,
     analyze,
@@ -234,13 +235,35 @@ class TestSession:
         assert len(session.flush()) == 0
         np.testing.assert_allclose(out[: len(x)], x, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("stage1, calls", [("passthrough", 0), ("oracle_complex", 1)])
-    def test_reference_is_analyzed_only_for_an_oracle(self, scene, monkeypatch, stage1, calls):
-        seen = []
-        monkeypatch.setattr(pipeline, "analyze", lambda *a: seen.append(a) or analyze(*a))
+    @pytest.mark.parametrize(
+        "stage1, signals", [("passthrough", []), ("oracle_complex", [1]), ("oracle_mag_mask", [2])]
+    )
+    def test_reference_is_framed_only_for_an_oracle(self, scene, monkeypatch, stage1, signals):
+        # an oracle keeps its primed signals, (reference) or (reference, mixture[ref_mic]),
+        # and frames each row once, in the push that reads it
+        built, framed = [], []
+
+        class CountingFrames(SignalFrames):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.channels)
+
+            def block(self, start, stop):
+                framed.append(stop - start)
+                return super().block(start, stop)
+
+        monkeypatch.setattr(pipeline, "SignalFrames", CountingFrames)
         cfg = PipelineConfig(stage1=EstimatorKind(stage1))
-        Session(cfg, 6, scene.target_direct, scene.mixture).close()
-        assert len(seen) == calls
+        with closing(Session(cfg, 6, scene.target_direct, scene.mixture)) as session:
+            assert built == signals and framed == []
+            session.push(scene.mixture[:, : 5 * cfg.params.hop + 7])
+            session.flush()
+        assert sum(framed) == (session.frames if signals else 0) and session.frames > 5
+
+    def test_mask_oracle_needs_the_mixture(self, scene):
+        cfg = PipelineConfig(stage1=EstimatorKind("oracle_mag_mask"))
+        with pytest.raises(ConfigError, match="no mixture"):
+            Session(cfg, 6, scene.target_direct)
 
     def test_reference_length_is_checked_without_an_oracle(self, scene):
         with pytest.raises(ConfigError, match="length"):
