@@ -16,11 +16,11 @@ clean reference (and, for the magnitude mask, of the mixture reference
 channel) computed with the identical analysis framing as the live stream,
 so they exercise the exact dual-window signal path while providing
 performance ceilings. Oracles and frame files alike are replayed one row
-per frame by a :class:`TableEstimator`. A ``pipeline.Session`` frames its
-oracle rows in the push that reads them, from the signals given at
-construction (``framing.SignalFrames``, :class:`MaskRows`);
-:func:`make_estimator` binds whole frame tables, as the benchmark adapter
-and the tests pass them, and frame files. The ``external`` kind delegates
+per frame by a :class:`TableEstimator`. Bound to time-domain signals, as
+``pipeline.Session`` binds them, an oracle frames its rows from those
+signals when they are read (:class:`OracleRows`), so no whole-signal
+spectrogram is kept; bound to whole frame tables, as the benchmark adapter
+and the tests pass them, it replays those. The ``external`` kind delegates
 to a child process speaking a synchronous one-frame-in/one-frame-out stdio
 protocol, which is the extension point for real models.
 
@@ -42,12 +42,12 @@ import select
 import shlex
 import struct
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .framing import FrameParams
+from .framing import FrameParams, SignalFrames
 
 ESTIMATOR_KINDS = ("passthrough", "oracle_complex", "oracle_mag_mask", "file", "external")
 PASSTHROUGH_SOURCES = ("mixture", "stage1", "beamformer")
@@ -57,6 +57,11 @@ MASK_CLIP = 5.0  # largest oracle mask gain
 # table on 2 vCPUs, two sweeps: the unblocked code 22.9/23.9, one block 32.1/30.8, blocks of 16
 # rows 28.8/29.4, 64 20.6/21.2, 128 19.2/20.2, 256 19.8/20.6, 512 23.9/25.0.
 _MASK_ROWS = 128
+# Rows an OracleRows frames at once: fewer make hop-sized pushes pay more rfft calls, more make
+# the push that frames them stall longer. p25 us per 1-hop push of a 6-mic oracle_mag_mask
+# Session on one CPU of a 2-vCPU host (the push that frames a block in brackets): blocks of 8
+# rows 27.9 (87), 16 27.7 (131), 32 26.6 (223), 64 25.7 (388), 128 25.5 (723).
+_ORACLE_ROWS = 32
 
 
 class ExternalProtocolError(RuntimeError):
@@ -173,9 +178,9 @@ class PassthroughEstimator(Estimator):
 class TableEstimator(Estimator):
     """Replays row ``t + k`` of a (T, n_bins) table, or zeros outside it:
     the reference frames, a frame file, or the oracle magnitude-masked
-    mixture. The table is an array, or rows framed when they are read
-    (``framing.SignalFrames``, :class:`MaskRows`): only ``len`` and
-    contiguous slices of it are read."""
+    mixture. The table is an array, or an :class:`OracleRows` that frames
+    its rows when they are read; ``pipeline.Session`` reads that one through
+    ``estimate_block`` only."""
 
     def __init__(self, n_bins, frames_ahead, table):
         super().__init__(n_bins, frames_ahead)
@@ -184,7 +189,7 @@ class TableEstimator(Estimator):
     def estimate(self, inp, t):
         idx = t + self.frames_ahead
         if 0 <= idx < len(self.table):
-            return self.table[idx : idx + 1][0]
+            return self.table[idx]
         return self._zeros()
 
     def estimate_block(self, mixture, stage1, beamformed, t0):
@@ -227,25 +232,43 @@ def _mask_table(reference_frames: np.ndarray, mixture_frames: np.ndarray) -> np.
     return table
 
 
-class MaskRows:
-    """The oracle-mask rows of ``pairs``, masked when they are read.
+class OracleRows:
+    """The rows of an oracle table, framed when they are read from the
+    primed signals of a ``framing.SignalFrames``.
 
-    ``pairs`` is a ``framing.SignalFrames`` of two signals, the reference
-    and the mixture's reference channel, so one ``rfft`` frames both.
-    ``rows[a:b]`` is :func:`_mask_block` of the (T, 2, n_bins) slice
-    ``pairs[a:b]``: the rows of :func:`_mask_table` over the two signals'
-    frames, byte for byte.
+    Without ``mask`` the rows are the frames of its one signal, the
+    reference (``oracle_complex``). With ``mask`` they are
+    :func:`_mask_block` of its two signals, the reference and the mixture's
+    reference channel, which one ``rfft`` frames together
+    (``oracle_mag_mask``). A contiguous slice ``rows[a:b]`` holds the rows
+    of the whole table, byte for byte, however the reads fall. A read that
+    leaves the block of rows held frames the next ``_ORACLE_ROWS`` rows from
+    its start, or all it reads if that is more, and keeps only them:
+    hop-sized pushes share one ``rfft`` and mask per block, and a long
+    signal costs no more memory than a short one.
     """
 
-    def __init__(self, pairs):
-        self._pairs = pairs
+    def __init__(self, frames: SignalFrames, mask: bool):
+        self._frames, self._mask, self._n = frames, mask, len(frames)
+        self._first, self._rows = 0, np.empty((0, frames.params.n_bins), dtype=np.complex128)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return self._n
 
     def __getitem__(self, key: slice) -> np.ndarray:
-        pairs = self._pairs[key]
-        s, y = pairs[:, 0], pairs[:, 1]
+        start, stop, _ = key.indices(self._n)
+        if stop <= start:
+            return self._rows[:0]
+        if start < self._first or stop > self._first + len(self._rows):
+            self._first = start
+            self._rows = self._framed(start, min(max(stop, start + _ORACLE_ROWS), self._n))
+        return self._rows[start - self._first : stop - self._first]
+
+    def _framed(self, start: int, stop: int) -> np.ndarray:
+        rows = self._frames.block(start, stop)
+        if not self._mask:
+            return rows[:, 0]
+        s, y = rows[:, 0], rows[:, 1]
         return _mask_block(s, y, np.empty(y.shape, dtype=np.complex128), np.empty((2,) + y.shape))
 
 
@@ -387,8 +410,21 @@ def make_estimator(
     reference_frames: np.ndarray | None = None,
     mixture_ref_frames: np.ndarray | None = None,
     expected_frames: int | None = None,
+    window: np.ndarray | None = None,
+    reference: np.ndarray | None = None,
+    mixture_ref: np.ndarray | None = None,
 ) -> Estimator:
-    """Bind a declarative :class:`EstimatorKind` to one streaming session."""
+    """Bind a declarative :class:`EstimatorKind` to one streaming session.
+
+    An oracle is bound to the time-domain ``reference`` and, for
+    ``oracle_mag_mask``, ``mixture_ref``, the mixture's reference channel,
+    when they are given: its rows are framed with the analysis ``window``
+    when they are read (:class:`OracleRows`), at ``frames_ahead`` 0 and up
+    to the flush length, so row r is output slot r at every k. That is how
+    ``pipeline.Session`` binds it. Otherwise it replays the whole frame
+    tables ``reference_frames`` and ``mixture_ref_frames``, as the benchmark
+    adapter and the tests pass them.
+    """
     n_bins = params.n_bins
     if kind.kind == "passthrough":
         if kind.channel >= channels:
@@ -397,16 +433,22 @@ def make_estimator(
                 f"{channels} channels"
             )
         return PassthroughEstimator(n_bins, frames_ahead, kind.channel, kind.source)
-    if kind.is_oracle and reference_frames is None:
-        raise ValueError(f"{kind.kind} estimator requires a reference signal")
-    if kind.kind == "oracle_complex":
-        return TableEstimator(n_bins, frames_ahead, np.asarray(reference_frames))
-    if kind.kind == "oracle_mag_mask":
-        if mixture_ref_frames is None:
-            raise ValueError("oracle_mag_mask requires mixture reference-channel frames")
-        return TableEstimator(
-            n_bins, frames_ahead, _mask_table(reference_frames, mixture_ref_frames)
-        )
+    if kind.is_oracle:
+        signals = reference is not None
+        if not signals and reference_frames is None:
+            raise ValueError(f"{kind.kind} estimator requires a reference signal")
+        mask = kind.kind == "oracle_mag_mask"
+        if mask and (mixture_ref if signals else mixture_ref_frames) is None:
+            raise ValueError("oracle_mag_mask requires the mixture's reference channel")
+        if signals:
+            slots = replace(params, frames_ahead=0)
+            framed = SignalFrames([reference, mixture_ref] if mask else reference, window, slots, True)
+            table = OracleRows(framed, mask)
+        elif mask:
+            table = _mask_table(reference_frames, mixture_ref_frames)
+        else:
+            table = np.asarray(reference_frames)
+        return TableEstimator(n_bins, frames_ahead, table)
     if kind.kind == "file":
         frames = load_frame_file(kind.path, params, expected_frames)
         return TableEstimator(n_bins, frames_ahead, frames)

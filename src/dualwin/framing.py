@@ -246,19 +246,17 @@ class SignalFrames:
 
     ``signal`` is one (n,) signal, or C signals of n samples: a (C, n)
     array, or a list of (n,) arrays, which are primed without being stacked
-    first. ``frames[a:b]`` are frames a .. b - 1 (a contiguous slice, clipped
-    to ``len(frames)`` as an array slice is), shape (T, n_bins) for one (n,)
-    signal and (T, C, n_bins) otherwise: the frames an
-    :class:`AnalysisStream` emits for the same samples. There are
-    ``n // hop`` frames, or with ``flush=True`` ``params.frames_to_release(n)``:
-    the frames synthesis needs to release all n samples, the last of them
-    reaching into zeros past the signal's end.
+    first. There are ``n // hop`` frames, or with ``flush=True``
+    ``params.frames_to_release(n)``: the frames synthesis needs to release
+    all n samples, the last of them reaching into zeros past the signal's
+    end. Frame t is the frame an :class:`AnalysisStream` emits for the same
+    samples.
 
-    Set-up keeps only the primed copy of the signals. A slice frames its
+    Set-up keeps only the primed copy of the signals. :meth:`block` frames
     rows through :func:`_frames` with one ``rfft``, its window products in a
-    work buffer kept and grown to the largest slice read. ``pipeline.Session``
-    frames its oracle rows this way, one push at a time, and :func:`analyze`
-    frames a whole signal block by block through :meth:`block`.
+    work buffer kept and grown to the largest block read. :func:`analyze`
+    frames a whole signal this way, and ``estimators.OracleRows`` the oracle
+    rows of a ``pipeline.Session``.
     """
 
     def __init__(self, signal, window: np.ndarray, params: FrameParams, flush: bool = False):
@@ -287,18 +285,13 @@ class SignalFrames:
         return len(self._primed)
 
     def block(self, start: int, stop: int) -> np.ndarray:
-        """Frames ``start .. stop - 1``, ``0 <= start <= stop <= len``, as a
+        """Frames ``start .. stop - 1``, ``0 <= start < stop <= len``, as a
         new (stop - start, C, n_bins) array."""
         if stop - start > len(self._work):
             self._work = np.empty((stop - start,) + self._work.shape[1:])
         params = self.params
         stop_sample = (stop - 1) * params.hop + params.iws
         return _frames(self._primed, start * params.hop, stop_sample, self.window, params, self._work)
-
-    def __getitem__(self, key: slice) -> np.ndarray:
-        start, stop, _ = key.indices(self._n)
-        rows = self.block(start, max(start, stop))
-        return rows[:, 0] if self.mono else rows
 
 
 def analyze(signal, window: np.ndarray, params: FrameParams) -> np.ndarray:
@@ -319,13 +312,15 @@ def analyze(signal, window: np.ndarray, params: FrameParams) -> np.ndarray:
     frames = SignalFrames(signal, window, params)
     n_frames = len(frames)
     if n_frames <= _ANALYZE_FRAMES:
+        # one block is its own result: copying it into a new one made perfbench's batch jobs,
+        # whose loss STFT is one block, slower (BENCH_18.json, analyze_one_block)
         bins = frames.block(0, n_frames)
     else:
-        # copying each block's spectra beats an rfft into the result's fresh pages:
-        # paired p25 of a 25 s mono analyze on 2 vCPUs, 20.7-22.0 against 22.6-22.8 ms
         bins = np.empty((n_frames, frames.channels, params.n_bins), dtype=np.complex128)
         for t in range(0, n_frames, _ANALYZE_FRAMES):
             stop = min(t + _ANALYZE_FRAMES, n_frames)
+            # copying each block's spectra beats an rfft into the result's fresh pages:
+            # paired p25 of a 25 s mono analyze on 2 vCPUs, 20.7-22.0 against 22.6-22.8 ms
             bins[t:stop] = frames.block(t, stop)
     return bins[:, 0, :] if frames.mono else bins
 

@@ -7,8 +7,8 @@ one frame per hop, run by a :class:`Session`; :func:`run_pipeline` pushes
 ``framing.FrameBlock`` of its frames, through each estimator's
 ``estimate_block``. The live mixture is analyzed only for the MCWF, an
 ``external`` stage or a ``passthrough`` of the mixture; other chains only
-frame the hops. Oracle rows are framed in the push that reads them, from
-the signals given at construction. The per-frame entry points,
+frame the hops. Oracle rows are framed when a push reads them, from the
+signals given at construction. The per-frame entry points,
 ``framing.SpectrumFrame``, ``Estimator.estimate`` and
 ``framing.synthesize_frame``, compose the same chain one frame at a time;
 they stay as the benchmark adapter's entry until that per-frame API is
@@ -29,16 +29,15 @@ from __future__ import annotations
 import time
 import warnings
 from contextlib import closing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .beamformer import DEFAULT_LOADING, MODES, OnlineMcwf, apply_filter
-from .estimators import EstimatorKind, MaskRows, TableEstimator, make_estimator
+from .estimators import EstimatorKind, make_estimator
 from .framing import (
     AnalysisStream,
     FrameParams,
-    SignalFrames,
     SynthesisStream,
     algorithmic_latency,
     build_windows,
@@ -134,10 +133,11 @@ class Session:
     window design, estimator binding and MCWF state. An oracle stage keeps
     only its primed time-domain signals, the ``reference`` given here and,
     for ``oracle_mag_mask``, channel ``ref_mic`` of the ``mixture`` given
-    here, as one ``framing.SignalFrames``; each push frames the rows it
-    reads, ``t0 + k .. t0 + k + T - 1``, with one ``rfft``, and the mask
-    is applied to that block. So no whole-signal spectrogram is kept, and
-    an oracle is causal in the streamed mixture only. A chain without an
+    here; a push that reads rows ``t0 + k .. t0 + k + T - 1`` past the
+    block it holds frames and masks the next ``max(T, 32)`` of them with
+    one ``rfft`` (``estimators.OracleRows``). So no whole-signal
+    spectrogram is kept, and an oracle is causal in the streamed mixture
+    only. A chain without an
     oracle only checks the ``reference`` length. A ``mixture`` must have
     ``channels`` rows; it also sets the reference length and the number of
     frames a frame file must hold. Single-writer; ``close`` ends external
@@ -174,20 +174,6 @@ class Session:
                 raise ConfigError(
                     f"reference length {len(reference)} does not match mixture {mixture.shape[1]}"
                 )
-        slots = replace(params, frames_ahead=0)  # row r is output slot r at every k
-
-        def bind(kind: EstimatorKind, frames_ahead: int, stage: int):
-            if kind.kind == "oracle_complex":
-                rows = SignalFrames(reference, g, slots, flush=True)
-            elif kind.kind == "oracle_mag_mask":
-                if mixture is None:
-                    raise ConfigError("oracle_mag_mask masks the mixture, but no mixture was given")
-                rows = MaskRows(SignalFrames([reference, mixture[config.ref_mic]], g, slots, flush=True))
-            else:
-                return make_estimator(
-                    kind, params, frames_ahead, channels, stage, expected_frames=expected_frames
-                )
-            return TableEstimator(params.n_bins, frames_ahead, rows)
 
         self._bf = None
         if config.beamformer is not None:
@@ -200,11 +186,20 @@ class Session:
             )
         k = params.frames_ahead
         stage1_is_last = config.stage2 is None and config.beamformer is None
-        self._est1 = bind(config.stage1, k if stage1_is_last else 0, 1)
+        bound = dict(
+            channels=channels,
+            expected_frames=expected_frames,
+            window=g,
+            reference=reference,
+            mixture_ref=None if mixture is None else mixture[config.ref_mic],
+        )
+        self._est1 = make_estimator(
+            config.stage1, params, frames_ahead=k if stage1_is_last else 0, stage=1, **bound
+        )
         self._est2 = None
         try:
             if config.stage2 is not None:
-                self._est2 = bind(config.stage2, k, 2)
+                self._est2 = make_estimator(config.stage2, params, frames_ahead=k, stage=2, **bound)
         except BaseException:
             self.close()
             raise

@@ -16,7 +16,8 @@ from dualwin.estimators import (
     make_estimator,
     save_frame_file,
 )
-from dualwin.framing import FrameParams
+from dualwin.framing import FrameParams, SignalFrames, build_windows
+from dualwin.windows import TUKEY
 
 STUB = os.path.join(os.path.dirname(__file__), "external_stub.py")
 
@@ -158,6 +159,7 @@ def test_table_returns_row_t_plus_k_then_zeros(tmp_path, kind, n_ref, n_mix):
 
 
 R = estimators._MASK_ROWS
+O = estimators._ORACLE_ROWS
 
 
 @pytest.mark.parametrize(
@@ -185,6 +187,42 @@ def test_blocked_mask_table_matches_unblocked_bytes(n_ref, n_mix):
     assert table.shape == expected.shape == (n, n_bins)
     assert table.dtype == expected.dtype
     assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["oracle_complex", "oracle_mag_mask"])
+@pytest.mark.parametrize(
+    "reads", [[1] * (2 * R + 20), [32] * 10, [37, 1, R + 50, 0, 5, 1000], [R, R, R], [O + 1] * 12]
+)
+def test_signal_bound_oracle_rows_are_the_whole_table(kind, reads):
+    # bound to signals, an oracle frames its rows a block at a time as they are read
+    params = FrameParams()
+    g, _ = build_windows(TUKEY, params)
+    rng = np.random.default_rng(len(reads))
+    n = (2 * R + 7) * params.hop + 5
+    reference, mixture_ref = rng.standard_normal(n), rng.standard_normal(n)
+    mixture_ref[: 40 * params.hop] = 0.0  # spectral nulls: |Y| below MASK_FLOOR
+    table = make_estimator(
+        EstimatorKind(kind), params, 0, channels=1, stage=1,
+        window=g, reference=reference, mixture_ref=mixture_ref,
+    ).table
+    whole = SignalFrames([reference, mixture_ref], g, params, flush=True)
+    pairs = whole.block(0, len(whole))
+    expected = _old_mask(pairs[:, 0], pairs[:, 1]) if kind == "oracle_mag_mask" else pairs[:, 0]
+    assert len(table) == len(expected) == params.frames_to_release(n)
+    starts = np.cumsum([0] + reads)
+    got = np.concatenate([table[a:b] for a, b in zip(starts[:-1], starts[1:])])
+    assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert table[2:5].tobytes() == np.ascontiguousarray(expected[2:5]).tobytes()  # out of order
+
+
+def test_signal_bound_mask_oracle_needs_the_mixture_channel():
+    params = FrameParams()
+    g, _ = build_windows(TUKEY, params)
+    with pytest.raises(ValueError, match="mixture's reference channel"):
+        make_estimator(
+            EstimatorKind("oracle_mag_mask"), params, 0, channels=1, stage=1,
+            window=g, reference=np.zeros(1000),
+        )
 
 
 class TestFrameFiles:

@@ -255,14 +255,14 @@ class TestBlockedAnalyze:
         x = np.random.default_rng(n_frames).standard_normal((channels, n))
         frames = SignalFrames(x, g, params, flush=True)
         assert n // params.hop < n_frames == len(frames)
-        # framed a slice at a time, as a Session reads its oracle rows
-        flushed = np.concatenate([frames[a : a + 37] for a in range(0, n_frames + 40, 37)])
+        # framed a block at a time, as a Session reads its oracle rows
+        flushed = np.concatenate([frames.block(a, min(a + 37, n_frames)) for a in range(0, n_frames, 37)])
         assert flushed.shape == (n_frames, channels, params.n_bins)
         assert flushed.tobytes() == _unblocked_analysis(x, g, params, n_frames).tobytes()
-        assert frames[: n_frames + 5].tobytes() == flushed.tobytes()
-        assert SignalFrames(list(x), g, params, flush=True)[:].tobytes() == flushed.tobytes()
-        mono = SignalFrames(x[0], g, params, flush=True)[2:9]
-        assert mono.tobytes() == np.ascontiguousarray(flushed[2:9, 0]).tobytes()
+        assert frames.block(0, n_frames).tobytes() == flushed.tobytes()
+        assert SignalFrames(list(x), g, params, flush=True).block(0, n_frames).tobytes() == flushed.tobytes()
+        mono = SignalFrames(x[0], g, params, flush=True).block(2, 9)
+        assert mono.tobytes() == np.ascontiguousarray(flushed[2:9, :1]).tobytes()
         stream = AnalysisStream(g, params, channels)
         pushed = stream.push(np.concatenate([x, np.zeros((channels, n_frames * params.hop - n))], axis=1))
         assert flushed.tobytes() == np.reshape([f.bins for f in pushed], flushed.shape).tobytes()

@@ -240,7 +240,7 @@ class TestSession:
     )
     def test_reference_is_framed_only_for_an_oracle(self, scene, monkeypatch, stage1, signals):
         # an oracle keeps its primed signals, (reference) or (reference, mixture[ref_mic]),
-        # and frames each row once, in the push that reads it
+        # frames nothing at set-up and, read a few hops at a time, frames one block of rows
         built, framed = [], []
 
         class CountingFrames(SignalFrames):
@@ -249,20 +249,23 @@ class TestSession:
                 built.append(self.channels)
 
             def block(self, start, stop):
-                framed.append(stop - start)
+                framed.append((start, stop))
                 return super().block(start, stop)
 
-        monkeypatch.setattr(pipeline, "SignalFrames", CountingFrames)
+        monkeypatch.setattr(estimators, "SignalFrames", CountingFrames)
         cfg = PipelineConfig(stage1=EstimatorKind(stage1))
         with closing(Session(cfg, 6, scene.target_direct, scene.mixture)) as session:
             assert built == signals and framed == []
-            session.push(scene.mixture[:, : 5 * cfg.params.hop + 7])
+            for _ in range(5):
+                session.push(scene.mixture[:, : cfg.params.hop])
+            session.push(scene.mixture[:, :7])
             session.flush()
-        assert sum(framed) == (session.frames if signals else 0) and session.frames > 5
+        assert session.frames > 5
+        assert framed == ([(0, estimators._ORACLE_ROWS)] if signals else [])
 
     def test_mask_oracle_needs_the_mixture(self, scene):
         cfg = PipelineConfig(stage1=EstimatorKind("oracle_mag_mask"))
-        with pytest.raises(ConfigError, match="no mixture"):
+        with pytest.raises(ValueError, match="mixture's reference channel"):
             Session(cfg, 6, scene.target_direct)
 
     def test_reference_length_is_checked_without_an_oracle(self, scene):
