@@ -111,13 +111,12 @@ class OnlineMcwf:
     propagation in four generally-applicable, recursive, least-squares
     estimation schemes", Automatica 1989).
 
-    A new filter is returned every ``update_stride`` frames (1 = every
-    frame) and held in between; a returned filter is a fresh array that
-    later frames never change. ``forgetting`` < 1 exponentially discounts
-    old frames; the default 1.0 is plain accumulation and is what makes the
-    final online filter match the offline solution exactly. ``mode`` (only
-    ``"woodbury"``) and ``ref_mic`` (unused) are accepted because the
-    benchmark adapter passes them.
+    Every frame returns a new filter, a fresh array that later frames never
+    change. ``forgetting`` < 1 exponentially discounts old frames; the
+    default 1.0 is plain accumulation and is what makes the final online
+    filter match the offline solution exactly. ``mode`` (only
+    ``"woodbury"``), ``update_stride`` (only 1) and ``ref_mic`` (unused) are
+    accepted because the benchmark adapter passes them.
 
     Single-writer; frames must arrive in order. Frequency bins are
     independent, all updates are vectorized over F.
@@ -147,14 +146,11 @@ class OnlineMcwf:
         # a subnormal loading passes 0 < loading but overflows the initial I/loading
         if not (0.0 < loading < np.inf and math.isfinite(1.0 / float(loading))):
             raise ValueError(f"loading must be finite and > 0, got {loading}")
-        if update_stride < 1:
-            raise ValueError(f"update_stride must be >= 1, got {update_stride}")
+        if update_stride != 1:
+            raise ValueError(f"update_stride must be 1, got {update_stride}")
         if not 0.0 < forgetting <= 1.0:
             raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
-        self.update_stride = update_stride
         self.forgetting = forgetting
-        self._shape = (channels, n_bins)
-        self._filter = np.zeros((n_bins, channels), dtype=np.complex128)
         self._state = np.zeros((channels + 1, channels, n_bins), dtype=np.complex128)
         self._state[np.arange(channels), np.arange(channels)] = 1.0 / loading
         self._tmp = np.empty_like(self._state)
@@ -171,15 +167,14 @@ class OnlineMcwf:
         """
         y = np.asarray(mixture, dtype=np.complex128)
         s = np.asarray(target_estimate, dtype=np.complex128)
-        if y.shape != self._shape or s.shape != (self._shape[1],):
+        shape = self._state.shape[1:]  # (P, F)
+        if y.shape != shape or s.shape != shape[1:]:
             raise ValueError(
-                f"frame shapes {mixture.shape}/{s.shape} do not match state {self._shape}"
+                f"frame shapes {mixture.shape}/{s.shape} do not match state {shape}"
             )
         self._rls_step(y, s)
-        if self._t % self.update_stride == 0:
-            self._filter = self._state[-1].conj().T  # conj() copies: the returned filter stays fixed
         self._t += 1
-        return self._filter
+        return self._state[-1].conj().T  # conj() copies: the returned filter stays fixed
 
     def _rls_step(self, y: np.ndarray, s: np.ndarray):
         """One RLS step on the stacked (P+1, P, F) state; a frame that

@@ -50,7 +50,6 @@ _KNOWN_KEYS = {
     "beamformer",
     "ref_mic",
     "loading",
-    "update_stride",
     "forgetting",
     "mixture",
     "reference",
@@ -212,8 +211,6 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
         stage2=stage2,
         ref_mic=ref_mic,
         loading=_float(pairs, "loading", default=PipelineConfig.loading),
-        # OnlineMcwf checks the stride only when a beamformer runs
-        update_stride=_int(pairs, "update_stride", default=PipelineConfig.update_stride, minimum=1),
         forgetting=_float(pairs, "forgetting", default=PipelineConfig.forgetting),
     )
     return EnhanceJob(

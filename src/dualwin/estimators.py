@@ -180,7 +180,7 @@ class TableEstimator(Estimator):
     the reference frames, a frame file, or the oracle magnitude-masked
     mixture. The table is an array, or an :class:`OracleRows` that frames
     its rows when they are read; ``pipeline.Session`` reads that one through
-    ``estimate_block`` only."""
+    ``estimate_block``, the per-frame ``estimate`` one row at a time."""
 
     def __init__(self, n_bins, frames_ahead, table):
         super().__init__(n_bins, frames_ahead)
@@ -245,7 +245,8 @@ class OracleRows:
     leaves the block of rows held frames the next ``_ORACLE_ROWS`` rows from
     its start, or all it reads if that is more, and keeps only them:
     hop-sized pushes share one ``rfft`` and mask per block, and a long
-    signal costs no more memory than a short one.
+    signal costs no more memory than a short one. An integer read ``rows[t]``
+    is row 0 of ``rows[t : t + 1]``, as the per-frame ``estimate`` reads it.
     """
 
     def __init__(self, frames: SignalFrames, mask: bool):
@@ -255,7 +256,9 @@ class OracleRows:
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, key: slice) -> np.ndarray:
+    def __getitem__(self, key: slice | int) -> np.ndarray:
+        if not isinstance(key, slice):
+            return self[key : key + 1][0]
         start, stop, _ = key.indices(self._n)
         if stop <= start:
             return self._rows[:0]

@@ -30,6 +30,7 @@ import time
 import warnings
 from contextlib import closing
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,8 +69,9 @@ class PipelineConfig:
     stage2: EstimatorKind | None = None
     ref_mic: int = 0
     loading: float = DEFAULT_LOADING
-    update_stride: int = 1
     forgetting: float = 1.0
+    # a constant, not a field: the benchmark adapter passes it on until ROADMAP item 2
+    update_stride: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.beamformer is not None and self.beamformer not in MODES:
@@ -181,7 +183,6 @@ class Session:
                 channels,
                 params.n_bins,
                 loading=config.loading,
-                update_stride=config.update_stride,
                 forgetting=config.forgetting,
             )
         k = params.frames_ahead
@@ -210,6 +211,7 @@ class Session:
         self._astream = AnalysisStream(g, params, channels if reads else 0)
         self._sstream = SynthesisStream(params)
         self._pushed = 0
+        self._flushed = False
 
     @property
     def frames(self) -> int:
@@ -219,7 +221,10 @@ class Session:
     def push(self, chunk: np.ndarray) -> np.ndarray:
         """Ingest samples, shape (channels, n), or (n,) for one channel, any
         n; returns the output samples released (possibly none). A chunk of
-        another shape raises ``ValueError`` and changes nothing."""
+        another shape, or any push after :meth:`flush`, whose zero padding
+        ended the stream, raises ``ValueError`` and changes nothing."""
+        if self._flushed:
+            raise ValueError("cannot push after flush: the stream has ended")
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.ndim == 1 and self.channels == 1:
             chunk = chunk[np.newaxis]
@@ -242,10 +247,13 @@ class Session:
 
     def flush(self) -> np.ndarray:
         """Push zero hops up to ``params.frames_to_release`` of the samples
-        pushed, releasing all of them; returns that output. Push no more."""
+        pushed, releasing all of them; returns that output. This ends the
+        stream: a later flush releases nothing and a later push raises."""
+        if self._flushed:
+            return np.zeros(0)
         n = max(self.params.frames_to_release(self._pushed) - self.frames, 0) * self.params.hop
         out = self.push(np.zeros((self.channels, n)))
-        self._pushed -= n  # padding, not input: a second flush releases nothing
+        self._flushed = True
         return out
 
     def close(self):

@@ -102,10 +102,11 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     return samples, rate
 
 
-def check_format(channels: int, sample_rate: int, bit_depth: int = 32):
-    """Raise :class:`WavError` unless a WAV header can hold this format:
-    a supported bit depth, a sample rate of at least 1 Hz, and a block
-    size and byte rate that fit their 16- and 32-bit header fields."""
+def check_format(channels: int, sample_rate: int, bit_depth: int = 32, n: int = 0):
+    """Raise :class:`WavError` unless a WAV header can hold this format and
+    ``n`` samples per channel: a supported bit depth, a sample rate of at
+    least 1 Hz, a block size and byte rate that fit their 16- and 32-bit
+    header fields, and data and RIFF chunk sizes that fit 32 bits."""
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
         raise WavError(
             f"unsupported bit depth {bit_depth}, expected one of {SUPPORTED_BIT_DEPTHS}"
@@ -118,19 +119,27 @@ def check_format(channels: int, sample_rate: int, bit_depth: int = 32):
             f"sample rate {sample_rate} Hz with {channels} channels of {bit_depth} bits "
             f"does not fit a WAV header"
         )
+    data = n * block_align
+    # "WAVE", the fmt chunk, the float format's fact chunk, the data chunk header and pad byte
+    riff = 4 + 24 + (12 if bit_depth == 32 else 0) + 8 + data + data % 2
+    if riff > 0xFFFFFFFF:
+        raise WavError(
+            f"{data} bytes of samples ({n} per channel) do not fit a WAV file's 32-bit chunk sizes"
+        )
 
 
 def check_writable(samples: np.ndarray, sample_rate: int, bit_depth: int = 32) -> np.ndarray:
     """Raise :class:`WavError` unless :func:`write_wav` can store these
-    samples: shape (channels, n) or (n,), a format :func:`check_format`
-    accepts, and every sample finite and, at 32 bits, within the float32
-    range. Returns the samples as a (channels, n) float64 array."""
+    samples: shape (channels, n) or (n,), a format and length that
+    :func:`check_format` accepts, and every sample finite and, at 32 bits,
+    within the float32 range. Returns the samples as a (channels, n)
+    float64 array."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples[np.newaxis, :]
     if samples.ndim != 2:
         raise WavError(f"samples must be 1-D or (channels, n), got shape {samples.shape}")
-    check_format(len(samples), sample_rate, bit_depth)
+    check_format(len(samples), sample_rate, bit_depth, samples.shape[1])
     peak = np.max(np.abs(samples), initial=0.0)  # nan if any sample is nan
     if not peak <= np.finfo(np.float32 if bit_depth == 32 else np.float64).max:
         raise WavError(f"cannot write a sample of magnitude {peak:g} at {bit_depth} bits")

@@ -133,6 +133,30 @@ class TestEnhanceCommand:
         assert main(["enhance", "--config", config]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: unknown config key(s): forgeting"]
 
+    def test_update_stride_is_not_a_config_key(self, tmp_path, scene_dir, capsys):
+        # the MCWF updates its filter every frame; the stride key is gone
+        config = _write_config(
+            tmp_path / "stride.conf",
+            [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {tmp_path / 'x.wav'}", "update_stride = 1"],
+        )
+        assert main(["enhance", "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown config key(s): update_stride"]
+        assert not (tmp_path / "x.wav").exists()
+
+    def test_output_past_32_bit_wav_chunk_sizes_exits_1(self, tmp_path, scene_dir, capsys, monkeypatch):
+        # 4 GiB of float32 output, broadcast from one value: the size check runs before any byte is built
+        monkeypatch.setattr(cli, "run_pipeline", lambda *args: (np.broadcast_to(0.0, (2**30,)), None))
+        out_wav = tmp_path / "x.wav"
+        config = _write_config(
+            tmp_path / "run.conf", [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {out_wav}"]
+        )
+        capsys.readouterr()
+        assert main(["enhance", "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 4294967296 bytes of samples (1073741824 per channel) do not fit a WAV file's 32-bit chunk sizes"
+        ]
+        assert not out_wav.exists()
+
     @pytest.mark.parametrize(
         "key,value", [("iws_ms", "inf"), ("iws_ms", "nan"), ("loading", "nan"), ("loading", "inf")]
     )

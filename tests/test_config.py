@@ -33,7 +33,7 @@ class TestBuildJob:
         assert job.pipeline.stage2 is None
         assert job.pipeline.beamformer is None
         assert job.bit_depth == 32
-        assert job.pipeline == PipelineConfig()  # loading, forgetting, update_stride, ref_mic too
+        assert job.pipeline == PipelineConfig()  # loading, forgetting, ref_mic too
 
     def test_ms_and_samples_units_agree(self):
         a = _job("iws_ms = 16\nows_ms = 4\nhop_ms = 2\n").pipeline.params

@@ -476,6 +476,30 @@ class TestEstimateBlock:
             if frames and t0 + k + frames <= len(table):  # rows in range: a view of the table
                 assert np.shares_memory(got, table), (t0, frames)
 
+    @pytest.mark.parametrize("kind", ["oracle_complex", "oracle_mag_mask"])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_signal_bound_oracle_per_frame_reads(self, kind, k):
+        # bound to signals, as a Session binds it, the per-frame estimate reads one row at a time
+        params = FrameParams()
+        g, _ = build_windows(TUKEY, params)
+        rng = np.random.default_rng(44)
+        n = 70 * params.hop + 5
+        reference, mixture_ref = rng.standard_normal(n), rng.standard_normal(n)
+
+        def bind():
+            return make_estimator(
+                EstimatorKind(kind), params, k, channels=1, stage=1,
+                window=g, reference=reference, mixture_ref=mixture_ref,
+            )
+
+        per_frame, block = bind(), bind()
+        rows = len(block.table)
+        mixture = np.zeros((rows + 3, 1, params.n_bins), complex)  # t = 0 .. len + 2
+        expected = block.estimate_block(mixture, None, None, 0)
+        got = self._stacked(per_frame, mixture, None, None, 0)
+        assert got.tobytes() == expected.tobytes()
+        assert expected[: rows - k].all(axis=1).any() and not expected[rows - k :].any()
+
     @pytest.mark.parametrize("stage, with_beamformer", [(1, False), (2, False), (2, True)])
     def test_external_sends_the_per_frame_bytes(self, monkeypatch, stage, with_beamformer):
         mixture, stage1, beamformed = self._inputs(42, 5)

@@ -235,6 +235,19 @@ class TestSession:
         assert len(session.flush()) == 0
         np.testing.assert_allclose(out[: len(x)], x, rtol=0, atol=1e-10)
 
+    def test_push_after_flush_raises(self):
+        # the flush's zero padding ended the stream; more input would land after it
+        x = np.random.default_rng(46).standard_normal(1600)
+        session = Session(PipelineConfig(), 1)
+        out = np.concatenate([session.push(x), session.flush()])
+        np.testing.assert_allclose(out[: len(x)], x, rtol=0, atol=1e-10)
+        frames = session.frames
+        for chunk in (x, np.zeros(0)):
+            with pytest.raises(ValueError, match="cannot push after flush"):
+                session.push(chunk)
+        assert session.frames == frames
+        assert len(session.flush()) == 0
+
     @pytest.mark.parametrize(
         "stage1, signals", [("passthrough", []), ("oracle_complex", [1]), ("oracle_mag_mask", [2])]
     )
@@ -594,3 +607,10 @@ class TestValidation:
     def test_unknown_beamformer_mode_rejected(self):
         with pytest.raises(ConfigError, match="beamformer"):
             PipelineConfig(beamformer="gev")
+
+    def test_update_stride_is_a_constant_not_a_field(self):
+        # the MCWF updates its filter every frame; the constant stays for the benchmark adapter
+        with pytest.raises(TypeError):
+            PipelineConfig(update_stride=2)
+        assert PipelineConfig().update_stride == 1
+        assert "update_stride" not in asdict(PipelineConfig())

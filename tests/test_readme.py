@@ -1,7 +1,13 @@
-"""The README's Python snippets run, in order, against the package sources."""
+"""The README's Python snippets run, in order, against the package sources,
+and the documented ``enhance`` configs parse."""
 
 import re
+import textwrap
 from pathlib import Path
+
+import pytest
+
+from dualwin import config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +18,24 @@ def test_readme_python_blocks_run_in_order():
     namespace = {}
     for block in blocks:  # later blocks use the names of earlier ones
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def _readme_config():
+    """The fenced block after the README's description of the ``enhance`` config."""
+    text = README.read_text()
+    return re.search(r"^`enhance` reads a flat .*?^```\n(.*?)^```", text, re.M | re.S).group(1)
+
+
+def _docstring_config():
+    """The indented example after ``Example::`` in the ``config`` module docstring."""
+    example = re.search(r"Example::\n\n(.*?)\n\n", config.__doc__, re.S).group(1)
+    return textwrap.dedent(example)
+
+
+@pytest.mark.parametrize("example", [_readme_config, _docstring_config], ids=["readme", "docstring"])
+def test_documented_enhance_config_parses(example):
+    # every key the docs show must still be a config key
+    job = config.build_job(config.parse_pairs(example()))
+    assert job.pipeline.stage1.kind == "oracle_mag_mask"
+    assert job.pipeline.beamformer == "woodbury"
+    assert job.pipeline.stage2.source == "beamformer"

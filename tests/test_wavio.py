@@ -4,7 +4,7 @@ import wave
 import numpy as np
 import pytest
 
-from dualwin.wavio import WavError, read_wav, write_wav
+from dualwin.wavio import WavError, check_format, read_wav, write_wav
 
 
 @pytest.fixture
@@ -122,6 +122,20 @@ class TestErrors:
         with pytest.raises(WavError, match="does not fit a WAV header|do not fit a WAV header"):
             write_wav(path, np.zeros(shape), rate)
         assert not path.exists()
+
+    def test_data_past_32_bit_chunk_sizes_rejected_before_writing(self, tmp_path):
+        # 6 GiB of float32 data; broadcast_to allocates none of it
+        path = tmp_path / "x.wav"
+        with pytest.raises(WavError, match="do not fit a WAV file's 32-bit chunk sizes"):
+            write_wav(path, np.broadcast_to(0.0, (6, 2**28)), 16000)
+        assert not path.exists()
+
+    def test_largest_riff_chunk_is_accepted(self):
+        # 16-bit mono: 36 header bytes after the RIFF size field, then 2 bytes per sample
+        n = (0xFFFFFFFF - 36) // 2
+        check_format(1, 16000, 16, n)
+        with pytest.raises(WavError, match="32-bit chunk sizes"):
+            check_format(1, 16000, 16, n + 1)
 
     @pytest.mark.parametrize(
         "value, bit_depth",
