@@ -94,7 +94,21 @@ class OnlineMcwf:
         P -= (P y)(P y)^H / den
 
     which gives the same filter as re-solving the loaded, discounted normal
-    equations every frame, loading decay under ``lam < 1`` included.
+    equations every frame.
+
+    ``P /= lam`` discounts the loading along with the data, so under
+    ``lam < 1`` a direction the input does not excite (silence, or one
+    coherent source) would lose all of its regularization until ``P``
+    overflows or loses definiteness. So after each such frame a second
+    rank-1 step, at forgetting 1 and with target 0, adds the
+    pseudo-observation ``u = sqrt((1 - lam) * loading * channels) e_k`` with
+    ``k = t mod channels``. So the loading lost over ``channels`` frames is
+    put back, one channel a frame, and the covariance is
+    ``Phi_t = lam Phi_{t-1} + y y^H + u u^H``, which holds the loading near
+    ``loading * I`` however long the input stays silent (dynamic
+    regularization: S. L. Gay, "Dynamically regularized fast RLS
+    with application to echo cancellation", ICASSP 1996). At ``lam = 1``
+    nothing is discounted and the step is skipped.
 
     The state is one stacked complex array ``A`` (``_state``), (P+1, P, F),
     frequency-last so that every numpy op streams over the contiguous bins:
@@ -151,6 +165,7 @@ class OnlineMcwf:
         if not 0.0 < forgetting <= 1.0:
             raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
         self.forgetting = forgetting
+        self._load = math.sqrt((1.0 - forgetting) * loading * channels)  # the size of u, 0 at lam = 1
         self._state = np.zeros((channels + 1, channels, n_bins), dtype=np.complex128)
         self._state[np.arange(channels), np.arange(channels)] = 1.0 / loading
         self._tmp = np.empty_like(self._state)
@@ -173,6 +188,12 @@ class OnlineMcwf:
                 f"frame shapes {mixture.shape}/{s.shape} do not match state {shape}"
             )
         self._rls_step(y, s)
+        if self._load:
+            self._load_step(self._t % len(y))
+        if (self._t + 1) % self._SYMMETRIZE_EVERY == 0:
+            inv = self._state[:-1]
+            inv += inv.conj().transpose(1, 0, 2)  # conj() copies, so no aliasing
+            inv *= 0.5
         self._t += 1
         return self._state[-1].conj().T  # conj() copies: the returned filter stays fixed
 
@@ -200,7 +221,14 @@ class OnlineMcwf:
             real /= self.forgetting
         r *= 1.0 / np.sqrt(den)  # [P y; -e] / sqrt(den)
         state -= np.multiply(r[:, None, :], py.conj(), out=tmp)
-        if (self._t + 1) % self._SYMMETRIZE_EVERY == 0:
-            inv = state[:p]
-            inv += inv.conj().transpose(1, 0, 2)  # conj() copies, so no aliasing
-            inv *= 0.5
+
+    def _load_step(self, k: int):
+        """The RLS step, at forgetting 1, on the pseudo-observation
+        ``u = _load * e_k`` with target 0. ``P u`` is ``_load`` times column
+        k of the inverse rows and ``w^H u`` is ``_load * conj(w_k)``, so
+        column k of the stacked state gives both without a multiply-reduce."""
+        state = self._state
+        r = state[:, k] * self._load  # [P u; w^H u] = [P u; -e], a copy
+        den = 1.0 + self._load * r[k].real  # 1 + u^H P u
+        r *= 1.0 / np.sqrt(den)
+        state -= np.multiply(r[:, None, :], r[:-1].conj(), out=self._tmp)

@@ -40,6 +40,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache  # built once per process: in-process callers run many jobs
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dualwin", description=__doc__.splitlines()[0])
@@ -58,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="write a synthetic scene: WAVs + manifest")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--channels", type=int, default=6)
     p.add_argument("--diameter", type=_finite_float, default=0.20, help="array diameter, m")
     p.add_argument("--duration", type=_finite_float, default=1.0, help="seconds")

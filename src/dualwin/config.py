@@ -23,7 +23,9 @@ explicit unit suffix: ``iws_ms = 16`` or ``iws_samples = 256`` (same for
 
 Estimator values: ``passthrough[:source[:channel]]`` (source one of
 mixture/stage1/beamformer), ``oracle_complex``, ``oracle_mag_mask``,
-``file:PATH``, ``external:COMMAND``; ``stage2`` may be ``none``.
+``file:PATH``, ``external:COMMAND``; ``stage2`` may be ``none``. At
+``frames_ahead`` > 0 the last stage must predict: an oracle, a frame file
+or an external estimator.
 """
 
 from __future__ import annotations
@@ -137,24 +139,23 @@ def _estimator(value: str, key: str, ref_mic: int) -> EstimatorKind | None:
     value = value.strip()
     if value.lower() in ("", "none", "off"):
         return None
-    if value.startswith("file:"):
-        return EstimatorKind("file", path=value[len("file:") :].strip())
-    if value.startswith("external:"):
-        return EstimatorKind("external", command=value[len("external:") :].strip())
     head, _, rest = value.partition(":")
-    if head == "passthrough":
-        source, _, channel = rest.partition(":")
-        source = source or "mixture"
-        try:
+    try:
+        if value.startswith("file:"):
+            return EstimatorKind("file", path=rest.strip())
+        if value.startswith("external:"):
+            return EstimatorKind("external", command=rest.strip())
+        if head == "passthrough":
+            source, _, channel = rest.partition(":")
             return EstimatorKind(
                 "passthrough",
-                source=source,
+                source=source or "mixture",
                 channel=int(channel) if channel else ref_mic,
             )
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-    if value in ("oracle_complex", "oracle_mag_mask"):
-        return EstimatorKind(value)
+        if value in ("oracle_complex", "oracle_mag_mask"):
+            return EstimatorKind(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"{key}: unknown estimator {value!r}")
 
 

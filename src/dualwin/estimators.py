@@ -3,13 +3,16 @@
 These stand in for the trained networks of a two-stage enhancement system:
 each estimator consumes the current mixture frame (plus, in stage 2, the
 stage-1 estimate and the beamformed frame) and produces an estimate of the
-target spectrum at the reference channel for frame ``t + frames_ahead``.
-``Estimator.estimate_block`` does this for a block of consecutive frames at
-once, the way ``pipeline.Session`` runs a push; frame ``t`` of the block
-still reads only frame ``t``'s inputs. The per-frame ``estimate``, fed an
-:class:`EstimatorInput`, is the entry point of the benchmark adapter, which
-composes the chain from ``framing.SpectrumFrame`` and these calls; both stay
-until that per-frame API is deleted (ROADMAP item 4 (c)).
+target spectrum at the reference channel for the target row its caller asks
+for. ``pipeline.Session`` owns the prediction horizon k: it asks the last
+estimator stage for row ``t + k`` at frame ``t`` and every other stage for
+row ``t``. ``Estimator.estimate_block`` does this for a block of
+consecutive frames at once, the way ``pipeline.Session`` runs a push; frame
+``t`` of the block still reads only frame ``t``'s inputs. The per-frame
+``estimate``, fed an :class:`EstimatorInput`, is the entry point of the
+benchmark adapter, which composes the chain from ``framing.SpectrumFrame``
+and these calls; both stay until that per-frame API is deleted (ROADMAP
+item 4 (c)).
 
 Oracle estimators are deliberately clairvoyant: they replay frames of the
 clean reference (and, for the magnitude mask, of the mixture reference
@@ -25,13 +28,16 @@ to a child process speaking a synchronous one-frame-in/one-frame-out stdio
 protocol, which is the extension point for real models.
 
 External protocol: after spawn, the parent writes one ASCII handshake line
-``"<n_bins> <channels> <stage>\\n"``. Per frame it then writes a 4-byte
-little-endian unsigned length followed by that many bytes of little-endian
-float32 values, interleaved (re, im) per bin: the mixture frame
-(channels * n_bins pairs, channel-major), and for stage 2 additionally the
-stage-1 estimate (n_bins pairs) and the beamformed frame (n_bins pairs,
-zeros when no beamformer runs). The child must reply with the same framing:
-a 4-byte length then n_bins (re, im) float32 pairs for the estimate.
+``"<n_bins> <channels> <stage> <horizon>\\n"``; ``horizon`` is the number
+of frames the stage must predict ahead, k for the chain's last stage and 0
+for any other; a child that predicts nothing may ignore it. Per frame it
+then writes a 4-byte little-endian unsigned length followed by that many
+bytes of little-endian float32 values, interleaved (re, im) per bin: the
+mixture frame (channels * n_bins pairs, channel-major), and for stage 2
+additionally the stage-1 estimate (n_bins pairs) and the beamformed frame
+(n_bins pairs, zeros when no beamformer runs). The child must reply with
+the same framing: a 4-byte length then n_bins (re, im) float32 pairs for
+the estimate.
 """
 
 from __future__ import annotations
@@ -121,11 +127,10 @@ class EstimatorKind:
 
 
 class Estimator:
-    """Session-bound estimator: maps (input, t) to the estimate at t + k."""
+    """Session-bound estimator: maps (input, target row t) to the estimate of row t."""
 
-    def __init__(self, n_bins: int, frames_ahead: int):
+    def __init__(self, n_bins: int):
         self.n_bins = n_bins
-        self.frames_ahead = frames_ahead
 
     def _zeros(self) -> np.ndarray:
         return np.zeros(self.n_bins, dtype=np.complex128)
@@ -140,10 +145,12 @@ class Estimator:
         beamformed: np.ndarray | None,
         t0: int,
     ) -> np.ndarray:
-        """Estimates of frames ``t0 .. t0 + T - 1``, shape (T, n_bins), from
-        the (T, channels, n_bins) mixture and, in stage 2, the (T, n_bins)
-        stage-1 and beamformed blocks; row i equals ``estimate`` of frame
-        ``t0 + i``. The result may be a view of the inputs or of a table."""
+        """Estimates of the target rows ``t0 .. t0 + T - 1``, shape (T,
+        n_bins), from the (T, channels, n_bins) mixture and, in stage 2, the
+        (T, n_bins) stage-1 and beamformed blocks; row i equals ``estimate``
+        of row ``t0 + i``. The caller picks the rows: ``pipeline.Session``
+        passes its first frame plus the stage's horizon. The result may be a
+        view of the inputs or of a table."""
         raise NotImplementedError
 
     def close(self):
@@ -151,50 +158,44 @@ class Estimator:
 
 
 class PassthroughEstimator(Estimator):
-    """Identity stage: forwards current-frame input, zeros when asked to
-    predict ahead (the future input is simply not available to it)."""
+    """Identity stage: forwards current-frame input, whatever the target row.
+    It cannot predict, so ``make_estimator`` refuses it a horizon."""
 
-    def __init__(self, n_bins, frames_ahead, channel=0, source="mixture"):
-        super().__init__(n_bins, frames_ahead)
+    def __init__(self, n_bins, channel=0, source="mixture"):
+        super().__init__(n_bins)
         self.channel = channel
         self.source = source
 
     def estimate(self, inp, t):
-        if self.frames_ahead != 0:
-            return self._zeros()
         if self.source == "mixture":
             return np.asarray(inp.mixture[self.channel])
         # PipelineConfig rejects a source the stage cannot see
         return np.asarray(inp.stage1 if self.source == "stage1" else inp.beamformed)
 
     def estimate_block(self, mixture, stage1, beamformed, t0):
-        if self.frames_ahead != 0:
-            return np.zeros((len(mixture), self.n_bins), dtype=np.complex128)
         if self.source == "mixture":
             return mixture[:, self.channel]
         return stage1 if self.source == "stage1" else beamformed
 
 
 class TableEstimator(Estimator):
-    """Replays row ``t + k`` of a (T, n_bins) table, or zeros outside it:
+    """Replays row ``t`` of a (T, n_bins) table, or zeros outside it:
     the reference frames, a frame file, or the oracle magnitude-masked
     mixture. The table is an array, or an :class:`OracleRows` that frames
     its rows when they are read; ``pipeline.Session`` reads that one through
     ``estimate_block``, the per-frame ``estimate`` one row at a time."""
 
-    def __init__(self, n_bins, frames_ahead, table):
-        super().__init__(n_bins, frames_ahead)
+    def __init__(self, n_bins, table):
+        super().__init__(n_bins)
         self.table = table
 
     def estimate(self, inp, t):
-        idx = t + self.frames_ahead
-        if 0 <= idx < len(self.table):
-            return self.table[idx]
+        if 0 <= t < len(self.table):
+            return self.table[t]
         return self._zeros()
 
     def estimate_block(self, mixture, stage1, beamformed, t0):
-        start = t0 + self.frames_ahead
-        rows = self.table[start : start + len(mixture)]  # short past the table's end
+        rows = self.table[t0 : t0 + len(mixture)]  # short past the table's end
         if len(rows) == len(mixture):
             return rows
         block = np.zeros((len(mixture), self.n_bins), dtype=np.complex128)
@@ -318,8 +319,8 @@ def load_frame_file(path, params: FrameParams, expected_frames: int | None = Non
 class ExternalEstimator(Estimator):
     """Child process speaking the stdio frame protocol (see module docs)."""
 
-    def __init__(self, n_bins, frames_ahead, command, channels, stage, timeout=10.0):
-        super().__init__(n_bins, frames_ahead)
+    def __init__(self, n_bins, command, channels, stage, horizon=0, timeout=10.0):
+        super().__init__(n_bins)
         self.stage = stage
         self.timeout = timeout
         self._failed = False  # a timeout or protocol error: close kills the child
@@ -329,7 +330,7 @@ class ExternalEstimator(Estimator):
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
         )
-        self._write_all(f"{n_bins} {channels} {stage}\n".encode("ascii"))
+        self._write_all(f"{n_bins} {channels} {stage} {horizon}\n".encode("ascii"))
 
     @staticmethod
     def _encode(values: np.ndarray) -> bytes:
@@ -427,15 +428,22 @@ def make_estimator(
     ``pipeline.Session`` binds it. Otherwise it replays the whole frame
     tables ``reference_frames`` and ``mixture_ref_frames``, as the benchmark
     adapter and the tests pass them.
+
+    ``frames_ahead`` is the stage's horizon, the frames it must predict
+    ahead. An external child is told it in the handshake; a passthrough
+    cannot predict and refuses a nonzero one with ``ValueError``; a table
+    ignores it, because its caller reads the rows ahead.
     """
     n_bins = params.n_bins
     if kind.kind == "passthrough":
+        if frames_ahead:
+            raise ValueError(f"a passthrough cannot predict ahead, got frames_ahead={frames_ahead}")
         if kind.channel >= channels:
             raise ValueError(
                 f"passthrough channel {kind.channel} out of range for "
                 f"{channels} channels"
             )
-        return PassthroughEstimator(n_bins, frames_ahead, kind.channel, kind.source)
+        return PassthroughEstimator(n_bins, kind.channel, kind.source)
     if kind.is_oracle:
         signals = reference is not None
         if not signals and reference_frames is None:
@@ -451,8 +459,8 @@ def make_estimator(
             table = _mask_table(reference_frames, mixture_ref_frames)
         else:
             table = np.asarray(reference_frames)
-        return TableEstimator(n_bins, frames_ahead, table)
+        return TableEstimator(n_bins, table)
     if kind.kind == "file":
         frames = load_frame_file(kind.path, params, expected_frames)
-        return TableEstimator(n_bins, frames_ahead, frames)
-    return ExternalEstimator(n_bins, frames_ahead, kind.command, channels, stage)
+        return TableEstimator(n_bins, frames)
+    return ExternalEstimator(n_bins, kind.command, channels, stage, frames_ahead)

@@ -20,8 +20,10 @@ algorithmic latency; the only look-ahead in the whole chain is the output
 window span minus the predicted hops, and :func:`audit_latency` measures
 that on a Session against :func:`dualwin.framing.algorithmic_latency`.
 
-Future-frame prediction applies to the last estimator stage only;
-intermediate stages always work on the current frame.
+Future-frame prediction applies to the last estimator stage only, and the
+:class:`Session` owns it: it reads that stage k rows ahead and every other
+stage at the current frame, and :class:`PipelineConfig` refuses a horizon
+the last stage cannot predict.
 """
 
 from __future__ import annotations
@@ -60,7 +62,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything needed to run one enhancement stream."""
+    """Everything needed to run one enhancement stream.
+
+    At ``params.frames_ahead`` k > 0 the last stage predicts k frames ahead,
+    so it must be a stage that can: an oracle, a frame file or an external
+    estimator. A passthrough or the beamformer as the last stage raises
+    ``ConfigError``.
+    """
 
     params: FrameParams = FrameParams()
     window: WindowKind = TUKEY
@@ -88,10 +96,12 @@ class PipelineConfig:
                     f"{name}: passthrough source {kind.source!r} does not exist there; "
                     f"{name} sees {', '.join(sources)}"
                 )
-        if self.params.frames_ahead > 0 and self.stage2 is None and self.beamformer is not None:
+        # the last stage, None for the beamformer, predicts frames_ahead frames
+        last = self.stage2 if self.stage2 is not None or self.beamformer is not None else self.stage1
+        if self.params.frames_ahead > 0 and (last is None or last.kind == "passthrough"):
             raise ConfigError(
-                "frames_ahead > 0 needs an estimator as the final stage; a "
-                "beamformer-terminated chain cannot predict ahead"
+                "frames_ahead > 0 needs a last stage that predicts (an oracle, a frame file or an "
+                f"external estimator), not {'the beamformer' if last is None else 'a passthrough'}"
             )
 
     @property
@@ -135,15 +145,20 @@ class Session:
     window design, estimator binding and MCWF state. An oracle stage keeps
     only its primed time-domain signals, the ``reference`` given here and,
     for ``oracle_mag_mask``, channel ``ref_mic`` of the ``mixture`` given
-    here; a push that reads rows ``t0 + k .. t0 + k + T - 1`` past the
-    block it holds frames and masks the next ``max(T, 32)`` of them with
-    one ``rfft`` (``estimators.OracleRows``). So no whole-signal
-    spectrogram is kept, and an oracle is causal in the streamed mixture
-    only. A chain without an
-    oracle only checks the ``reference`` length. A ``mixture`` must have
+    here; a push that reads rows past the block it holds frames and masks
+    the next ``max(T, 32)`` of them with one ``rfft``
+    (``estimators.OracleRows``). So no whole-signal spectrogram is kept,
+    and an oracle is causal in the streamed mixture only. A chain without
+    an oracle only checks the ``reference`` length. A ``mixture`` must have
     ``channels`` rows; it also sets the reference length and the number of
-    frames a frame file must hold. Single-writer; ``close`` ends external
-    estimator children, after an error too.
+    frames a frame file must hold.
+
+    The Session owns the prediction horizon k = ``params.frames_ahead``. A
+    push of frames ``t0 ..`` reads rows ``t0 + k ..`` of the last estimator
+    stage and rows ``t0 ..`` of any other, and binds the last stage with
+    horizon k, which an external child reads from its handshake.
+    Single-writer; ``close`` ends external estimator children, after an
+    error too.
     """
 
     def __init__(
@@ -186,7 +201,7 @@ class Session:
                 forgetting=config.forgetting,
             )
         k = params.frames_ahead
-        stage1_is_last = config.stage2 is None and config.beamformer is None
+        self._ahead1 = 0 if config.stage2 is not None else k  # at k > 0 stage 2 or stage 1 is last
         bound = dict(
             channels=channels,
             expected_frames=expected_frames,
@@ -195,7 +210,7 @@ class Session:
             mixture_ref=None if mixture is None else mixture[config.ref_mic],
         )
         self._est1 = make_estimator(
-            config.stage1, params, frames_ahead=k if stage1_is_last else 0, stage=1, **bound
+            config.stage1, params, frames_ahead=self._ahead1, stage=1, **bound
         )
         self._est2 = None
         try:
@@ -234,14 +249,14 @@ class Session:
             raise ValueError(f"expected {self.channels} channels, got {len(chunk)}")
         block = self._astream.push(chunk[: self._astream.channels])
         y, t0 = block.bins, block.first_frame
-        out = s1 = self._est1.estimate_block(y, None, None, t0)
+        out = s1 = self._est1.estimate_block(y, None, None, t0 + self._ahead1)
         bf_out = None
         if self._bf is not None:  # the only stage whose frame t reads frames before t
             out = bf_out = np.empty((len(y), self.params.n_bins), dtype=np.complex128)
             for i in range(len(y)):
                 bf_out[i] = apply_filter(self._bf.update(y[i], s1[i]), y[i])
         if self._est2 is not None:
-            out = self._est2.estimate_block(y, s1, bf_out, t0)
+            out = self._est2.estimate_block(y, s1, bf_out, t0 + self.params.frames_ahead)
         self._pushed += chunk.shape[1]
         return self._sstream.push(synthesize_block(out, self._l, self.params, t0))
 

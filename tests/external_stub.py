@@ -3,7 +3,8 @@
 Modes: identity (reply with mixture channel 0), short (reply with a wrong
 length), hang (read the frame, never reply), split (the identity reply in
 three writes, the first inside the length prefix), nan (a reply of the right
-length, all NaN).
+length, all NaN), horizon (reply to every bin with the horizon, the
+handshake's fourth field).
 """
 
 import struct
@@ -29,6 +30,8 @@ def main():
             reply = reply[: len(reply) // 2]
         elif mode == "nan":
             reply = struct.pack(f"<{n_bins * 2}f", *[float("nan")] * (n_bins * 2))
+        elif mode == "horizon":
+            reply = struct.pack(f"<{n_bins * 2}f", *[float(handshake[3]), 0.0] * n_bins)
         frame = struct.pack("<I", len(reply)) + reply
         cuts = (0, 2, 9, len(frame)) if mode == "split" else (0, len(frame))
         for start, end in zip(cuts, cuts[1:]):

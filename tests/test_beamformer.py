@@ -21,12 +21,15 @@ def _random_spectrogram(rng, t, p, f):
 def _solved_filters(Y, S, loading=DEFAULT_LOADING, forgetting=1.0):
     """Reference for the RLS recursion: accumulate the loaded, discounted
     normal equations of (T, P, F) mixture and (T, F) estimate, and solve
-    them after every frame. Yields the (F, P) filter per frame."""
+    them after every frame. Yields the (F, P) filter per frame. Frame t puts
+    back the loading that forgetting discounts, (1 - forgetting) * loading
+    * P on diagonal entry t mod P, as the recursion's pseudo-observation does."""
     _, p, f_bins = Y.shape
     phi = np.tile(loading * np.eye(p, dtype=complex), (f_bins, 1, 1))
     rhs = np.zeros((f_bins, p), complex)
-    for y, s in zip(Y, S):
+    for t, (y, s) in enumerate(zip(Y, S)):
         phi = forgetting * phi + np.einsum("pf,qf->fpq", y, y.conj())
+        phi[:, t % p, t % p] += (1.0 - forgetting) * loading * p
         rhs = forgetting * rhs + y.T * s.conj()[:, None]
         yield np.linalg.solve(phi, rhs[..., None])[..., 0]
 
@@ -178,6 +181,7 @@ class TestOnlineMcwf:
             for t in range(t_frames):
                 weight = lam ** (t_frames - 1 - t)
                 phi += weight * np.outer(Y[t, :, f], Y[t, :, f].conj())
+                phi[t % p, t % p] += weight * (1 - lam) * eps * p  # the loading put back at frame t
                 rhs += weight * Y[t, :, f] * np.conj(S[t, f])
             np.testing.assert_allclose(w[f], np.linalg.solve(phi, rhs), atol=1e-10)
 
@@ -211,6 +215,34 @@ class TestOnlineMcwf:
         direct = np.array([apply_filter(w, y) for w, y in zip(filters, Y)])
         assert len(direct) == 2000
         assert np.linalg.norm(woodbury - direct) < 1e-8 * np.linalg.norm(direct)
+
+    def test_loading_survives_a_long_silence_under_forgetting(self):
+        # 500 frames of a 6-mic scene, 12000 silent frames, 200 more frames: forgetting
+        # discounted the loading along with the data, so the silence broke the inverse
+        params = FrameParams()
+        g, _ = build_windows(TUKEY, params)
+        scene = make_scene(seed=7, duration_s=700 * params.hop / params.sample_rate)
+        Y, S = analyze(scene.mixture, g, params), analyze(scene.target_direct, g, params)
+        Y = np.concatenate([Y[:500], np.zeros((12000,) + Y.shape[1:]), Y[500:700]])
+        S = np.concatenate([S[:500], np.zeros((12000,) + S.shape[1:]), S[500:700]])
+        bf = OnlineMcwf(6, params.n_bins, forgetting=0.99)
+        woodbury = np.array([apply_filter(bf.update(y, s), y) for y, s in zip(Y, S)])
+        assert np.isfinite(woodbury).all() and np.isfinite(bf._state).all()
+        filters = _solved_filters(Y, S, forgetting=0.99)
+        direct = np.array([apply_filter(w, y) for w, y in zip(filters, Y)])
+        assert len(direct) == 12700
+        assert np.linalg.norm(woodbury - direct) < 1e-8 * np.linalg.norm(direct)
+
+    def test_noise_free_single_source_under_forgetting(self):
+        # one coherent source (a fixed steering vector per bin) excites one direction of
+        # six; the other five kept no loading and lost definiteness within 400 frames
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((6, 129)) + 1j * rng.standard_normal((6, 129))
+        bf = OnlineMcwf(6, 129, forgetting=0.95)
+        for _ in range(2000):
+            s = rng.standard_normal(129) + 1j * rng.standard_normal(129)
+            w = bf.update(a * s, a[0] * s)
+        assert np.isfinite(w).all() and np.isfinite(bf._state).all()
 
     @pytest.mark.parametrize("forgetting", [1.0, 0.95])
     def test_inverse_exactly_hermitian_after_each_resymmetrization(self, forgetting):

@@ -398,6 +398,9 @@ class TestErrorContract:
             (["enhance"], ["stage1 = passthrough:mixture:-1"], "stage1: estimator channel must be >= 0, got -1"),
             (["latency-check", "--frames-ahead", "-1"], None, "frames_ahead must be >= 0, got -1"),
             (["windows", "--n-dft", "257"], None, "n_dft must be even, got 257"),
+            (["simulate", "--seed", "-5"], None, "argument --seed: expected a non-negative integer, got '-5'"),
+            (["enhance"], ["stage1 = external:"], "stage1: external estimator requires a command"),
+            (["enhance"], ["stage1 = file:"], "stage1: file estimator requires a path"),
         ],
         ids=[
             "windows-hop-0",
@@ -413,6 +416,9 @@ class TestErrorContract:
             "enhance-negative-passthrough-channel",
             "latency-check-negative-horizon",
             "windows-odd-n-dft",
+            "simulate-negative-seed",
+            "enhance-external-without-a-command",
+            "enhance-file-without-a-path",
         ],
     )
     def test_invalid_input_exits_1_with_one_line(self, tmp_path, request, capsys, argv, config, cause):

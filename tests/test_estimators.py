@@ -32,14 +32,15 @@ class TestPassthrough:
     def test_forwards_selected_channel(self):
         rng = np.random.default_rng(0)
         mixture = _frame(rng, 3, 5)
-        est = PassthroughEstimator(5, 0, channel=2)
+        est = PassthroughEstimator(5, channel=2)
         np.testing.assert_array_equal(est.estimate(EstimatorInput(mixture), 0), mixture[2])
 
-    def test_prediction_is_zeros(self):
-        # a passthrough cannot see the future; asked for t+1 it yields silence
-        est = PassthroughEstimator(5, 1, channel=0)
-        out = est.estimate(EstimatorInput(np.ones((2, 5), complex)), 3)
-        np.testing.assert_array_equal(out, np.zeros(5))
+    def test_a_horizon_is_refused(self):
+        # a passthrough cannot see the future, so it cannot be the stage that predicts
+        kind = EstimatorKind("passthrough")
+        with pytest.raises(ValueError, match="a passthrough cannot predict ahead, got frames_ahead=1"):
+            make_estimator(kind, FrameParams(), 1, channels=2, stage=1)
+        assert isinstance(make_estimator(kind, FrameParams(), 0, channels=2, stage=1), PassthroughEstimator)
 
     def test_stage2_sources(self):
         rng = np.random.default_rng(1)
@@ -48,10 +49,10 @@ class TestPassthrough:
         bf = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         inp = EstimatorInput(mixture, s1, bf)
         np.testing.assert_array_equal(
-            PassthroughEstimator(4, 0, source="stage1").estimate(inp, 0), s1
+            PassthroughEstimator(4, source="stage1").estimate(inp, 0), s1
         )
         np.testing.assert_array_equal(
-            PassthroughEstimator(4, 0, source="beamformer").estimate(inp, 0), bf
+            PassthroughEstimator(4, source="beamformer").estimate(inp, 0), bf
         )
 
 
@@ -79,11 +80,12 @@ class TestOracles:
         np.testing.assert_array_equal(est.estimate(inp, 3), ref[3])
 
     def test_complex_oracle_is_clairvoyant(self):
+        # bound with a horizon, a table still replays the row it is asked for: the caller reads ahead
         ref = np.arange(12, dtype=complex).reshape(6, 2)
         est = _bind_oracle("oracle_complex", 1, ref)
         inp = EstimatorInput(np.zeros((1, 2), complex))
-        np.testing.assert_array_equal(est.estimate(inp, 3), ref[4])
-        np.testing.assert_array_equal(est.estimate(inp, 5), np.zeros(2))  # past the end
+        np.testing.assert_array_equal(est.estimate(inp, 3 + 1), ref[4])
+        np.testing.assert_array_equal(est.estimate(inp, 5 + 1), np.zeros(2))  # past the end
 
     def test_mask_keeps_mixture_phase_and_reference_magnitude(self):
         y = np.array([[2.0 * np.exp(1j * 0.3)]])
@@ -153,7 +155,7 @@ def test_table_returns_row_t_plus_k_then_zeros(tmp_path, kind, n_ref, n_mix):
     )
     inp = EstimatorInput(np.zeros((1, params.n_bins), complex))
     for t in range(len(expected) + 2):
-        out = est.estimate(inp, t)
+        out = est.estimate(inp, t + 2)  # the caller reads k = 2 rows ahead
         row = expected[t + 2] if t + 2 < len(expected) else np.zeros(params.n_bins)
         assert np.array_equal(out, row), t
 
@@ -289,7 +291,7 @@ class TestWireCodec:
         rng = np.random.default_rng(28)
         mixture = _frame(rng, 2, 9) * 10.0 ** rng.integers(-30, 30, (2, 9))
         mixture[0, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
-        est = ExternalEstimator(9, 0, f"{sys.executable} {STUB} identity", 2, 1, 5.0)
+        est = ExternalEstimator(9, f"{sys.executable} {STUB} identity", 2, 1, timeout=5.0)
         try:
             out = est.estimate(EstimatorInput(mixture), 0)
         finally:
@@ -301,7 +303,7 @@ class TestWireCodec:
 class TestExternal:
     def _make(self, mode, n_bins=9, channels=2, stage=1, timeout=5.0):
         command = f"{sys.executable} {STUB} {mode}"
-        return ExternalEstimator(n_bins, 0, command, channels, stage, timeout)
+        return ExternalEstimator(n_bins, command, channels, stage, timeout=timeout)
 
     def test_identity_child_round_trips_float32(self):
         est = self._make("identity")
@@ -438,18 +440,18 @@ class TestEstimateBlock:
         ]
         return np.reshape(rows, (len(mixture), est.n_bins))
 
-    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("t0", [0, 1, 3])
     @pytest.mark.parametrize(
         "channel, source", [(0, "mixture"), (2, "mixture"), (0, "stage1"), (0, "beamformer")]
     )
-    def test_passthrough(self, k, channel, source):
-        est = PassthroughEstimator(self.N_BINS, k, channel=channel, source=source)
+    def test_passthrough(self, t0, channel, source):
+        est = PassthroughEstimator(self.N_BINS, channel=channel, source=source)
         mixture, stage1, beamformed = self._inputs(40, 6)
-        got = est.estimate_block(mixture, stage1, beamformed, 4)
+        got = est.estimate_block(mixture, stage1, beamformed, t0)
         assert got.shape == (6, self.N_BINS)
-        assert np.array_equal(got, self._stacked(est, mixture, stage1, beamformed, 4))
-        if k == 0:  # forwarded, not copied
-            assert np.shares_memory(got, {"mixture": mixture, "stage1": stage1, "beamformer": beamformed}[source])
+        assert np.array_equal(got, self._stacked(est, mixture, stage1, beamformed, t0))
+        # forwarded, not copied, whatever the row
+        assert np.shares_memory(got, {"mixture": mixture, "stage1": stage1, "beamformer": beamformed}[source])
 
     @pytest.mark.parametrize("kind", ["oracle_complex", "oracle_mag_mask", "file"])
     @pytest.mark.parametrize("k", [0, 2, 3])
@@ -470,9 +472,9 @@ class TestEstimateBlock:
         table = est.table
         for t0, frames in [(0, 1), (0, 10 - k), (0, 12), (3, 4), (10 - k - 2, 5), (10 - k, 3), (20, 2), (5, 0)]:
             mixture = np.zeros((frames, 1, params.n_bins), complex)
-            got = est.estimate_block(mixture, None, None, t0)
+            got = est.estimate_block(mixture, None, None, t0 + k)  # the caller reads k rows ahead
             assert got.shape == (frames, params.n_bins), (t0, frames)
-            assert np.array_equal(got, self._stacked(est, mixture, None, None, t0)), (t0, frames)
+            assert np.array_equal(got, self._stacked(est, mixture, None, None, t0 + k)), (t0, frames)
             if frames and t0 + k + frames <= len(table):  # rows in range: a view of the table
                 assert np.shares_memory(got, table), (t0, frames)
 
@@ -495,8 +497,8 @@ class TestEstimateBlock:
         per_frame, block = bind(), bind()
         rows = len(block.table)
         mixture = np.zeros((rows + 3, 1, params.n_bins), complex)  # t = 0 .. len + 2
-        expected = block.estimate_block(mixture, None, None, 0)
-        got = self._stacked(per_frame, mixture, None, None, 0)
+        expected = block.estimate_block(mixture, None, None, k)  # rows k .. len + k + 2
+        got = self._stacked(per_frame, mixture, None, None, k)
         assert got.tobytes() == expected.tobytes()
         assert expected[: rows - k].all(axis=1).any() and not expected[rows - k :].any()
 
@@ -514,7 +516,7 @@ class TestEstimateBlock:
             monkeypatch.setattr(
                 ExternalEstimator, "_write_all", lambda self, data, path=path: sent[path].append(data) or write(self, data)
             )
-            est = ExternalEstimator(self.N_BINS, 0, f"{sys.executable} {STUB} identity", self.CHANNELS, stage)
+            est = ExternalEstimator(self.N_BINS, f"{sys.executable} {STUB} identity", self.CHANNELS, stage)
             try:
                 if path == "block":
                     results[path] = est.estimate_block(mixture, stage1, beamformed, 7)

@@ -146,6 +146,7 @@ class TestStageTopology:
 
 MASK = EstimatorKind("oracle_mag_mask")
 TO_BEAMFORMER = EstimatorKind("passthrough", source="beamformer")
+HORIZON = EstimatorKind("external", command=f"{sys.executable} {STUB} horizon")
 
 
 class TestCausality:
@@ -285,6 +286,30 @@ class TestSession:
         with pytest.raises(ConfigError, match="length"):
             Session(PipelineConfig(), 6, scene.target_direct[:-1], scene.mixture)
 
+    @pytest.mark.parametrize(
+        "stages, horizon",
+        [
+            ({"stage1": HORIZON}, 2),
+            ({"stage1": HORIZON, "beamformer": "woodbury", "stage2": EstimatorKind("oracle_complex")}, 0),
+            ({"stage1": MASK, "beamformer": "woodbury", "stage2": HORIZON}, 2),
+        ],
+        ids=["alone", "stage1-before-the-beamformer", "stage2"],
+    )
+    def test_external_child_is_told_its_stage_horizon(self, scene, monkeypatch, stages, horizon):
+        # the child replies to every bin with the horizon field of its handshake
+        replies = []
+        estimate_block = estimators.ExternalEstimator.estimate_block
+        monkeypatch.setattr(
+            estimators.ExternalEstimator,
+            "estimate_block",
+            lambda self, *args: replies.append(estimate_block(self, *args)) or replies[-1],
+        )
+        cfg = PipelineConfig(params=FrameParams(frames_ahead=2), **stages)
+        with closing(Session(cfg, 6, scene.target_direct, scene.mixture)) as session:
+            session.push(scene.mixture[:, : 10 * cfg.params.hop])
+        assert len(replies) == 1
+        assert np.array_equal(replies[0], np.full((10, cfg.params.n_bins), float(horizon)))
+
     def test_failed_construction_closes_the_stage1_child(self, tmp_path, monkeypatch):
         closed = []
         close = estimators.ExternalEstimator.close
@@ -306,7 +331,7 @@ def _per_frame_chain(cfg, mixture, reference):
     ``AnalysisStream.push``, the estimators, ``OnlineMcwf.update`` and
     ``apply_filter``, ``synthesize_frame`` and ``SynthesisStream.push``, then
     zero hops until every input sample is out. The last estimator stage
-    predicts ``frames_ahead`` frames, as in a ``Session``."""
+    reads row t + k at frame t, as in a ``Session``."""
     params = cfg.params
     k = params.frames_ahead
     channels, n = mixture.shape
@@ -318,8 +343,8 @@ def _per_frame_chain(cfg, mixture, reference):
         mixture_ref_frames=analyze(np.concatenate([mixture[cfg.ref_mic], tail]), g, params),
         expected_frames=n // params.hop,
     )
-    stage1_is_last = cfg.stage2 is None and cfg.beamformer is None
-    est1 = make_estimator(cfg.stage1, params, frames_ahead=k if stage1_is_last else 0, stage=1, **bound)
+    ahead1 = 0 if cfg.stage2 is not None else k  # PipelineConfig refuses the beamformer last at k > 0
+    est1 = make_estimator(cfg.stage1, params, frames_ahead=ahead1, stage=1, **bound)
     est2 = bf = None
     if cfg.stage2 is not None:
         est2 = make_estimator(cfg.stage2, params, frames_ahead=k, stage=2, **bound)
@@ -340,12 +365,12 @@ def _per_frame_chain(cfg, mixture, reference):
         parts = []
         for frame in astream.push(hop):
             t = frame.frame_index
-            final = s1 = est1.estimate(EstimatorInput(frame.bins), t)
+            final = s1 = est1.estimate(EstimatorInput(frame.bins), t + ahead1)
             bf_out = None
             if bf is not None:
                 final = bf_out = apply_filter(bf.update(frame.bins, s1), frame.bins)
             if est2 is not None:
-                final = est2.estimate(EstimatorInput(frame.bins, s1, bf_out), t)
+                final = est2.estimate(EstimatorInput(frame.bins, s1, bf_out), t + k)
             parts.append(sstream.push(synthesize_frame(SpectrumFrame(final, t), l, params)))
         return parts
 
@@ -416,7 +441,8 @@ class TestBlockPath:
 
     @pytest.fixture(scope="class")
     def per_frame(self, scene, tmp_path_factory):
-        """(config, mixture, reference, per-frame output) per (chain, k), made once."""
+        """(config, per-frame output) per (chain, k), made once; the
+        ``ConfigError`` and None for a chain ``PipelineConfig`` refuses."""
         cache = {}
         mixture, reference = scene.mixture[:, : self.N], scene.target_direct[: self.N]
 
@@ -429,21 +455,25 @@ class TestBlockPath:
                     g, _ = build_windows(TUKEY, params)
                     save_frame_file(path, 0.5 * analyze(reference, g, params), params)
                     stages["stage1"] = EstimatorKind("file", path=str(path))
-                cfg = PipelineConfig(params=params, **stages)
-                cache[chain, k] = cfg, _per_frame_chain(cfg, mixture, reference)
+                try:
+                    cfg = PipelineConfig(params=params, **stages)
+                except ConfigError as exc:
+                    cache[chain, k] = exc, None
+                else:
+                    cache[chain, k] = cfg, _per_frame_chain(cfg, mixture, reference)
             return cache[chain, k]
 
         return mixture, reference, get
 
     @pytest.mark.parametrize("hops", [1, 7, 32, 33])
-    @pytest.mark.parametrize(
-        "chain, k",
-        # a beamformer-terminated chain cannot predict ahead
-        [(chain, k) for chain in BLOCK_CHAINS for k in range(4) if k == 0 or chain != "mask-direct-out"],
-    )
+    @pytest.mark.parametrize("chain, k", [(chain, k) for chain in BLOCK_CHAINS for k in range(4)])
     def test_session_equals_the_per_frame_chain(self, per_frame, chain, k, hops):
         mixture, reference, get = per_frame
         cfg, expected = get(chain, k)
+        if isinstance(cfg, ConfigError):
+            # no Session to compare: the only refusal is of a last stage that cannot predict
+            assert k > 0 and str(cfg).startswith("frames_ahead > 0 needs a last stage that predicts")
+            return
         step = hops * cfg.params.hop
         with closing(Session(cfg, mixture.shape[0], reference, mixture)) as session:
             parts = [session.push(mixture[:, i : i + step]) for i in range(0, self.N, step)]
@@ -595,6 +625,34 @@ class TestValidation:
             PipelineConfig(
                 params=FrameParams(frames_ahead=1), beamformer="woodbury"
             )
+
+    @pytest.mark.parametrize(
+        "stages, refused",
+        [
+            ({}, "a passthrough"),
+            ({"stage1": MASK, "beamformer": "woodbury", "stage2": TO_BEAMFORMER}, "a passthrough"),
+            ({"stage1": MASK, "stage2": EstimatorKind("passthrough", source="stage1")}, "a passthrough"),
+            ({"stage1": MASK, "beamformer": "woodbury"}, "the beamformer"),
+        ],
+        ids=["passthrough-alone", "passthrough-after-the-mcwf", "passthrough-after-a-mask", "mcwf-last"],
+    )
+    def test_a_predicting_chain_needs_a_last_stage_that_predicts(self, stages, refused):
+        PipelineConfig(**stages)
+        with pytest.raises(ConfigError, match=f"^frames_ahead > 0 needs a last stage that predicts .* not {refused}$"):
+            PipelineConfig(params=FrameParams(frames_ahead=1), **stages)
+
+    @pytest.mark.parametrize(
+        "last",
+        [EstimatorKind("oracle_complex"), MASK, EstimatorKind("file", path="est.npz"), HORIZON],
+        ids=["oracle-complex", "oracle-mask", "file", "external"],
+    )
+    def test_a_predicting_chain_accepts_a_last_stage_that_predicts(self, last):
+        for stages in (
+            {"stage1": last},
+            {"stage1": EstimatorKind("passthrough"), "stage2": last},  # stage 1 works at frame t
+            {"stage1": MASK, "beamformer": "woodbury", "stage2": last},
+        ):
+            PipelineConfig(params=FrameParams(frames_ahead=1), **stages)  # does not raise
 
     def test_single_channel_beamformer_warns(self):
         cfg = PipelineConfig(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dualwin import config
+from dualwin.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +40,14 @@ def test_documented_enhance_config_parses(example):
     assert job.pipeline.stage1.kind == "oracle_mag_mask"
     assert job.pipeline.beamformer == "woodbury"
     assert job.pipeline.stage2.source == "beamformer"
+
+
+def test_readme_config_refuses_a_horizon_its_last_stage_cannot_predict(tmp_path, capsys):
+    # its chain ends in passthrough:beamformer, which cannot predict a frame ahead
+    text = _readme_config()
+    assert "frames_ahead = 0" in text
+    path = tmp_path / "run.conf"
+    path.write_text(text.replace("frames_ahead = 0", "frames_ahead = 1"), encoding="utf-8")
+    assert main(["enhance", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: frames_ahead > 0 needs a last stage that predicts")
