@@ -11,8 +11,8 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
-from dataclasses import asdict
 
 from .beamformer import BeamformerStateError
 from .config import load_job
@@ -128,8 +128,6 @@ def cmd_windows(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    import os
-
     scene = make_scene(
         seed=args.seed,
         channels=args.channels,
@@ -185,17 +183,24 @@ def cmd_enhance(args) -> int:
         reference = reference[0]
     enhanced, report = run_pipeline(job.pipeline, mixture, reference)
     write_wav(job.output_path, enhanced, fs, bit_depth=job.bit_depth)
-    payload = asdict(report)
-    payload["job"] = {
-        "mixture": job.mixture_path,
-        "reference": job.reference_path,
-        "output": job.output_path,
-        "seed": job.seed,
+    payload = {  # shallow: report.config is already the dict run_pipeline built
+        **vars(report),
+        "metrics": None if report.metrics is None else vars(report.metrics),
+        "job": {
+            "mixture": job.mixture_path,
+            "reference": job.reference_path,
+            "output": job.output_path,
+            "seed": job.seed,
+        },
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if job.report_path:
-        with open(job.report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(job.report_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except BaseException:  # a run whose report failed leaves no finished-looking WAV
+            os.remove(job.output_path)
+            raise
     else:
         sys.stdout.write(text)
     return 0
@@ -225,8 +230,8 @@ def main(argv=None) -> int:
     except (OSError, ExternalProtocolError, BeamformerStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # numpy's message names the size it could not allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's message names the size; Python's own has none
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -25,17 +25,6 @@ class WavError(ValueError):
     """Malformed, truncated, or unsupported WAV file."""
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    offset = fh.tell()
-    data = fh.read(n)
-    if len(data) != n:
-        raise WavError(
-            f"truncated file: expected {n} bytes of {what} at byte offset "
-            f"{offset}, got {len(data)}"
-        )
-    return data
-
-
 def read_wav(path) -> tuple[np.ndarray, int]:
     """Read a WAV file.
 
@@ -43,51 +32,52 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         (samples, sample_rate): float64 samples of shape (channels, n)
     """
     with open(path, "rb") as fh:
-        riff, _, wave = struct.unpack("<4sI4s", _read_exact(fh, 12, "RIFF header"))
-        if riff != b"RIFF" or wave != b"WAVE":
+        blob = fh.read()
+    if len(blob) < 12:
+        raise WavError(
+            f"truncated file: expected 12 bytes of RIFF header at byte offset 0, got {len(blob)}"
+        )
+    riff, _, wave = struct.unpack_from("<4sI4s", blob)
+    if riff != b"RIFF" or wave != b"WAVE":
+        raise WavError(f"not a RIFF/WAVE file (header {riff!r}/{wave!r} at byte offset 0)")
+    # every declared size is checked against the bytes that follow before it is used
+    view, chunks, offset = memoryview(blob), {}, 12
+    while offset < len(blob):
+        if len(blob) - offset < 8:
+            raise WavError(f"truncated chunk header at byte offset {offset}")
+        chunk_id, size = struct.unpack_from("<4sI", blob, offset)
+        offset += 8
+        if size > len(blob) - offset:
             raise WavError(
-                f"not a RIFF/WAVE file (header {riff!r}/{wave!r} at byte offset 0)"
+                f"truncated file: expected {size} bytes of {chunk_id.decode('latin1')} chunk "
+                f"at byte offset {offset}, got {len(blob) - offset}"
             )
-        fmt = None
-        data = None
-        while True:
-            header = fh.read(8)
-            if not header:
-                break
-            if len(header) != 8:
-                raise WavError(
-                    f"truncated chunk header at byte offset {fh.tell() - len(header)}"
-                )
-            chunk_id, size = struct.unpack("<4sI", header)
-            body = _read_exact(fh, size, f"{chunk_id.decode('latin1')} chunk")
-            if size % 2:
-                fh.read(1)  # RIFF pad byte
-            if chunk_id == b"fmt ":
-                fmt = body
-            elif chunk_id == b"data":
-                data = body
-        if fmt is None:
-            raise WavError("missing fmt chunk")
-        if data is None:
-            raise WavError("missing data chunk")
-        if len(fmt) < 16:
-            raise WavError(f"fmt chunk too short ({len(fmt)} bytes)")
-        tag, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", fmt[:16])
-        if tag == _FORMAT_EXTENSIBLE:
-            if len(fmt) < 26:
-                raise WavError("extensible fmt chunk too short for a sub-format")
-            (tag,) = struct.unpack("<H", fmt[24:26])
-        if channels < 1:
-            raise WavError("fmt chunk declares zero channels")
+        chunks[chunk_id] = view[offset : offset + size]
+        offset += size + size % 2  # RIFF pad byte
+    fmt = chunks.get(b"fmt ")
+    data = chunks.get(b"data")
+    if fmt is None:
+        raise WavError("missing fmt chunk")
+    if data is None:
+        raise WavError("missing data chunk")
+    if len(fmt) < 16:
+        raise WavError(f"fmt chunk too short ({len(fmt)} bytes)")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _FORMAT_EXTENSIBLE:
+        if len(fmt) < 26:
+            raise WavError("extensible fmt chunk too short for a sub-format")
+        (tag,) = struct.unpack_from("<H", fmt, 24)
+    if channels < 1:
+        raise WavError("fmt chunk declares zero channels")
 
     if tag == _FORMAT_FLOAT and bits == 32:
-        flat, scale = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4"), 1.0
+        flat, scale = np.frombuffer(data, dtype="<f4", count=len(data) // 4), None
         if not np.isfinite(flat).all():  # float32 holds an inf or NaN exactly when float64 does
             raise WavError(f"non-finite sample value in the float data of {path}")
     elif tag == _FORMAT_PCM and bits == 16:
-        flat, scale = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2"), 32768.0
+        flat, scale = np.frombuffer(data, dtype="<i2", count=len(data) // 2), 32768.0
     elif tag == _FORMAT_PCM and bits == 24:
-        raw = np.frombuffer(data[: len(data) - len(data) % 3], dtype=np.uint8)
+        raw = np.frombuffer(data, dtype=np.uint8, count=len(data) - len(data) % 3)
         triplets = raw.reshape(-1, 3).astype(np.int64)
         values = triplets[:, 0] | (triplets[:, 1] << 8) | (triplets[:, 2] << 16)
         flat, scale = (values ^ 0x800000) - 0x800000, float(2**23)  # sign-extend 24 bits
@@ -96,9 +86,13 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             f"unsupported codec: format tag {tag:#06x} with {bits} bits per sample"
         )
     n_frames = len(flat) // channels
+    interleaved = flat[: n_frames * channels].reshape(n_frames, channels).T
     # one pass from the interleaved file samples to the (channels, n) float64 result
     samples = np.empty((channels, n_frames))
-    np.divide(flat[: n_frames * channels].reshape(n_frames, channels).T, scale, out=samples)
+    if scale is None:
+        samples[:] = interleaved  # float32 widens to float64 exactly
+    else:
+        np.divide(interleaved, scale, out=samples)
     return samples, rate
 
 
@@ -158,41 +152,32 @@ def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
     interleaved = samples.T.reshape(-1)
 
     if bit_depth == 32:
-        payload = interleaved.astype("<f4").tobytes()
+        payload = interleaved.astype("<f4")
         tag = _FORMAT_FLOAT
     elif bit_depth == 16:
         scaled = np.clip(np.round(interleaved * 32768.0), -32768, 32767)
-        payload = scaled.astype("<i2").tobytes()
+        payload = scaled.astype("<i2")
         tag = _FORMAT_PCM
     else:
         scaled = np.clip(np.round(interleaved * float(2**23)), -(2**23), 2**23 - 1)
         values = scaled.astype(np.int64) & 0xFFFFFF
-        triplets = np.empty((len(values), 3), dtype=np.uint8)
-        triplets[:, 0] = values & 0xFF
-        triplets[:, 1] = (values >> 8) & 0xFF
-        triplets[:, 2] = (values >> 16) & 0xFF
-        payload = triplets.tobytes()
+        payload = np.empty((len(values), 3), dtype=np.uint8)
+        payload[:, 0] = values & 0xFF
+        payload[:, 1] = (values >> 8) & 0xFF
+        payload[:, 2] = (values >> 16) & 0xFF
         tag = _FORMAT_PCM
 
     block_align = channels * (bit_depth // 8)
-    fmt = struct.pack(
-        "<HHIIHH",
-        tag,
-        channels,
-        sample_rate,
-        sample_rate * block_align,
-        block_align,
-        bit_depth,
+    byte_rate = sample_rate * block_align
+    headers = struct.pack(
+        "<4sIHHIIHH", b"fmt ", 16, tag, channels, sample_rate, byte_rate, block_align, bit_depth
     )
-    chunks = [(b"fmt ", fmt)]
     if tag == _FORMAT_FLOAT:
-        chunks.append((b"fact", struct.pack("<I", n)))
-    chunks.append((b"data", payload))
-
-    body = b"WAVE"
-    for chunk_id, chunk in chunks:
-        body += struct.pack("<4sI", chunk_id, len(chunk)) + chunk
-        if len(chunk) % 2:
-            body += b"\x00"
+        headers += struct.pack("<4sII", b"fact", 4, n)
+    headers += struct.pack("<4sI", b"data", payload.nbytes)
+    pad = payload.nbytes % 2
+    riff_size = 4 + len(headers) + payload.nbytes + pad
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", b"RIFF", len(body)) + body)
+        fh.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE") + headers)
+        fh.write(payload)
+        fh.write(b"\x00" * pad)

@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import sys
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from dualwin import beamformer, cli, estimators
 from dualwin.cli import main
+from dualwin.pipeline import run_pipeline
 from dualwin.wavio import read_wav, write_wav
 
 
@@ -93,6 +95,38 @@ class TestEnhanceCommand:
         assert report["algorithmic_latency_ms"] == 4.0
         assert report["metrics"]["si_sdr_db"] > 0.0
         assert report["job"]["output"] == str(out_wav)
+
+    @pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])
+    def test_report_is_the_run_report_and_the_job(self, tmp_path, scene_dir, monkeypatch, with_reference):
+        reports = []
+
+        def recording(*args, **kwargs):
+            enhanced, report = run_pipeline(*args, **kwargs)
+            reports.append(report)
+            return enhanced, report
+
+        monkeypatch.setattr(cli, "run_pipeline", recording)
+        reference = str(scene_dir / "reference.wav") if with_reference else None
+        out_wav, report_path = tmp_path / "enhanced.wav", tmp_path / "report.json"
+        lines = [
+            f"mixture = {scene_dir / 'mixture.wav'}",
+            f"output = {out_wav}",
+            f"report = {report_path}",
+            "seed = 3",
+        ]
+        if reference:
+            lines.append(f"reference = {reference}")
+        assert main(["enhance", "--config", _write_config(tmp_path / "run.conf", lines)]) == 0
+        (report,) = reports
+        assert (report.metrics is None) != with_reference
+        payload = asdict(report)
+        payload["job"] = {
+            "mixture": str(scene_dir / "mixture.wav"),
+            "reference": reference,
+            "output": str(out_wav),
+            "seed": 3,
+        }
+        assert report_path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_runs_are_bit_identical(self, tmp_path, scene_dir):
         outs = []
@@ -276,6 +310,21 @@ class TestMalformedInputs:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: truncated")
 
+    def test_placeholder_data_size_exits_1(self, tmp_path, scene_dir, capsys):
+        # a streamed WAV's 0xFFFFFFFF data size is checked against the file, never allocated
+        blob = bytearray((scene_dir / "mixture.wav").read_bytes())
+        data = blob.index(b"data")
+        blob[data + 4 : data + 8] = struct.pack("<I", 0xFFFFFFFF)
+        path = tmp_path / "placeholder.wav"
+        path.write_bytes(bytes(blob))
+        code = self._enhance(tmp_path, path)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [
+            f"error: truncated file: expected 4294967295 bytes of data chunk at byte offset "
+            f"{data + 8}, got {len(blob) - data - 8}"
+        ]
+
     def test_non_finite_float_wav_exits_1(self, tmp_path, capsys):
         # rejected when read, before any numpy warning from the chain
         path = tmp_path / "inf.wav"
@@ -358,6 +407,16 @@ class TestRuntimeErrors:
         assert code == 2
         assert err == ["error: out of memory: Unable to allocate 7.28 TiB for an array"]
         assert not (tmp_path / "out.wav").exists()
+
+    def test_bare_out_of_memory_prints_no_empty_cause(self, tmp_path, scene_dir, capsys, monkeypatch):
+        # Python's own allocations raise MemoryError() with no text
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_pipeline", exhausted)
+        code = self._enhance(tmp_path, scene_dir, [])
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
 
 class TestLatencyCheckCommand:
@@ -442,6 +501,15 @@ class TestErrorContract:
         assert len(err) == 1 and err[0].startswith("error: cannot write a sample of magnitude ")
         assert err[0].endswith(" at 32 bits")
         assert not out_dir.exists()
+
+    def test_failed_report_write_leaves_no_wav(self, tmp_path, scene_dir, capsys):
+        out_wav, report_path = tmp_path / "out.wav", tmp_path / "missing" / "r.json"
+        lines = [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {out_wav}", f"report = {report_path}"]
+        capsys.readouterr()
+        assert main(["enhance", "--config", _write_config(tmp_path / "run.conf", lines)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [Errno 2] No such file or directory: ")
+        assert not out_wav.exists()
 
 
 class TestArgumentHandling:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -161,3 +162,71 @@ class TestErrors:
         write_wav(path, np.array([2.0, -2.0]), 16000, bit_depth=16)
         back, _ = read_wav(path)
         np.testing.assert_allclose(back[0], [32767 / 32768.0, -1.0], atol=1e-12)
+
+
+def _over_declared_wav(path, before_fmt=b""):
+    """A one-channel float WAV with 16 real data bytes, whose data chunk
+    declares 2**26 + 16 of them; ``before_fmt`` is placed ahead of fmt."""
+    fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, 3, 1, 16000, 64000, 4, 32)
+    body = b"WAVE" + before_fmt + fmt + struct.pack("<4sI", b"data", 2**26 + 16) + bytes(16)
+    path.write_bytes(struct.pack("<4sI", b"RIFF", len(body)) + body)
+
+
+class TestDeclaredSizes:
+    """A chunk's declared size is checked against the file before anything
+    of that size is allocated."""
+
+    @staticmethod
+    def _read_peak(path):
+        tracemalloc.start()
+        try:
+            with pytest.raises(WavError) as info:
+                read_wav(path)
+            return str(info.value), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_over_declared_data_chunk_allocates_nothing(self, tmp_path):
+        path = tmp_path / "over.wav"
+        _over_declared_wav(path)
+        message, peak = self._read_peak(path)
+        assert message == "truncated file: expected 67108880 bytes of data chunk at byte offset 44, got 16"
+        assert peak < 2**20
+
+    def test_over_declared_unknown_chunk_before_fmt_allocates_nothing(self, tmp_path):
+        path = tmp_path / "over-list.wav"
+        _over_declared_wav(path, before_fmt=struct.pack("<4sI", b"LIST", 2**26) + b"INFO")
+        message, peak = self._read_peak(path)
+        assert message == "truncated file: expected 67108864 bytes of LIST chunk at byte offset 20, got 52"
+        assert peak < 2**20
+
+
+def _expected_wav(channels, n, rate, bits, payload):
+    """The file ``write_wav`` should write, built field by field."""
+    tag = 3 if bits == 32 else 1
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+    chunks = b"fmt " + struct.pack("<I", 16) + fmt
+    if bits == 32:
+        chunks += b"fact" + struct.pack("<II", 4, n)
+    pad = b"\x00" if len(payload) % 2 else b""
+    chunks += b"data" + struct.pack("<I", len(payload)) + payload + pad
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+class TestWrittenBytes:
+    @pytest.mark.parametrize("bits", [16, 24, 32])
+    @pytest.mark.parametrize("shape", [(1, 301), (2, 300), (2, 0)], ids=["mono-odd", "stereo", "empty"])
+    def test_bytes_match_a_header_built_independently(self, tmp_path, bits, shape):
+        # 24-bit mono of odd length is the one case with a pad byte
+        x = np.random.default_rng(1).uniform(-0.9, 0.9, shape)
+        path = tmp_path / "x.wav"
+        write_wav(path, x, 22050, bit_depth=bits)
+        frames = x.T
+        if bits == 32:
+            payload = frames.astype("<f4").tobytes()
+        elif bits == 16:
+            payload = np.round(frames * 2**15).astype("<i2").tobytes()
+        else:
+            payload = b"".join(int(v).to_bytes(3, "little", signed=True) for v in np.round(frames * 2**23).ravel())
+        assert path.read_bytes() == _expected_wav(shape[0], shape[1], 22050, bits, payload)
