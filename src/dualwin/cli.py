@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("latency-check", help="impulse/causality audit per horizon")
-    p.add_argument("--frames-ahead", type=int, nargs="*", default=[0, 1, 2, 3])
+    p.add_argument("--frames-ahead", type=int, nargs="+", default=[0, 1, 2, 3])
     p.set_defaults(func=cmd_latency_check)
     return parser
 
@@ -180,7 +180,6 @@ def cmd_enhance(args) -> int:
         reference, ref_fs = read_wav(job.reference_path)
         if ref_fs != fs:
             raise ConfigError(f"reference sample rate {ref_fs} does not match {fs}")
-        reference = reference[0]
     enhanced, report = run_pipeline(job.pipeline, mixture, reference)
     write_wav(job.output_path, enhanced, fs, bit_depth=job.bit_depth)
     payload = {  # shallow: report.config is already the dict run_pipeline built

@@ -9,10 +9,11 @@ estimator stage for row ``t + k`` at frame ``t`` and every other stage for
 row ``t``. ``Estimator.estimate_block`` does this for a block of
 consecutive frames at once, the way ``pipeline.Session`` runs a push; frame
 ``t`` of the block still reads only frame ``t``'s inputs. The per-frame
-``estimate``, fed an :class:`EstimatorInput`, is the entry point of the
-benchmark adapter, which composes the chain from ``framing.SpectrumFrame``
-and these calls; both stay until that per-frame API is deleted (ROADMAP
-item 4 (c)).
+``estimate``, fed an :class:`EstimatorInput`, is the base class's view of a
+one-frame block; only :class:`ExternalEstimator`, whose wire message is one
+frame, defines its own. It is the entry point of the benchmark adapter,
+which composes the chain from ``framing.SpectrumFrame`` and these calls,
+and stays until that per-frame API is deleted (ROADMAP item 4 (c)).
 
 Oracle estimators are deliberately clairvoyant: they replay frames of the
 clean reference (and, for the magnitude mask, of the mixture reference
@@ -132,11 +133,16 @@ class Estimator:
     def __init__(self, n_bins: int):
         self.n_bins = n_bins
 
-    def _zeros(self) -> np.ndarray:
-        return np.zeros(self.n_bins, dtype=np.complex128)
-
     def estimate(self, inp: EstimatorInput, t: int) -> np.ndarray:
-        raise NotImplementedError
+        """The estimate of target row ``t``: row 0 of :meth:`estimate_block`
+        over the one-frame block of ``inp``."""
+        stage1, beamformed = inp.stage1, inp.beamformed
+        return self.estimate_block(
+            inp.mixture[np.newaxis],
+            None if stage1 is None else stage1[np.newaxis],
+            None if beamformed is None else beamformed[np.newaxis],
+            t,
+        )[0]
 
     def estimate_block(
         self,
@@ -145,12 +151,12 @@ class Estimator:
         beamformed: np.ndarray | None,
         t0: int,
     ) -> np.ndarray:
-        """Estimates of the target rows ``t0 .. t0 + T - 1``, shape (T,
-        n_bins), from the (T, channels, n_bins) mixture and, in stage 2, the
-        (T, n_bins) stage-1 and beamformed blocks; row i equals ``estimate``
-        of row ``t0 + i``. The caller picks the rows: ``pipeline.Session``
-        passes its first frame plus the stage's horizon. The result may be a
-        view of the inputs or of a table."""
+        """Estimates of the target rows ``t0 .. t0 + T - 1``, ``t0 >= 0``,
+        shape (T, n_bins), from the (T, channels, n_bins) mixture and, in
+        stage 2, the (T, n_bins) stage-1 and beamformed blocks; row i reads
+        only frame i of the inputs. The caller picks the rows:
+        ``pipeline.Session`` passes its first frame plus the stage's
+        horizon. The result may be a view of the inputs or of a table."""
         raise NotImplementedError
 
     def close(self):
@@ -166,15 +172,10 @@ class PassthroughEstimator(Estimator):
         self.channel = channel
         self.source = source
 
-    def estimate(self, inp, t):
-        if self.source == "mixture":
-            return np.asarray(inp.mixture[self.channel])
-        # PipelineConfig rejects a source the stage cannot see
-        return np.asarray(inp.stage1 if self.source == "stage1" else inp.beamformed)
-
     def estimate_block(self, mixture, stage1, beamformed, t0):
         if self.source == "mixture":
             return mixture[:, self.channel]
+        # PipelineConfig rejects a source the stage cannot see
         return stage1 if self.source == "stage1" else beamformed
 
 
@@ -182,17 +183,12 @@ class TableEstimator(Estimator):
     """Replays row ``t`` of a (T, n_bins) table, or zeros outside it:
     the reference frames, a frame file, or the oracle magnitude-masked
     mixture. The table is an array, or an :class:`OracleRows` that frames
-    its rows when they are read; ``pipeline.Session`` reads that one through
-    ``estimate_block``, the per-frame ``estimate`` one row at a time."""
+    its rows when they are read; either is read by slices, one row long for
+    the per-frame ``estimate``."""
 
     def __init__(self, n_bins, table):
         super().__init__(n_bins)
         self.table = table
-
-    def estimate(self, inp, t):
-        if 0 <= t < len(self.table):
-            return self.table[t]
-        return self._zeros()
 
     def estimate_block(self, mixture, stage1, beamformed, t0):
         rows = self.table[t0 : t0 + len(mixture)]  # short past the table's end
@@ -241,13 +237,12 @@ class OracleRows:
     reference (``oracle_complex``). With ``mask`` they are
     :func:`_mask_block` of its two signals, the reference and the mixture's
     reference channel, which one ``rfft`` frames together
-    (``oracle_mag_mask``). A contiguous slice ``rows[a:b]`` holds the rows
-    of the whole table, byte for byte, however the reads fall. A read that
-    leaves the block of rows held frames the next ``_ORACLE_ROWS`` rows from
-    its start, or all it reads if that is more, and keeps only them:
-    hop-sized pushes share one ``rfft`` and mask per block, and a long
-    signal costs no more memory than a short one. An integer read ``rows[t]``
-    is row 0 of ``rows[t : t + 1]``, as the per-frame ``estimate`` reads it.
+    (``oracle_mag_mask``). It is read by contiguous slices only: ``rows[a:b]``
+    holds the rows of the whole table, byte for byte, however the reads
+    fall. A read that leaves the block of rows held frames the next
+    ``_ORACLE_ROWS`` rows from its start, or all it reads if that is more,
+    and keeps only them: hop-sized pushes share one ``rfft`` and mask per
+    block, and a long signal costs no more memory than a short one.
     """
 
     def __init__(self, frames: SignalFrames, mask: bool):
@@ -257,9 +252,7 @@ class OracleRows:
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, key: slice | int) -> np.ndarray:
-        if not isinstance(key, slice):
-            return self[key : key + 1][0]
+    def __getitem__(self, key: slice) -> np.ndarray:
         start, stop, _ = key.indices(self._n)
         if stop <= start:
             return self._rows[:0]
@@ -369,7 +362,9 @@ class ExternalEstimator(Estimator):
     def estimate(self, inp, t):
         payload = self._encode(inp.mixture)
         if self.stage == 2:
-            beamformed = inp.beamformed if inp.beamformed is not None else self._zeros()
+            beamformed = inp.beamformed
+            if beamformed is None:
+                beamformed = np.zeros(self.n_bins, dtype=np.complex128)
             payload += self._encode(inp.stage1) + self._encode(beamformed)
         try:
             self._write_all(struct.pack("<I", len(payload)) + payload)

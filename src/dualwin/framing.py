@@ -118,9 +118,8 @@ class FrameBlock:
 
     ``pipeline.Session`` runs its stages over ``bins`` whole. Per-frame
     callers, such as the benchmark adapter until the per-frame API is
-    deleted (ROADMAP item 4 (c)), read it as a sequence of T
-    :class:`SpectrumFrame`: ``len``, integer indexing and iteration build
-    them on demand.
+    deleted (ROADMAP item 4 (c)), take ``len`` of it and iterate it, which
+    builds its T :class:`SpectrumFrame` on demand.
     """
 
     __slots__ = ("bins", "first_frame")
@@ -131,10 +130,6 @@ class FrameBlock:
 
     def __len__(self) -> int:
         return len(self.bins)
-
-    def __getitem__(self, i: int) -> SpectrumFrame:
-        t0 = self.first_frame
-        return SpectrumFrame(self.bins[i], range(t0, t0 + len(self.bins))[i])
 
     def __iter__(self):
         # indexing beats iterating the array, and a generator beats building a list

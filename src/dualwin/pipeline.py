@@ -9,11 +9,11 @@ one frame per hop, run by a :class:`Session`; :func:`run_pipeline` pushes
 ``external`` stage or a ``passthrough`` of the mixture; other chains only
 frame the hops. Oracle rows are framed when a push reads them, from the
 signals given at construction. The per-frame entry points,
-``framing.SpectrumFrame``, ``Estimator.estimate`` and
-``framing.synthesize_frame``, compose the same chain one frame at a time;
-they stay as the benchmark adapter's entry until that per-frame API is
-deleted (ROADMAP item 4 (c)), and tests hold the two compositions equal bit
-for bit.
+``framing.SpectrumFrame``, ``Estimator.estimate`` (a one-frame
+``estimate_block``) and ``framing.synthesize_frame``, compose the same chain
+one frame at a time; they stay as the benchmark adapter's entry until that
+per-frame API is deleted (ROADMAP item 4 (c)), and tests hold the two
+compositions equal bit for bit.
 
 The chain works in the complex STFT domain, so the beamformer adds no
 algorithmic latency; the only look-ahead in the whole chain is the output
@@ -149,7 +149,8 @@ class Session:
     the next ``max(T, 32)`` of them with one ``rfft``
     (``estimators.OracleRows``). So no whole-signal spectrogram is kept,
     and an oracle is causal in the streamed mixture only. A chain without
-    an oracle only checks the ``reference`` length. A ``mixture`` must have
+    an oracle only checks the ``reference``: one channel, (n,) or (1, n),
+    of the ``mixture``'s length. A ``mixture`` must have
     ``channels`` rows; it also sets the reference length and the number of
     frames a frame file must hold.
 
@@ -186,7 +187,10 @@ class Session:
                 raise ConfigError(f"mixture has {mixture.shape[0]} channels, expected {channels}")
             expected_frames = mixture.shape[1] // params.hop
         if reference is not None:
-            reference = np.asarray(reference, dtype=np.float64).reshape(-1)
+            reference = np.asarray(reference, dtype=np.float64)
+            if reference.ndim != 1 and reference.shape[:-1] != (1,):
+                raise ConfigError(f"reference must be one channel, got shape {reference.shape}")
+            reference = reference.reshape(-1)
             if mixture is not None and len(reference) != mixture.shape[1]:
                 raise ConfigError(
                     f"reference length {len(reference)} does not match mixture {mixture.shape[1]}"
@@ -287,8 +291,9 @@ def run_pipeline(
     Arguments:
         config: pipeline configuration
         mixture: (channels, n) or (n,) time-domain mixture
-        reference: (n,) clean direct-path reference; required when any
-            oracle estimator is configured, and enables metric computation
+        reference: (n,) or (1, n) clean direct-path reference; required
+            when any oracle estimator is configured, and enables metric
+            computation; any other shape raises ``ConfigError``
     Return:
         (enhanced, report): (n,) enhanced signal (same length as the
         input) and the run report, whose frame times are those of the

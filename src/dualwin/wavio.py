@@ -98,13 +98,16 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
 def check_format(channels: int, sample_rate: int, bit_depth: int = 32, n: int = 0):
     """Raise :class:`WavError` unless a WAV header can hold this format and
-    ``n`` samples per channel: a supported bit depth, a sample rate of at
-    least 1 Hz, a block size and byte rate that fit their 16- and 32-bit
-    header fields, and data and RIFF chunk sizes that fit 32 bits."""
+    ``n`` samples per channel: a supported bit depth, at least one channel,
+    a sample rate of at least 1 Hz, a block size and byte rate that fit
+    their 16- and 32-bit header fields, and data and RIFF chunk sizes that
+    fit 32 bits."""
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
         raise WavError(
             f"unsupported bit depth {bit_depth}, expected one of {SUPPORTED_BIT_DEPTHS}"
         )
+    if channels < 1:
+        raise WavError(f"a WAV file needs at least 1 channel, got {channels}")
     block_align = channels * (bit_depth // 8)
     if block_align > 0xFFFF:
         raise WavError(f"{channels} channels of {bit_depth} bits do not fit a WAV header")

@@ -51,3 +51,31 @@ def test_tracer_installs_on_every_target_and_restores_them():
     with tracer.installed(targets, adapter.dualwin_modules()):
         assert len(tracer.names) == len(targets)
     assert [getattr(t.owner, t.attr) for t in targets] == originals
+
+
+@pytest.mark.parametrize("workload", sorted(adapter.LIVE_STREAMS))
+def test_traced_live_stream_has_one_estimator_span_per_frame_and_stage(tmp_path, workload):
+    # estimators.stage1_us and external_roundtrip_us read these spans; a
+    # refactor that leaves the traced names uncalled would make them read 0
+    manifest = adapter.make_live_inputs(workload, 0, 0.05, tmp_path)
+    stream = manifest["streams"][0]
+    mixture, reference = np.load(stream["mixture"]), np.load(stream["reference"])
+    live = adapter.LiveStream(adapter.live_config(workload, tmp_path / "live.json"), mixture, reference)
+    hops = 6
+    tracer = Tracer()
+    try:
+        with tracer.installed(adapter.trace_targets(), adapter.dualwin_modules()):
+            for i in range(hops):
+                live.push(mixture[:, i * adapter.HOP : (i + 1) * adapter.HOP])
+    finally:
+        live.close()
+    spans = tracer.arrays()
+    names = np.array(tracer.names)[spans["name"]]
+    frames = spans["count"][names == "framing.analysis_push"].sum()
+    assert frames == hops
+    estimator = np.char.startswith(names, "estimators.")
+    stage1, stage2 = names[estimator & (spans["tag"] == 1)], names[estimator & (spans["tag"] == 2)]
+    assert len(stage1) == frames
+    assert len(stage2) == (frames if workload == "live_mcwf6" else 0)
+    if workload == "live_external6":
+        assert set(stage1) == {"estimators.ExternalEstimator.estimate"}

@@ -460,6 +460,7 @@ class TestErrorContract:
             (["simulate", "--seed", "-5"], None, "argument --seed: expected a non-negative integer, got '-5'"),
             (["enhance"], ["stage1 = external:"], "stage1: external estimator requires a command"),
             (["enhance"], ["stage1 = file:"], "stage1: file estimator requires a path"),
+            (["latency-check", "--frames-ahead"], None, "argument --frames-ahead: expected at least one argument"),
         ],
         ids=[
             "windows-hop-0",
@@ -478,6 +479,7 @@ class TestErrorContract:
             "simulate-negative-seed",
             "enhance-external-without-a-command",
             "enhance-file-without-a-path",
+            "latency-check-no-horizons",
         ],
     )
     def test_invalid_input_exits_1_with_one_line(self, tmp_path, request, capsys, argv, config, cause):
@@ -492,6 +494,21 @@ class TestErrorContract:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {cause}"]
         assert not out_dir.exists()
+
+    def test_multichannel_reference_exits_1(self, tmp_path, scene_dir, capsys):
+        # a 6-channel reference must not be read as its channel 0
+        out_wav = tmp_path / "out.wav"
+        lines = [
+            f"mixture = {scene_dir / 'mixture.wav'}",
+            f"reference = {scene_dir / 'mixture.wav'}",
+            f"output = {out_wav}",
+            "stage1 = oracle_complex",
+        ]
+        capsys.readouterr()
+        assert main(["enhance", "--config", _write_config(tmp_path / "run.conf", lines)]) == 1
+        cause = "reference must be one channel, got shape (6, 8000)"
+        assert capsys.readouterr().err.splitlines() == [f"error: {cause}"]
+        assert not out_wav.exists()
 
     def test_noise_scale_past_float32_exits_1_without_a_mixture(self, tmp_path, capsys):
         # -800 dB asks for a finite noise scale of about 1e40, which float32 cannot hold

@@ -78,7 +78,7 @@ class TestAnalysisStream:
         assert len(frames) == 1
         padded = np.concatenate([np.zeros(224), x])
         np.testing.assert_array_equal(
-            frames[0].bins[0], np.fft.rfft(g * padded, 256)
+            frames.bins[0][0], np.fft.rfft(g * padded, 256)
         )
 
     def test_empty_push_yields_nothing(self):
@@ -98,7 +98,7 @@ class TestAnalysisStream:
         frames_split = a.push(x[16:])
         frames_once = AnalysisStream(g, params).push(x)
         assert len(frames_split) == len(frames_once) == 1
-        np.testing.assert_array_equal(frames_split[0].bins, frames_once[0].bins)
+        np.testing.assert_array_equal(frames_split.bins[0], frames_once.bins[0])
 
     def test_hermitian_bins_for_real_input(self):
         params = FrameParams()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import time
 from contextlib import closing
@@ -228,6 +229,16 @@ class TestSession:
         assert len(out) >= len(expected)
         np.testing.assert_array_equal(out[: len(expected)], expected)
         assert session.frames == report.frames["synthesis"]
+
+    @pytest.mark.parametrize("shape", [(2, 1600), (1, 2, 800), ()], ids=["two-channels", "3-d", "scalar"])
+    @pytest.mark.parametrize("with_mixture", [False, True])
+    def test_reference_must_be_one_channel(self, shape, with_mixture):
+        # a (C, n) reference must not be flattened into C * n samples
+        mixture = np.zeros((1, 1600)) if with_mixture else None
+        with pytest.raises(ConfigError, match=re.escape(f"reference must be one channel, got shape {shape}")):
+            Session(PipelineConfig(), 1, np.zeros(shape), mixture)
+        for reference in (np.zeros(1600), np.zeros((1, 1600))):
+            Session(PipelineConfig(), 1, reference, mixture).close()
 
     def test_flush_releases_every_pushed_sample_once(self):
         x = np.random.default_rng(45).standard_normal(3333)

@@ -124,6 +124,15 @@ class TestErrors:
             write_wav(path, np.zeros(shape), rate)
         assert not path.exists()
 
+    def test_zero_channels_rejected_before_writing(self, tmp_path):
+        # the file would declare zero channels, which read_wav refuses
+        path = tmp_path / "x.wav"
+        with pytest.raises(WavError, match="a WAV file needs at least 1 channel, got 0"):
+            write_wav(path, np.zeros((0, 10)), 16000)
+        assert not path.exists()
+        with pytest.raises(WavError, match="at least 1 channel"):
+            check_format(0, 16000)
+
     def test_data_past_32_bit_chunk_sizes_rejected_before_writing(self, tmp_path):
         # 6 GiB of float32 data; broadcast_to allocates none of it
         path = tmp_path / "x.wav"
