@@ -39,28 +39,6 @@ from .pipeline import ConfigError, PipelineConfig
 from .wavio import SUPPORTED_BIT_DEPTHS
 from .windows import WindowKind
 
-_SIZE_NAMES = ("iws", "ows", "hop")
-_KNOWN_KEYS = {
-    "seed",
-    "sample_rate",
-    "window",
-    "tukey_alpha",
-    "n_dft",
-    "frames_ahead",
-    "stage1",
-    "stage2",
-    "beamformer",
-    "ref_mic",
-    "loading",
-    "forgetting",
-    "mixture",
-    "reference",
-    "output",
-    "report",
-    "bit_depth",
-} | {f"{name}_{unit}" for name in _SIZE_NAMES for unit in ("ms", "samples")}
-
-
 @dataclass
 class EnhanceJob:
     """A parsed enhance run: pipeline settings plus file paths."""
@@ -95,10 +73,11 @@ def parse_pairs(text: str) -> dict[str, str]:
 def _int(pairs, key, default=None, minimum=None):
     if key not in pairs:
         return default
+    text = pairs.pop(key)
     try:
-        value = int(pairs[key])
+        value = int(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {pairs[key]!r}") from None
+        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
     return value
@@ -107,12 +86,13 @@ def _int(pairs, key, default=None, minimum=None):
 def _float(pairs, key, default=None):
     if key not in pairs:
         return default
+    text = pairs.pop(key)
     try:
-        value = float(pairs[key])
+        value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {pairs[key]!r}")
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
     return value
 
 
@@ -160,13 +140,16 @@ def _estimator(value: str, key: str, ref_mic: int) -> EstimatorKind | None:
 
 
 def build_job(pairs: dict[str, str]) -> EnhanceJob:
-    """Interpret raw pairs into an :class:`EnhanceJob`, validating fields."""
-    unknown = sorted(set(pairs) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    """Interpret raw pairs into an :class:`EnhanceJob`, validating fields.
+
+    Each read takes its key out of a copy of ``pairs``, so a key is known
+    exactly when it is read: any key left over is refused, after every value
+    read has been checked. The caller's dict is not modified.
+    """
     for key in ("mixture", "output"):
         if key not in pairs:
             raise ConfigError(f"{key}: required key is missing")
+    pairs = dict(pairs)
 
     # sample_rate converts ms to samples before FrameParams can check it
     sample_rate = _int(pairs, "sample_rate", default=FrameParams.sample_rate, minimum=1)
@@ -184,21 +167,21 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
 
     try:
         window = WindowKind(
-            pairs.get("window", PipelineConfig.window.name),
+            pairs.pop("window", PipelineConfig.window.name),
             _float(pairs, "tukey_alpha", default=WindowKind.tukey_alpha),
         )
     except ValueError as exc:
         raise ConfigError(f"window: {exc}") from None
 
-    beamformer = pairs.get("beamformer", "off").lower()
+    beamformer = pairs.pop("beamformer", "off").lower()
     if beamformer in ("off", "none", ""):
         beamformer = None
     # checked here too: it is the default passthrough channel, which EstimatorKind checks first
     ref_mic = _int(pairs, "ref_mic", default=PipelineConfig.ref_mic, minimum=0)
-    stage1 = _estimator(pairs.get("stage1", "passthrough"), "stage1", ref_mic)
+    stage1 = _estimator(pairs.pop("stage1", "passthrough"), "stage1", ref_mic)
     if stage1 is None:
         raise ConfigError("stage1: an estimator is required")
-    stage2 = _estimator(pairs.get("stage2", "none"), "stage2", ref_mic)
+    stage2 = _estimator(pairs.pop("stage2", "none"), "stage2", ref_mic)
 
     bit_depth = _int(pairs, "bit_depth", default=EnhanceJob.bit_depth)
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
@@ -214,15 +197,18 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
         loading=_float(pairs, "loading", default=PipelineConfig.loading),
         forgetting=_float(pairs, "forgetting", default=PipelineConfig.forgetting),
     )
-    return EnhanceJob(
+    job = EnhanceJob(
         pipeline=pipeline,
-        mixture_path=pairs["mixture"],
-        output_path=pairs["output"],
-        reference_path=pairs.get("reference"),
-        report_path=pairs.get("report"),
+        mixture_path=pairs.pop("mixture"),
+        output_path=pairs.pop("output"),
+        reference_path=pairs.pop("reference", None),
+        report_path=pairs.pop("report", None),
         seed=_int(pairs, "seed"),
         bit_depth=bit_depth,
     )
+    if pairs:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(pairs))}")
+    return job
 
 
 def load_job(path) -> EnhanceJob:

@@ -390,14 +390,15 @@ class ExternalEstimator(Estimator):
 
     def close(self):
         """End the child: EOF and a grace period after clean use, so it can
-        finish its output; killed at once after a timeout or protocol error."""
-        if self._proc.poll() is None:
-            self._proc.stdin.close()
-            try:
-                self._proc.wait(timeout=0.0 if self._failed else 2.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        finish its output; killed at once after a timeout or protocol error.
+        Both pipe ends are closed, whether or not the child had exited."""
+        self._proc.stdin.close()
+        try:
+            self._proc.wait(timeout=0.0 if self._failed else 2.0)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()
 
 
 def make_estimator(

@@ -4,7 +4,8 @@ Modes: identity (reply with mixture channel 0), short (reply with a wrong
 length), hang (read the frame, never reply), split (the identity reply in
 three writes, the first inside the length prefix), nan (a reply of the right
 length, all NaN), horizon (reply to every bin with the horizon, the
-handshake's fourth field).
+handshake's fourth field), exit (exit right after the handshake), exit_after_frame
+(read one frame, exit without a reply).
 """
 
 import struct
@@ -16,12 +17,16 @@ def main():
     mode = sys.argv[1] if len(sys.argv) > 1 else "identity"
     handshake = sys.stdin.buffer.readline().split()
     n_bins = int(handshake[0])
+    if mode == "exit":
+        return 0
     while True:
         header = sys.stdin.buffer.read(4)
         if len(header) < 4:
             return 0
         (length,) = struct.unpack("<I", header)
         payload = sys.stdin.buffer.read(length)
+        if mode == "exit_after_frame":
+            return 0
         if mode == "hang":
             time.sleep(60)
             return 0

@@ -384,6 +384,23 @@ class TestRuntimeErrors:
         assert code == 2
         assert err == ["error: external estimator timed out after 0.2s"]
 
+    @pytest.mark.parametrize(
+        "mode, causes",
+        [
+            # gone after the handshake, the child may still take the first frame into the
+            # pipe buffer, so either end of file can be the one seen
+            ("exit", ("pipe closed: ", "closed its output mid-frame")),
+            ("exit_after_frame", ("closed its output mid-frame",)),
+        ],
+    )
+    def test_external_child_gone_exits_2(self, tmp_path, scene_dir, capsys, mode, causes):
+        stub = os.path.join(os.path.dirname(__file__), "external_stub.py")
+        code = self._enhance(tmp_path, scene_dir, [f"stage1 = external:{sys.executable} {stub} {mode}"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(tuple(f"error: external estimator {c}" for c in causes))
+        assert not (tmp_path / "out.wav").exists()
+
     def test_beamformer_state_error_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
         rls_step = beamformer.OnlineMcwf._rls_step
 
@@ -461,6 +478,7 @@ class TestErrorContract:
             (["enhance"], ["stage1 = external:"], "stage1: external estimator requires a command"),
             (["enhance"], ["stage1 = file:"], "stage1: file estimator requires a path"),
             (["latency-check", "--frames-ahead"], None, "argument --frames-ahead: expected at least one argument"),
+            (["enhance"], ["sample_rate = 8000"], "mixture sample rate 16000 does not match configured 8000"),
         ],
         ids=[
             "windows-hop-0",
@@ -480,6 +498,7 @@ class TestErrorContract:
             "enhance-external-without-a-command",
             "enhance-file-without-a-path",
             "latency-check-no-horizons",
+            "enhance-mixture-rate-past-config",
         ],
     )
     def test_invalid_input_exits_1_with_one_line(self, tmp_path, request, capsys, argv, config, cause):
@@ -508,6 +527,16 @@ class TestErrorContract:
         assert main(["enhance", "--config", _write_config(tmp_path / "run.conf", lines)]) == 1
         cause = "reference must be one channel, got shape (6, 8000)"
         assert capsys.readouterr().err.splitlines() == [f"error: {cause}"]
+        assert not out_wav.exists()
+
+    def test_reference_sample_rate_mismatch_exits_1(self, tmp_path, scene_dir, capsys):
+        out_wav, reference = tmp_path / "out.wav", tmp_path / "ref8k.wav"
+        samples, _ = read_wav(scene_dir / "reference.wav")
+        write_wav(reference, samples, 8000)
+        lines = [f"mixture = {scene_dir / 'mixture.wav'}", f"reference = {reference}", f"output = {out_wav}"]
+        capsys.readouterr()
+        assert main(["enhance", "--config", _write_config(tmp_path / "run.conf", lines)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: reference sample rate 8000 does not match 16000"]
         assert not out_wav.exists()
 
     def test_noise_scale_past_float32_exits_1_without_a_mixture(self, tmp_path, capsys):

@@ -56,6 +56,35 @@ class TestBuildJob:
         with pytest.raises(ConfigError, match="unknown config key"):
             _job("widnow = tukey\n")
 
+    def test_unread_keys_are_refused_sorted(self):
+        with pytest.raises(ConfigError, match="^unknown config key\\(s\\): alpha, update_stride, zeta$"):
+            _job("zeta = 1\nupdate_stride = 4\nalpha = 2\n")
+
+    def test_every_key_read_is_known(self):
+        keys = {
+            "seed": "7", "sample_rate": "16000", "window": "tukey", "tukey_alpha": "0.25",
+            "iws_ms": "16", "ows_samples": "64", "hop_ms": "2", "n_dft": "256", "frames_ahead": "0",
+            "stage1": "oracle_mag_mask", "beamformer": "woodbury", "stage2": "passthrough:beamformer",
+            "ref_mic": "0", "loading": "1e-6", "forgetting": "1", "bit_depth": "24",
+            "mixture": "m.wav", "reference": "r.wav", "output": "o.wav", "report": "r.json",
+        }
+        job = build_job(keys)
+        assert (job.seed, job.bit_depth, job.reference_path, job.report_path) == (7, 24, "r.wav", "r.json")
+
+    def test_a_bad_value_is_reported_before_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="^n_dft: expected an integer, got 'many'$"):
+            _job("widnow = tukey\nn_dft = many\n")
+
+    def test_the_pairs_passed_in_are_not_modified(self):
+        pairs = parse_pairs("mixture = mix.wav\noutput = out.wav\nhop_ms = 2\nstage1 = oracle_complex\n")
+        before = dict(pairs)
+        build_job(pairs)
+        assert pairs == before
+        pairs["widnow"] = "tukey"
+        with pytest.raises(ConfigError, match="unknown config key"):
+            build_job(pairs)
+        assert pairs == {**before, "widnow": "tukey"}
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="output: required"):
             build_job(parse_pairs("mixture = mix.wav\n"))

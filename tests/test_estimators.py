@@ -387,6 +387,36 @@ class TestExternal:
         assert est._proc.returncode == 0  # saw EOF and exited on its own
         assert waits == [2.0]
 
+    def test_child_gone_after_the_handshake_is_a_closed_pipe(self):
+        est = self._make("exit")
+        est._proc.wait()
+        try:
+            with pytest.raises(ExternalProtocolError, match="^external estimator pipe closed: "):
+                est.estimate(EstimatorInput(np.zeros((2, 9), complex)), 0)
+            assert est._failed
+        finally:
+            est.close()
+
+    def test_child_gone_before_its_reply_closed_its_output_mid_frame(self):
+        est = self._make("exit_after_frame")
+        try:
+            with pytest.raises(ExternalProtocolError, match="^external estimator closed its output mid-frame$"):
+                est.estimate(EstimatorInput(np.zeros((2, 9), complex)), 0)
+            assert est._failed
+        finally:
+            est.close()
+
+    @pytest.mark.parametrize("mode", ["identity", "hang", "exit"], ids=["clean", "failed", "exited"])
+    def test_close_closes_both_pipe_ends(self, mode):
+        est = self._make(mode, timeout=0.2)
+        if mode == "hang":
+            with pytest.raises(ExternalProtocolError, match="timed out"):
+                est.estimate(EstimatorInput(np.zeros((2, 9), complex)), 0)
+        elif mode == "exit":
+            est._proc.wait()
+        est.close()
+        assert est._proc.stdin.closed and est._proc.stdout.closed
+
 
 class TestEstimatorKind:
     def test_validation(self):

@@ -173,6 +173,70 @@ class TestErrors:
         np.testing.assert_allclose(back[0], [32767 / 32768.0, -1.0], atol=1e-12)
 
 
+def _riff(*chunks):
+    """A RIFF/WAVE file of the given (chunk id, payload) pairs, pad bytes included."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) % 2) for cid, payload in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _extensible_fmt(tag, channels, rate, bits):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk: cbSize 22, the valid bits, a
+    channel mask and a SubFormat GUID whose first two bytes are the format tag."""
+    block = channels * bits // 8
+    guid = struct.pack("<H", tag) + bytes.fromhex("000000001000800000aa00389b71")
+    head = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block, block, bits)
+    return head + struct.pack("<HHI", 22, bits, (1 << channels) - 1) + guid
+
+
+class TestExtensibleFormat:
+    """Multichannel files from other tools usually carry the extensible fmt chunk."""
+
+    @pytest.mark.parametrize("bits", [24, 32], ids=["pcm24", "float32"])
+    def test_reads_like_the_plain_file(self, tmp_path, bits):
+        ints = np.random.default_rng(3).integers(-(2**23), 2**23, (6, 200))
+        x = ints / 2.0**23  # exact in float32 and in 24-bit PCM
+        if bits == 32:
+            tag, payload = 3, x.T.astype("<f4").tobytes()
+        else:
+            tag, payload = 1, b"".join(int(v).to_bytes(3, "little", signed=True) for v in ints.T.ravel())
+        fmt = _extensible_fmt(tag, 6, 48000, bits)
+        assert len(fmt) == 40
+        extensible, plain = tmp_path / "ext.wav", tmp_path / "plain.wav"
+        extensible.write_bytes(_riff((b"fmt ", fmt), (b"data", payload)))
+        write_wav(plain, x, 48000, bit_depth=bits)
+        (got, got_rate), (want, want_rate) = read_wav(extensible), read_wav(plain)
+        assert got_rate == want_rate == 48000
+        assert np.array_equal(got, want) and np.array_equal(got, x)
+
+
+class TestHeaderMessages:
+    DATA = (b"data", bytes(4))
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"RIFF\x04\x00", "truncated file: expected 12 bytes of RIFF header at byte offset 0, got 6"),
+            (_riff() + b"fmt ", "truncated chunk header at byte offset 12"),
+            (_riff(DATA), "missing fmt chunk"),
+            (_riff((b"fmt ", struct.pack("<HHIIH", 1, 1, 8000, 16000, 2)), DATA), "fmt chunk too short (14 bytes)"),
+            (
+                _riff((b"fmt ", _extensible_fmt(1, 1, 8000, 16)[:24]), DATA),
+                "extensible fmt chunk too short for a sub-format",
+            ),
+            (_riff((b"fmt ", struct.pack("<HHIIHH", 1, 0, 8000, 0, 0, 16)), DATA), "fmt chunk declares zero channels"),
+        ],
+        ids=["under-12-bytes", "cut-off-chunk-header", "no-fmt", "fmt-14-bytes", "extensible-fmt-24-bytes", "zero-channels"],
+    )
+    def test_malformed_header_is_named(self, tmp_path, blob, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(blob)
+        with pytest.raises(WavError) as info:
+            read_wav(path)
+        assert str(info.value) == message
+
+
 def _over_declared_wav(path, before_fmt=b""):
     """A one-channel float WAV with 16 real data bytes, whose data chunk
     declares 2**26 + 16 of them; ``before_fmt`` is placed ahead of fmt."""
