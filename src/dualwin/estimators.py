@@ -283,8 +283,10 @@ def save_frame_file(path, frames: np.ndarray, params: FrameParams):
     )
 
 
-def load_frame_file(path, params: FrameParams, expected_frames: int | None = None) -> np.ndarray:
-    """Load and validate a frame file against the pipeline geometry."""
+def load_frame_file(path, params: FrameParams, samples: int | None = None) -> np.ndarray:
+    """Load and validate a frame file against the pipeline geometry and a
+    stream of ``samples`` n: from ``n // hop`` rows, one per whole hop, up
+    to the flush count, ``frames_to_release(n)`` at ``frames_ahead`` 0."""
     try:
         with np.load(path) as data:
             frames = np.asarray(data["frames"])
@@ -301,11 +303,10 @@ def load_frame_file(path, params: FrameParams, expected_frames: int | None = Non
         raise ValueError(
             f"frame file shape {frames.shape} does not match {params.n_bins} bins"
         )
-    if expected_frames is not None and frames.shape[0] != expected_frames:
-        raise ValueError(
-            f"frame file holds {frames.shape[0]} frames, stream expects "
-            f"{expected_frames}"
-        )
+    if samples is not None:
+        lo, hi = samples // params.hop, replace(params, frames_ahead=0).frames_to_release(samples)
+        if not lo <= len(frames) <= hi:
+            raise ValueError(f"frame file holds {len(frames)} frames, stream expects {lo} to {hi}")
     return frames
 
 
@@ -423,7 +424,9 @@ def make_estimator(
     to the flush length, so row r is output slot r at every k. That is how
     ``pipeline.Session`` binds it. Otherwise it replays the whole frame
     tables ``reference_frames`` and ``mixture_ref_frames``, as the benchmark
-    adapter and the tests pass them.
+    adapter and the tests pass them. A frame file holds the rows of a
+    stream of ``len(mixture_ref)`` samples, or of ``expected_frames`` whole
+    hops (:func:`load_frame_file`).
 
     ``frames_ahead`` is the stage's horizon, the frames it must predict
     ahead. An external child is told it in the handshake; a passthrough
@@ -457,6 +460,8 @@ def make_estimator(
             table = np.asarray(reference_frames)
         return TableEstimator(n_bins, table)
     if kind.kind == "file":
-        frames = load_frame_file(kind.path, params, expected_frames)
-        return TableEstimator(n_bins, frames)
+        n = None if expected_frames is None else expected_frames * params.hop
+        if mixture_ref is not None:
+            n = len(mixture_ref)
+        return TableEstimator(n_bins, load_frame_file(kind.path, params, n))
     return ExternalEstimator(n_bins, kind.command, channels, stage, frames_ahead)

@@ -96,13 +96,17 @@ class PipelineConfig:
                     f"{name}: passthrough source {kind.source!r} does not exist there; "
                     f"{name} sees {', '.join(sources)}"
                 )
-        # the last stage, None for the beamformer, predicts frames_ahead frames
-        last = self.stage2 if self.stage2 is not None or self.beamformer is not None else self.stage1
+        last = {1: self.stage1, 2: self.stage2}.get(self.last_stage)
         if self.params.frames_ahead > 0 and (last is None or last.kind == "passthrough"):
             raise ConfigError(
                 "frames_ahead > 0 needs a last stage that predicts (an oracle, a frame file or an "
                 f"external estimator), not {'the beamformer' if last is None else 'a passthrough'}"
             )
+
+    @property
+    def last_stage(self) -> int | None:
+        """The stage synthesized, 1 or 2, or None for the beamformer: the one that predicts."""
+        return 2 if self.stage2 is not None else None if self.beamformer is not None else 1
 
     @property
     def needs_reference(self) -> bool:
@@ -151,13 +155,14 @@ class Session:
     and an oracle is causal in the streamed mixture only. A chain without
     an oracle only checks the ``reference``: one channel, (n,) or (1, n),
     of the ``mixture``'s length. A ``mixture`` must have
-    ``channels`` rows; it also sets the reference length and the number of
-    frames a frame file must hold.
+    ``channels`` rows; it also sets the reference length and the rows a
+    frame file may hold, from its whole hops up to the flush count.
 
     The Session owns the prediction horizon k = ``params.frames_ahead``. A
     push of frames ``t0 ..`` reads rows ``t0 + k ..`` of the last estimator
-    stage and rows ``t0 ..`` of any other, and binds the last stage with
-    horizon k, which an external child reads from its handshake.
+    stage (``PipelineConfig.last_stage``) and rows ``t0 ..`` of any other,
+    and binds the last stage with horizon k, which an external child reads
+    from its handshake.
     Single-writer; ``close`` ends external estimator children, after an
     error too.
     """
@@ -180,12 +185,10 @@ class Session:
             raise ConfigError("an oracle estimator is configured but no reference was given")
         params = self.params = config.params
         g, self._l = build_windows(config.window, params)
-        expected_frames = None
         if mixture is not None:
             mixture = np.atleast_2d(np.asarray(mixture, dtype=np.float64))
             if mixture.shape[0] != channels:
                 raise ConfigError(f"mixture has {mixture.shape[0]} channels, expected {channels}")
-            expected_frames = mixture.shape[1] // params.hop
         if reference is not None:
             reference = np.asarray(reference, dtype=np.float64)
             if reference.ndim != 1 and reference.shape[:-1] != (1,):
@@ -205,10 +208,9 @@ class Session:
                 forgetting=config.forgetting,
             )
         k = params.frames_ahead
-        self._ahead1 = 0 if config.stage2 is not None else k  # at k > 0 stage 2 or stage 1 is last
+        self._ahead1, self._ahead2 = (k if config.last_stage == stage else 0 for stage in (1, 2))
         bound = dict(
             channels=channels,
-            expected_frames=expected_frames,
             window=g,
             reference=reference,
             mixture_ref=None if mixture is None else mixture[config.ref_mic],
@@ -219,7 +221,7 @@ class Session:
         self._est2 = None
         try:
             if config.stage2 is not None:
-                self._est2 = make_estimator(config.stage2, params, frames_ahead=k, stage=2, **bound)
+                self._est2 = make_estimator(config.stage2, params, frames_ahead=self._ahead2, stage=2, **bound)
         except BaseException:
             self.close()
             raise
@@ -260,7 +262,7 @@ class Session:
             for i in range(len(y)):
                 bf_out[i] = apply_filter(self._bf.update(y[i], s1[i]), y[i])
         if self._est2 is not None:
-            out = self._est2.estimate_block(y, s1, bf_out, t0 + self.params.frames_ahead)
+            out = self._est2.estimate_block(y, s1, bf_out, t0 + self._ahead2)
         self._pushed += chunk.shape[1]
         return self._sstream.push(synthesize_block(out, self._l, self.params, t0))
 

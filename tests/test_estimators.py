@@ -236,7 +236,7 @@ class TestFrameFiles:
         )
         path = tmp_path / "est.npz"
         save_frame_file(path, frames, params)
-        loaded = load_frame_file(path, params, expected_frames=10)
+        loaded = load_frame_file(path, params, samples=10 * params.hop)
         np.testing.assert_array_equal(loaded, frames)
 
     def test_geometry_mismatch_rejected(self, tmp_path):
@@ -251,7 +251,25 @@ class TestFrameFiles:
         path = tmp_path / "est.npz"
         save_frame_file(path, np.zeros((4, params.n_bins), complex), params)
         with pytest.raises(ValueError, match="4 frames"):
-            load_frame_file(path, params, expected_frames=9)
+            load_frame_file(path, params, samples=9 * params.hop)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_rows_from_the_whole_hops_up_to_the_flush_count(self, tmp_path, k, extra):
+        # 16/4/2 ms: 10 whole hops and a partial one take 12 frames to release at k = 0
+        params = FrameParams(frames_ahead=k)
+        n = 10 * params.hop + extra
+        lo, hi = 10, (11 if extra == 0 else 12)
+        assert hi == FrameParams().frames_to_release(n)
+        path = tmp_path / "est.npz"
+        for rows in range(lo - 2, hi + 3):
+            save_frame_file(path, np.zeros((rows, params.n_bins), complex), params)
+            if lo <= rows <= hi:
+                assert len(load_frame_file(path, params, samples=n)) == rows
+            else:
+                with pytest.raises(ValueError) as err:
+                    load_frame_file(path, params, samples=n)
+                assert str(err.value) == f"frame file holds {rows} frames, stream expects {lo} to {hi}"
 
 
 def _old_interleave(values):

@@ -136,6 +136,23 @@ class TestStageTopology:
         keep = len(out) - params.ows  # tail frames are not in the file
         assert si_sdr(out[:keep], scene.target_direct[:keep]) >= 40.0
 
+    def test_file_of_flush_rows_replays_at_the_cap(self, tmp_path):
+        # a file that holds the flush rows also releases the last hop from the target
+        params = FrameParams()
+        g, _ = build_windows(TUKEY, params)
+        scene = make_scene(seed=7, channels=6, snr_db=5.0, duration_s=1.0)
+        framed = SignalFrames(scene.target_direct, g, params, flush=True)
+        path = str(tmp_path / "frames.npz")
+        rows = framed.block(0, len(framed))[:, 0]
+        save_frame_file(path, rows, params)
+        cfg = PipelineConfig(stage1=EstimatorKind("file", path=path))
+        out, _ = run_pipeline(cfg, scene.mixture)
+        assert len(framed) > len(scene.target_direct) // params.hop
+        assert si_sdr(out, scene.target_direct) == 100.0  # SI_SDR_CAP_DB, as oracle_complex
+        save_frame_file(path, np.concatenate([rows, rows[-1:]]), params)  # one row past the flush
+        with pytest.raises(ValueError, match=f"holds 502 frames, stream expects 500 to 501$"):
+            run_pipeline(cfg, scene.mixture)
+
     def test_external_stage_matches_passthrough(self, scene):
         command = f"{sys.executable} {STUB} identity"
         cfg = PipelineConfig(stage1=EstimatorKind("external", command=command))
