@@ -44,9 +44,10 @@ for n, ingested in probes.items():
           f"ingested samples -> +{(ingested - n) / 16:.3f} ms")
 
 # ---------------------------------------------------------------------------
-# The built-in audit repeats this for one k at a time, on the same geometry,
-# and additionally checks that zeroing all future input never changes
-# anything already released.
+# The built-in audit measures this for one k at a time, on the same geometry,
+# from one sample-by-sample run: every hop boundary's release time, the
+# output against the input k hops late, and that the samples released by a
+# cut equal a run whose input is zeroed from the cut on.
 print("\nfull audit:")
 for check in map(audit_latency, range(4)):
     print(f"  k={check.frames_ahead}: expected {check.expected_ms:+.1f} ms, "

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("windows", help="emit a window pair and its COLA residual")
     p.add_argument("--kind", choices=WINDOW_NAMES, default="tukey")
-    p.add_argument("--tukey-alpha", type=float, default=WindowKind.tukey_alpha)
+    p.add_argument("--tukey-alpha", type=_finite_float, default=WindowKind.tukey_alpha)
     p.add_argument("--iws", type=int, default=FrameParams.iws, help="analysis window, samples")
     p.add_argument("--ows", type=int, default=FrameParams.ows, help="output window, samples")
     p.add_argument("--hop", type=int, default=FrameParams.hop, help="hop, samples")

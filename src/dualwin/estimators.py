@@ -324,7 +324,12 @@ class ExternalEstimator(Estimator):
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
         )
-        self._write_all(f"{n_bins} {channels} {stage} {horizon}\n".encode("ascii"))
+        try:
+            self._write_all(f"{n_bins} {channels} {stage} {horizon}\n".encode("ascii"))
+        except ExternalProtocolError:  # the child is gone: reap it and close both pipe ends
+            self._failed = True
+            self.close()
+            raise
 
     @staticmethod
     def _encode(values: np.ndarray) -> bytes:

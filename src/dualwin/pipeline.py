@@ -18,7 +18,8 @@ compositions equal bit for bit.
 The chain works in the complex STFT domain, so the beamformer adds no
 algorithmic latency; the only look-ahead in the whole chain is the output
 window span minus the predicted hops, and :func:`audit_latency` measures
-that on a Session against :func:`dualwin.framing.algorithmic_latency`.
+that from what one sample-by-sample Session run releases, against
+:func:`dualwin.framing.algorithmic_latency`.
 
 Future-frame prediction applies to the last estimator stage only, and the
 :class:`Session` owns it: it reads that stage k rows ahead and every other
@@ -340,7 +341,7 @@ def run_pipeline(
 
 @dataclass
 class LatencyCheck:
-    """Result of the impulse/causality audit for one prediction horizon."""
+    """Result of the timing/impulse/causality audit for one prediction horizon."""
 
     frames_ahead: int
     expected_ms: float
@@ -355,77 +356,59 @@ class LatencyCheck:
 
 
 def audit_latency(frames_ahead: int) -> LatencyCheck:
-    """Empirically verify the latency arithmetic for one horizon of the
-    default 16/4/2 ms geometry and window.
+    """Measure the latency of one horizon k of the default 16/4/2 ms
+    geometry and window, from what one streamed run releases.
 
-    Three checks, each on a :class:`Session` of an identity chain: an
-    ``oracle_complex`` stage whose reference is the input delayed by
-    ``frames_ahead`` hops, so that the row it replays at frame ``t`` is
-    exactly frame ``t`` of the input:
+    A random 64-hop input is pushed one sample at a time into a
+    :class:`Session` of an identity chain: an ``oracle_complex`` stage whose
+    reference is the input delayed by k hops, so that the row it replays
+    at frame ``t`` is exactly frame ``t`` of the input. Three checks read
+    that run:
 
-    * timing: feeding samples one at a time, the output sample at a hop
-      boundary n is released after ingesting exactly
-      ``n + ows - frames_ahead * hop`` samples;
-    * impulse: a unit impulse at input sample n is reconstructed at output
-      sample ``n + frames_ahead * hop`` (the identity chain cannot truly
-      predict, so its content lands ``frames_ahead`` hops late, which is
-      exactly the shift a predictive estimator would cancel);
-    * causality: zeroing every input sample after a cut point never
-      changes anything already released at the cut, bit-exactly.
+    * timing: every hop-boundary output sample from k hops on is released
+      exactly ``algorithmic_latency(params)`` after its input sample n
+      arrived, that is on ingesting sample ``n + ows - k * hop``;
+    * impulse: the output equals the input k hops late at every sample
+      (the identity chain cannot truly predict, so its content lands k hops
+      late, which is exactly the shift a predictive estimator would
+      cancel); a linear chain that does so reproduces an impulse anywhere;
+    * causality: what the run released by the time it ingested a cut
+      sample equals, bit for bit, a one-push run of the input zeroed from
+      the cut on.
     """
     params = FrameParams(frames_ahead=frames_ahead)
     config = PipelineConfig(params=params, stage1=EstimatorKind("oracle_complex"))
-    b = params.hop
-    expected_samples = params.ows - frames_ahead * b
-    rng = np.random.default_rng(7)
-    total = (frames_ahead + 64) * b
+    b, delay = params.hop, frames_ahead * params.hop
+    x = np.random.default_rng(7).standard_normal(64 * b)
 
     def identity(signal: np.ndarray) -> Session:
-        return Session(config, 1, reference=np.concatenate([np.zeros(frames_ahead * b), signal]))
+        return Session(config, 1, reference=np.pad(signal, (delay, 0)))
 
-    def one_shot(signal: np.ndarray) -> np.ndarray:
-        session = identity(signal)
-        return np.concatenate([session.push(signal), session.flush()])
+    with closing(identity(x)) as session:
+        parts = [session.push(x[i : i + 1]) for i in range(len(x))]
+    out = np.concatenate(parts)
+    released = np.cumsum([len(part) for part in parts])  # [i]: released after input i
 
-    # timing: the ingest count at which output sample n is first released; the
-    # probes sit k hops later, so that no horizon releases them before any input
-    x = rng.standard_normal(total)
-    session = identity(x)
-    released = np.cumsum([len(session.push(x[i : i + 1])) for i in range(total)])
-    probes = ((frames_ahead + 16) * b, (frames_ahead + 24) * b)
-    deltas = [int(np.searchsorted(released, n, side="right")) + 1 - n for n in probes]
-    timing_ok = all(d == expected_samples for d in deltas)
+    # the ingest count that first releases output sample n, less n; samples
+    # before k hops wait for the first frame, so they come out later than that
+    latency = algorithmic_latency(params)
+    n = np.arange(delay, len(out), b)
+    deltas = np.searchsorted(released, n, side="right") + 1 - n
+    timing_ok = bool(np.all(deltas == latency * params.sample_rate / 1000))
 
-    # impulse content lands frames_ahead hops late through an identity chain
-    impulse_ok = True
-    for n in (16 * b, 16 * b + b // 2):
-        x_imp = np.zeros(total)
-        x_imp[n] = 1.0
-        out = one_shot(x_imp)
-        expected_out = np.zeros(len(out))
-        expected_out[n + frames_ahead * b] = 1.0
-        start = frames_ahead * b  # samples with missing past contributions
-        impulse_ok &= bool(
-            np.max(np.abs(out[start:] - expected_out[start:])) < 1e-9
-        )
+    impulse_ok = bool(np.max(np.abs(out - np.pad(x, (delay, 0))[: len(out)])) < 1e-9)
 
-    # causality: everything released by the time the cut point was ingested
-    # must be unchanged when the future is zeroed, even for one-shot runs
     cut = 20 * b + 5
-    released_at_cut = max(
-        0, (cut // b + frames_ahead + 1 - params.ows // b) * b
-    )
-    x2 = x.copy()
-    x2[cut:] = 0.0
-    outs = [one_shot(signal) for signal in (x, x2)]
-    causality_ok = released_at_cut > 0 and bool(
-        np.array_equal(outs[0][:released_at_cut], outs[1][:released_at_cut])
-    )
+    x_cut = np.where(np.arange(len(x)) < cut, x, 0.0)
+    with closing(identity(x_cut)) as session:
+        one_push = session.push(x_cut)
+    at_cut = released[cut - 1]
+    causality_ok = bool(at_cut > 0 and np.array_equal(out[:at_cut], one_push[:at_cut]))
 
     return LatencyCheck(
         frames_ahead=frames_ahead,
-        expected_ms=algorithmic_latency(params),
-        measured_ms=params.ms(max(deltas)),
+        expected_ms=latency,
+        measured_ms=params.ms(int(deltas.max())),
         timing_ok=timing_ok,
         impulse_ok=impulse_ok,
         causality_ok=causality_ok,

@@ -446,6 +446,41 @@ class TestLatencyCheckCommand:
             assert f"measured={ms} ms" in line
             assert line.endswith("PASS")
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                [],
+                "frames_ahead=0 expected=4 ms measured=4 ms timing=ok impulse=ok causality=ok PASS\n"
+                "frames_ahead=1 expected=2 ms measured=2 ms timing=ok impulse=ok causality=ok PASS\n"
+                "frames_ahead=2 expected=0 ms measured=0 ms timing=ok impulse=ok causality=ok PASS\n"
+                "frames_ahead=3 expected=-2 ms measured=-2 ms timing=ok impulse=ok causality=ok PASS\n",
+            ),
+            (
+                ["--frames-ahead", "18", "40"],
+                "frames_ahead=18 expected=-32 ms measured=-32 ms timing=ok impulse=ok causality=ok PASS\n"
+                "frames_ahead=40 expected=-76 ms measured=-76 ms timing=ok impulse=ok causality=ok PASS\n",
+            ),
+        ],
+        ids=["default-horizons", "large-horizons"],
+    )
+    def test_stdout_bytes(self, capsys, argv, expected):
+        assert main(["latency-check", *argv]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_look_ahead_stage_fails_and_exits_2(self, capsys, monkeypatch):
+        read = estimators.TableEstimator.estimate_block
+        monkeypatch.setattr(
+            estimators.TableEstimator,
+            "estimate_block",
+            lambda self, mixture, stage1, beamformed, t0: read(self, mixture, stage1, beamformed, t0 + 1),
+        )
+        assert main(["latency-check", "--frames-ahead", "0", "1", "3"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert "impulse=BAD causality=BAD FAIL" in line
+
 
 class TestErrorContract:
     """Each subcommand exits 1 on invalid input with one ``error:`` line and no traceback."""
@@ -479,6 +514,8 @@ class TestErrorContract:
             (["enhance"], ["stage1 = file:"], "stage1: file estimator requires a path"),
             (["latency-check", "--frames-ahead"], None, "argument --frames-ahead: expected at least one argument"),
             (["enhance"], ["sample_rate = 8000"], "mixture sample rate 16000 does not match configured 8000"),
+            (["windows", "--tukey-alpha", "nan"], None, "argument --tukey-alpha: expected a finite number, got 'nan'"),
+            (["windows", "--tukey-alpha", "inf"], None, "argument --tukey-alpha: expected a finite number, got 'inf'"),
         ],
         ids=[
             "windows-hop-0",
@@ -499,6 +536,8 @@ class TestErrorContract:
             "enhance-file-without-a-path",
             "latency-check-no-horizons",
             "enhance-mixture-rate-past-config",
+            "windows-nan-tukey-alpha",
+            "windows-infinite-tukey-alpha",
         ],
     )
     def test_invalid_input_exits_1_with_one_line(self, tmp_path, request, capsys, argv, config, cause):

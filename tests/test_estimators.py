@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -434,6 +435,25 @@ class TestExternal:
             est._proc.wait()
         est.close()
         assert est._proc.stdin.closed and est._proc.stdout.closed
+
+    def test_child_gone_before_the_handshake_is_closed(self, monkeypatch):
+        # the handshake write meets a child that has already exited: the
+        # constructor closes both pipe ends and reaps the child, then raises
+        children = []
+
+        class ExitedPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.wait()
+                children.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", ExitedPopen)
+        with pytest.raises(ExternalProtocolError, match="^external estimator pipe closed: "):
+            ExternalEstimator(9, [sys.executable, "-c", ""], 2, 1)
+        (child,) = children
+        assert child.stdin.closed and child.stdout.closed and child.returncode == 0
+        del children, child
+        gc.collect()  # an unclosed pipe end would warn here
 
 
 class TestEstimatorKind:

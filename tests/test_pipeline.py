@@ -215,13 +215,35 @@ class TestCausality:
         assert not np.array_equal(out_a, out_b)
 
     def test_audit_passes_for_all_horizons(self):
-        # probes fixed at 16 and 24 hops failed from k = 18 on: the first release covers them
-        for check in map(audit_latency, (0, 1, 2, 3, 18, 40)):
+        for check in map(audit_latency, (0, 1, 2, 3, 18, 40, 1000)):
             assert check.ok, check
 
     def test_audit_reports_expected_milliseconds(self):
-        measured = [audit_latency(k).measured_ms for k in (0, 1, 2, 3, 18, 40)]
-        assert measured == [4.0, 2.0, 0.0, -2.0, -32.0, -76.0]
+        measured = [audit_latency(k).measured_ms for k in (0, 1, 2, 3, 18, 40, 1000)]
+        assert measured == [4.0, 2.0, 0.0, -2.0, -32.0, -76.0, -1996.0]
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_audit_fails_a_look_ahead_stage(self, monkeypatch, k):
+        # a stage that reads one row past its frame: output one hop early, and
+        # released samples that depend on input not yet pushed
+        read = estimators.TableEstimator.estimate_block
+        monkeypatch.setattr(
+            estimators.TableEstimator,
+            "estimate_block",
+            lambda self, mixture, stage1, beamformed, t0: read(self, mixture, stage1, beamformed, t0 + 1),
+        )
+        check = audit_latency(k)
+        assert not check.impulse_ok and not check.causality_ok
+        assert not check.ok
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_audit_fails_a_wrong_latency_formula(self, monkeypatch, k):
+        # one hop fewer than the chain delivers: the measured delay must refute it
+        monkeypatch.setattr(pipeline, "algorithmic_latency", lambda p: p.ows_ms - (p.frames_ahead + 1) * p.hop_ms)
+        check = audit_latency(k)
+        assert check.expected_ms == check.measured_ms - 2.0
+        assert not check.timing_ok and check.impulse_ok and check.causality_ok
+        assert not check.ok
 
 
 class TestSession:
