@@ -29,7 +29,8 @@ MODES = ("woodbury",)
 
 
 class BeamformerStateError(RuntimeError):
-    """Online state is numerically broken: the RLS inverse lost positive-definiteness."""
+    """Online state is numerically broken: the RLS inverse lost positive-definiteness
+    or the recursion overflowed."""
 
 
 def apply_filter(w: np.ndarray, mixture: np.ndarray) -> np.ndarray:
@@ -187,6 +188,17 @@ class OnlineMcwf:
             raise ValueError(
                 f"frame shapes {mixture.shape}/{s.shape} do not match state {shape}"
             )
+        if self.forgetting == 1.0:
+            self._step(y, s)
+        else:  # discounting can overflow the state: the RLS step's checks report it, not numpy warnings
+            with np.errstate(all="ignore"):
+                self._step(y, s)
+        self._t += 1
+        return self._state[-1].conj().T  # conj() copies: the returned filter stays fixed
+
+    def _step(self, y: np.ndarray, s: np.ndarray):
+        """The RLS step, the loading step under forgetting, and every
+        ``_SYMMETRIZE_EVERY`` frames the re-symmetrization of the inverse."""
         self._rls_step(y, s)
         if self._load:
             self._load_step(self._t % len(y))
@@ -194,8 +206,6 @@ class OnlineMcwf:
             inv = self._state[:-1]
             inv += inv.conj().transpose(1, 0, 2)  # conj() copies, so no aliasing
             inv *= 0.5
-        self._t += 1
-        return self._state[-1].conj().T  # conj() copies: the returned filter stays fixed
 
     def _rls_step(self, y: np.ndarray, s: np.ndarray):
         """One RLS step on the stacked (P+1, P, F) state; a frame that
@@ -206,15 +216,18 @@ class OnlineMcwf:
         r = np.add.reduce(tmp, axis=1)  # [P y; w^H y], (P+1, F)
         py, neg_e = r[:p], r[p]
         neg_e -= s  # w^H y - s, the negated a-priori error
-        # a non-finite value anywhere in y or s reaches e, even against w = 0
+        # a non-finite value anywhere in y or s reaches e, even against w = 0;
+        # with y and s finite, it came from the state
         if not np.isfinite(neg_e).all():
+            if np.isfinite(y).all() and np.isfinite(s).all():
+                raise BeamformerStateError("non-finite RLS state: the recursion overflowed")
             raise ValueError("non-finite values in beamformer update")
         if self.forgetting != 1.0:
             py /= self.forgetting
         den = 1.0 + np.add.reduce((y.conj() * py).real, axis=0)
-        if den.min() <= 0.0:
+        if not den.min() > 0.0:  # NaN fails this too
             raise BeamformerStateError(
-                "RLS denominator <= 0; inverse is no longer positive-definite"
+                "RLS denominator is not positive; inverse is no longer positive-definite"
             )
         if self.forgetting != 1.0:
             real = state[:p].view(np.float64)  # real divide: complex / real scalar is ~3x slower

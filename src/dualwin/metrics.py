@@ -1,16 +1,18 @@
 """Evaluation metrics: SI-SDR and two diagnostic loss scalars.
 
 ``si_sdr`` measures time-domain sample-level quality after optimally
-scaling the reference onto the estimate. ``ri_mag_loss`` is the L1 loss on
-real/imaginary spectrogram components plus their magnitude; ``wav_mag_loss``
-is the L1 loss on the re-synthesized waveform plus the magnitude of a
-dedicated loss STFT: square-root Hann, a 512-sample window and a 128-sample
-hop (32/8 ms at 16 kHz). That geometry is fixed in samples at every sample
-rate and is independent of the enhancement pipeline's frame geometry. Both
-losses are sums, evaluated as plain scalars; there is no gradient machinery
-here. ``compute_metrics`` compares sample n of an estimate with sample n
-of its reference: the enhancement chain releases output sample n aligned
-to input sample n, so there is no offset to undo.
+scaling the reference onto the estimate. ``compute_metrics`` reports it
+next to two L1 losses, each as a sum and as a mean over its terms: the
+RI+magnitude loss on the real and imaginary parts and the magnitude of
+the two signals' loss-STFT spectra, and the waveform+magnitude loss on the
+samples plus that same magnitude term. The loss STFT is square-root Hann,
+with a 512-sample window and a 128-sample hop (32/8 ms at 16 kHz). That
+geometry is fixed in samples at every sample rate and is independent of
+the enhancement pipeline's frame geometry. Both losses are sums, evaluated
+as plain scalars; there is no gradient machinery here. ``compute_metrics``
+compares sample n of an estimate with sample n of its reference: the
+enhancement chain releases output sample n aligned to input sample n, so
+there is no offset to undo.
 """
 
 from __future__ import annotations
@@ -61,64 +63,6 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
     return float(np.clip(db, -SI_SDR_CAP_DB, SI_SDR_CAP_DB))
 
 
-def _signals(estimate, reference) -> tuple[np.ndarray, np.ndarray]:
-    """The two signals as float64 arrays, checked to be (n,) of one length."""
-    est = np.asarray(estimate, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    if est.ndim != 1 or est.shape != ref.shape:
-        raise ValueError(f"expected two (n,) signals of one length, got shapes {est.shape} and {ref.shape}")
-    return est, ref
-
-
-def _loss_spectra(est: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Loss-STFT spectra of both signals, framed as one 2-row signal, so one
-    ``rfft`` per block serves both."""
-    spec = analyze([est, ref], *_LOSS_STFT)
-    return spec[:, 0], spec[:, 1]
-
-
-def _mag_term(s_hat, s) -> np.float64:
-    """``sum | |S_hat| - |S| |``: the magnitude term both losses share."""
-    return np.sum(np.abs(np.abs(s_hat) - np.abs(s)))
-
-
-def _ri_mag_terms(s_hat, s, mag) -> tuple[float, int]:
-    """The RI+magnitude loss as (sum, number of summed terms), given
-    ``mag = _mag_term(s_hat, s)``."""
-    d = s_hat - s
-    return float(np.sum(np.abs(d.real)) + np.sum(np.abs(d.imag)) + mag), 3 * s.size
-
-
-def _wav_mag_terms(s_hat, s, mag, spec_size) -> tuple[float, int]:
-    """The waveform+magnitude loss as (sum, number of summed terms), given
-    ``mag``, the magnitude term of the two signals' ``spec_size`` loss-STFT bins."""
-    return float(np.sum(np.abs(s_hat - s)) + mag), s.size + spec_size
-
-
-def ri_mag_loss(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """L1 loss on RI components and magnitude of two complex spectrograms.
-
-    Sum of three terms: |dRe|, |dIm|, and | |S_hat| - |S| |, each summed
-    over every bin.
-    """
-    s_hat = np.asarray(estimate)
-    s = np.asarray(reference)
-    if s_hat.shape != s.shape:
-        raise ValueError(f"shape mismatch: {s_hat.shape} vs {s.shape}")
-    return _ri_mag_terms(s_hat, s, _mag_term(s_hat, s))[0]
-
-
-def wav_mag_loss(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """L1 waveform loss plus L1 loss on the loss-STFT magnitudes.
-
-    The loss STFT is fixed (see the module docstring) and unrelated to
-    whatever frame geometry produced the signals.
-    """
-    s_hat, s = _signals(estimate, reference)
-    spec_hat, spec = _loss_spectra(s_hat, s)
-    return _wav_mag_terms(s_hat, s, _mag_term(spec_hat, spec), spec.size)[0]
-
-
 @dataclass
 class MetricReport:
     """Scalar metrics for one enhanced signal against its reference."""
@@ -137,15 +81,21 @@ def compute_metrics(estimate: np.ndarray, reference: np.ndarray) -> MetricReport
 
     Sample n of the estimate is compared with sample n of the reference,
     as the frame-online chain aligns them; there is no alignment search.
-    Both losses use the loss-STFT spectra of the two signals, analyzed
-    together once, and share their magnitude term, summed once. Signals
-    that are not two (n,) arrays of one length raise ``ValueError`` first.
+    The two signals are analyzed together once with the loss STFT, and
+    both losses share their magnitude term, summed once. Signals that are
+    not two (n,) arrays of one length raise ``ValueError`` first.
     """
-    est, ref = _signals(estimate, reference)
-    spec_est, spec_ref = _loss_spectra(est, ref)
-    mag = _mag_term(spec_est, spec_ref)
-    ri, n_ri = _ri_mag_terms(spec_est, spec_ref, mag)
-    wav, n_wav = _wav_mag_terms(est, ref, mag, spec_ref.size)
+    est = np.asarray(estimate, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
+    if est.ndim != 1 or est.shape != ref.shape:
+        raise ValueError(f"expected two (n,) signals of one length, got shapes {est.shape} and {ref.shape}")
+    spec = analyze([est, ref], *_LOSS_STFT)  # (T, 2, F): one rfft per block serves both
+    mags = np.abs(spec)
+    mag = np.sum(np.abs(mags[:, 0] - mags[:, 1]))  # sum | |S_hat| - |S| |
+    d = spec[:, 0] - spec[:, 1]
+    ri = float(np.sum(np.abs(d.real)) + np.sum(np.abs(d.imag)) + mag)
+    wav = float(np.sum(np.abs(est - ref)) + mag)
+    n_ri, n_wav = 3 * d.size, est.size + d.size
     return MetricReport(
         si_sdr_db=si_sdr(est, ref),
         ri_mag_loss=ri,

@@ -182,7 +182,13 @@ def _bandlimited_noise(
     x = rng.standard_normal(n)
     spectrum = np.fft.rfft(x)
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    spectrum[(freqs < lo) | (freqs > hi)] = 0.0
+    outside = (freqs < lo) | (freqs > hi)
+    if outside.all():  # the signal would be all zeros, with no power to normalize by
+        raise ValueError(
+            f"a {n}-sample ({n / sample_rate:g} s) signal at {sample_rate} Hz "
+            f"has no frequency bin in the source band {lo:g}-{hi:g} Hz"
+        )
+    spectrum[outside] = 0.0
     x = np.fft.irfft(spectrum, n)
     return x / np.sqrt(np.mean(x**2))
 

@@ -138,6 +138,17 @@ class TestOnlineMcwf:
             bf.update(_random_spectrogram(rng, 1, 3, 5)[0], np.ones(5, complex))
         assert bf._state.tobytes() == before
 
+    def test_nan_in_inverse_raises(self):
+        # a NaN denominator fails the definiteness check as a negative one does
+        rng = np.random.default_rng(12)
+        bf = OnlineMcwf(3, 9)
+        bf.update(_random_spectrogram(rng, 1, 3, 9)[0], np.ones(9, complex))
+        bf._state[0, 0, 5] = np.nan
+        before = bf._state.tobytes()
+        with pytest.raises(BeamformerStateError):
+            bf.update(_random_spectrogram(rng, 1, 3, 9)[0], np.ones(9, complex))
+        assert bf._state.tobytes() == before
+
     def test_zero_estimate_stream_keeps_zero_filter(self):
         rng = np.random.default_rng(19)
         bf = OnlineMcwf(3, 4, mode="woodbury")

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
 import struct
 import sys
+import tempfile
 from dataclasses import asdict
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualwin import beamformer, cli, estimators
 from dualwin.cli import main
@@ -17,6 +23,12 @@ from dualwin.wavio import read_wav, write_wav
 def _write_config(path, lines):
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def _write_noise_wav(path):
+    """A 2-channel, 300-sample uniform-noise WAV: a short MCWF input."""
+    write_wav(path, np.random.default_rng(4).uniform(-0.5, 0.5, (2, 300)), 16000)
+    return path
 
 
 @pytest.fixture
@@ -70,6 +82,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: argument {flag}: expected a finite number, got {value!r}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--sample-rate", "445"], ["--duration", "0.0002"]], ids=["445-hz", "3-samples"]
+    )
+    def test_shortest_source_band_still_writes(self, tmp_path, argv):
+        # one rfft bin falls inside the 200 Hz .. 0.45 fs band at each
+        assert main(["simulate", "--out-dir", str(tmp_path / "scene"), *argv]) == 0
+        assert (tmp_path / "scene" / "mixture.wav").exists()
 
 
 class TestEnhanceCommand:
@@ -412,7 +432,21 @@ class TestRuntimeErrors:
         code = self._enhance(tmp_path, scene_dir, ["beamformer = woodbury"])
         err = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert err == ["error: RLS denominator <= 0; inverse is no longer positive-definite"]
+        assert err == ["error: RLS denominator is not positive; inverse is no longer positive-definite"]
+
+    @pytest.mark.parametrize("noise, forgetting", [(True, 1e-300), (False, 1e-8)], ids=["noise-1e-300", "scene-1e-8"])
+    def test_forgetting_that_breaks_the_state_exits_2(self, tmp_path, scene_dir, capsys, noise, forgetting):
+        # the state overflows on finite input: no numpy warning, and the input is not blamed
+        mixture = _write_noise_wav(tmp_path / "noise.wav") if noise else scene_dir / "mixture.wav"
+        config = _write_config(
+            tmp_path / "run.conf",
+            [f"mixture = {mixture}", f"output = {tmp_path / 'out.wav'}", "beamformer = woodbury", f"forgetting = {forgetting!r}"],
+        )
+        capsys.readouterr()
+        assert main(["enhance", "--config", config]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(("error: RLS denominator", "error: non-finite RLS state"))
+        assert not (tmp_path / "out.wav").exists()
 
     def test_out_of_memory_exits_2(self, tmp_path, scene_dir, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -516,6 +550,21 @@ class TestErrorContract:
             (["enhance"], ["sample_rate = 8000"], "mixture sample rate 16000 does not match configured 8000"),
             (["windows", "--tukey-alpha", "nan"], None, "argument --tukey-alpha: expected a finite number, got 'nan'"),
             (["windows", "--tukey-alpha", "inf"], None, "argument --tukey-alpha: expected a finite number, got 'inf'"),
+            (
+                ["simulate", "--sample-rate", "444"],
+                None,
+                "a 444-sample (1 s) signal at 444 Hz has no frequency bin in the source band 200-199.8 Hz",
+            ),
+            (
+                ["simulate", "--duration", "0.0001"],
+                None,
+                "a 2-sample (0.000125 s) signal at 16000 Hz has no frequency bin in the source band 200-7200 Hz",
+            ),
+            (
+                ["simulate", "--sample-rate", "8000", "--duration", "0.0002"],
+                None,
+                "a 2-sample (0.00025 s) signal at 8000 Hz has no frequency bin in the source band 200-3600 Hz",
+            ),
         ],
         ids=[
             "windows-hop-0",
@@ -538,6 +587,9 @@ class TestErrorContract:
             "enhance-mixture-rate-past-config",
             "windows-nan-tukey-alpha",
             "windows-infinite-tukey-alpha",
+            "simulate-source-band-below-200-hz",
+            "simulate-too-short-for-a-band-bin",
+            "simulate-8-khz-too-short-for-a-band-bin",
         ],
     )
     def test_invalid_input_exits_1_with_one_line(self, tmp_path, request, capsys, argv, config, cause):
@@ -595,6 +647,62 @@ class TestErrorContract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: [Errno 2] No such file or directory: ")
         assert not out_wav.exists()
+
+
+class TestErrorContractProperties:
+    """Any input in these ranges ends in a documented exit code with at most one
+    ``error:`` line. Tier-1 turns a leaked numpy ``RuntimeWarning`` into a failure."""
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue().splitlines()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sample_rate=st.integers(1, 48000),
+        duration=st.floats(1e-5, 0.02),
+        channels=st.integers(1, 4),
+        noises=st.integers(1, 3),
+    )
+    @example(sample_rate=444, duration=0.02, channels=2, noises=1)
+    @example(sample_rate=16000, duration=1e-4, channels=2, noises=1)
+    def test_simulate(self, sample_rate, duration, channels, noises):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = self._run(
+                [
+                    "simulate",
+                    "--out-dir", os.path.join(tmp, "scene"),
+                    "--sample-rate", str(sample_rate),
+                    "--duration", repr(duration),
+                    "--channels", str(channels),
+                    "--noises", str(noises),
+                ]
+            )
+        assert (code, err) == (0, []) or (code == 1 and len(err) == 1 and err[0].startswith("error: "))
+
+    @pytest.fixture(scope="class")
+    def noise_wav(self, tmp_path_factory):
+        return _write_noise_wav(tmp_path_factory.mktemp("noise") / "noise.wav")
+
+    @settings(max_examples=40, deadline=None)
+    @given(forgetting=st.floats(0.0, 1.0, exclude_min=True))
+    @example(forgetting=1e-300)
+    def test_woodbury_enhance_forgetting(self, noise_wav, forgetting):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = _write_config(
+                pathlib.Path(tmp) / "run.conf",
+                [
+                    f"mixture = {noise_wav}",
+                    f"output = {os.path.join(tmp, 'out.wav')}",
+                    "beamformer = woodbury",
+                    f"forgetting = {forgetting!r}",
+                ],
+            )
+            code, err = self._run(["enhance", "--config", config])
+        assert code in (0, 2) and len(err) <= 1
 
 
 class TestArgumentHandling:
