@@ -92,8 +92,8 @@ class TestRiMagLoss:
         ref = rng.standard_normal(700)
         est = ref + 0.3 * rng.standard_normal(700)
         naive = _naive_ri_mag(analyze(est, *_LOSS_STFT), analyze(ref, *_LOSS_STFT))
-        # a sum of thousands of terms: 1e-12 relative, as an absolute bound would be below its ulp
-        assert compute_metrics(est, ref).ri_mag_loss == pytest.approx(naive, rel=1e-12, abs=0)
+        # within 16 ulps of the exact sum: an absolute 1e-12 would be below the ulp of this sum
+        assert abs(compute_metrics(est, ref).ri_mag_loss - naive) <= 16 * math.ulp(naive)
 
 
 class TestWavMagLoss:
