@@ -18,7 +18,7 @@ default geometry; loop over the horizons to audit several.
 
 from .beamformer import BeamformerStateError
 from .estimators import EstimatorKind, ExternalProtocolError
-from .framing import FrameParams, algorithmic_latency, analyze, build_windows
+from .framing import FrameParams, algorithmic_latency, build_windows
 from .metrics import si_sdr
 from .pipeline import ConfigError, PipelineConfig, Session, audit_latency, run_pipeline
 from .simulate import make_scene

@@ -33,6 +33,15 @@ class BeamformerStateError(RuntimeError):
     or the recursion overflowed."""
 
 
+def _check_denominator(den: np.ndarray):
+    """Refuse an RLS denominator ``1 + y^H P y`` that is not positive and finite, before
+    any write: 1 / sqrt(inf) would zero the update and drop the frame unseen."""
+    if not np.minimum.reduce(den) > 0.0:  # NaN fails this too; 0.95 us at 129 bins, den.min() 1.04
+        raise BeamformerStateError("RLS denominator is not positive; inverse is no longer positive-definite")
+    if np.maximum.reduce(den) == math.inf:
+        raise BeamformerStateError("RLS denominator overflowed")
+
+
 def apply_filter(w: np.ndarray, mixture: np.ndarray) -> np.ndarray:
     """Beamform one frame: per frequency, ``w(f)^H Y(f)``.
 
@@ -220,10 +229,7 @@ class OnlineMcwf:
         if self.forgetting != 1.0:
             py /= self.forgetting
         den = 1.0 + np.add.reduce((y.conj() * py).real, axis=0)
-        if not den.min() > 0.0:  # NaN fails this too
-            raise BeamformerStateError(
-                "RLS denominator is not positive; inverse is no longer positive-definite"
-            )
+        _check_denominator(den)
         if self.forgetting != 1.0:
             real = state[:p].view(np.float64)  # real divide: complex / real scalar is ~3x slower
             real /= self.forgetting
@@ -234,9 +240,11 @@ class OnlineMcwf:
         """The RLS step, at forgetting 1, on the pseudo-observation
         ``u = _load * e_k`` with target 0. ``P u`` is ``_load`` times column
         k of the inverse rows and ``w^H u`` is ``_load * conj(w_k)``, so
-        column k of the stacked state gives both without a multiply-reduce."""
+        column k of the stacked state gives both without a multiply-reduce.
+        A frame whose loading step fails its check keeps its RLS step."""
         state = self._state
         r = state[:, k] * self._load  # [P u; w^H u] = [P u; -e], a copy
         den = 1.0 + self._load * r[k].real  # 1 + u^H P u
+        _check_denominator(den)
         r *= 1.0 / np.sqrt(den)
         state -= np.multiply(r[:, None, :], r[:-1].conj(), out=self._tmp)

@@ -21,11 +21,11 @@ explicit unit suffix: ``iws_ms = 16`` or ``iws_samples = 256`` (same for
     output = enhanced.wav
     report = report.json
 
-Estimator values: ``passthrough[:source[:channel]]`` (source one of
-mixture/stage1/beamformer), ``oracle_complex``, ``oracle_mag_mask``,
-``file:PATH``, ``external:COMMAND``; ``stage2`` may be ``none``. At
-``frames_ahead`` > 0 the last stage must predict: an oracle, a frame file
-or an external estimator.
+Estimator values: ``passthrough[:source]`` (source one of
+mixture/stage1/beamformer; the mixture at ``ref_mic``), ``oracle_complex``,
+``oracle_mag_mask``, ``file:PATH``, ``external:COMMAND``; ``stage2`` may be
+``none``. At ``frames_ahead`` > 0 the last stage must predict: an oracle, a
+frame file or an external estimator.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _size_samples(pairs, name, sample_rate):
     return getattr(FrameParams, name)
 
 
-def _estimator(value: str, key: str, ref_mic: int) -> EstimatorKind | None:
+def _estimator(value: str, key: str) -> EstimatorKind | None:
     value = value.strip()
     if value.lower() in ("", "none", "off"):
         return None
@@ -126,12 +126,7 @@ def _estimator(value: str, key: str, ref_mic: int) -> EstimatorKind | None:
         if value.startswith("external:"):
             return EstimatorKind("external", command=rest.strip())
         if head == "passthrough":
-            source, _, channel = rest.partition(":")
-            return EstimatorKind(
-                "passthrough",
-                source=source or "mixture",
-                channel=int(channel) if channel else ref_mic,
-            )
+            return EstimatorKind("passthrough", source=rest or "mixture")
         if value in ("oracle_complex", "oracle_mag_mask"):
             return EstimatorKind(value)
     except ValueError as exc:
@@ -176,12 +171,10 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
     beamformer = pairs.pop("beamformer", "off").lower()
     if beamformer in ("off", "none", ""):
         beamformer = None
-    # checked here too: it is the default passthrough channel, which EstimatorKind checks first
-    ref_mic = _int(pairs, "ref_mic", default=PipelineConfig.ref_mic, minimum=0)
-    stage1 = _estimator(pairs.pop("stage1", "passthrough"), "stage1", ref_mic)
+    stage1 = _estimator(pairs.pop("stage1", "passthrough"), "stage1")
     if stage1 is None:
         raise ConfigError("stage1: an estimator is required")
-    stage2 = _estimator(pairs.pop("stage2", "none"), "stage2", ref_mic)
+    stage2 = _estimator(pairs.pop("stage2", "none"), "stage2")
 
     bit_depth = _int(pairs, "bit_depth", default=EnhanceJob.bit_depth)
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
@@ -193,7 +186,7 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
         stage1=stage1,
         beamformer=beamformer,
         stage2=stage2,
-        ref_mic=ref_mic,
+        ref_mic=_int(pairs, "ref_mic", default=PipelineConfig.ref_mic),
         loading=_float(pairs, "loading", default=PipelineConfig.loading),
         forgetting=_float(pairs, "forgetting", default=PipelineConfig.forgetting),
     )

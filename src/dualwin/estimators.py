@@ -88,13 +88,13 @@ class EstimatorKind:
     """Declarative estimator selection, as written in configs.
 
     ``passthrough`` forwards one input unchanged (``source`` picks the
-    mixture reference channel, the stage-1 estimate, or the beamformed
-    frame); the oracle kinds need a clean reference bound at run time;
-    ``file`` replays precomputed frames; ``external`` runs a child process.
+    mixture at ``PipelineConfig.ref_mic``, the stage-1 estimate, or the
+    beamformed frame), and ``PipelineConfig`` refuses it a horizon; the
+    oracle kinds need a clean reference bound at run time; ``file`` replays
+    precomputed frames; ``external`` runs a child process.
     """
 
     kind: str
-    channel: int = 0
     source: str = "mixture"
     path: str | None = None
     command: str | None = None
@@ -104,8 +104,6 @@ class EstimatorKind:
             raise ValueError(
                 f"unknown estimator kind {self.kind!r}, expected one of {ESTIMATOR_KINDS}"
             )
-        if self.channel < 0:
-            raise ValueError(f"estimator channel must be >= 0, got {self.channel}")
         if self.kind == "passthrough" and self.source not in PASSTHROUGH_SOURCES:
             raise ValueError(
                 f"passthrough source must be one of {PASSTHROUGH_SOURCES}, "
@@ -165,7 +163,7 @@ class Estimator:
 
 class PassthroughEstimator(Estimator):
     """Identity stage: forwards current-frame input, whatever the target row.
-    It cannot predict, so ``make_estimator`` refuses it a horizon."""
+    It cannot predict, so ``PipelineConfig`` refuses it a horizon."""
 
     def __init__(self, n_bins, channel=0, source="mixture"):
         super().__init__(n_bins)
@@ -413,6 +411,7 @@ def make_estimator(
     frames_ahead: int,
     channels: int,
     stage: int,
+    ref_mic: int = 0,
     reference_frames: np.ndarray | None = None,
     mixture_ref_frames: np.ndarray | None = None,
     expected_frames: int | None = None,
@@ -434,20 +433,14 @@ def make_estimator(
     hops (:func:`load_frame_file`).
 
     ``frames_ahead`` is the stage's horizon, the frames it must predict
-    ahead. An external child is told it in the handshake; a passthrough
-    cannot predict and refuses a nonzero one with ``ValueError``; a table
-    ignores it, because its caller reads the rows ahead.
+    ahead. An external child is told it in the handshake; a table ignores
+    it, because its caller reads the rows ahead; ``PipelineConfig`` refuses
+    a passthrough a nonzero one. A passthrough of the mixture forwards
+    channel ``ref_mic``, which ``pipeline.Session`` checks.
     """
     n_bins = params.n_bins
     if kind.kind == "passthrough":
-        if frames_ahead:
-            raise ValueError(f"a passthrough cannot predict ahead, got frames_ahead={frames_ahead}")
-        if kind.channel >= channels:
-            raise ValueError(
-                f"passthrough channel {kind.channel} out of range for "
-                f"{channels} channels"
-            )
-        return PassthroughEstimator(n_bins, kind.channel, kind.source)
+        return PassthroughEstimator(n_bins, ref_mic, kind.source)
     if kind.is_oracle:
         signals = reference is not None
         if not signals and reference_frames is None:

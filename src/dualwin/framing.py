@@ -116,10 +116,10 @@ class FrameBlock:
     """The frames of one :meth:`AnalysisStream.push`: ``bins``, shape
     (T, channels, n_bins), of frames ``first_frame .. first_frame + T - 1``.
 
-    ``pipeline.Session`` runs its stages over ``bins`` whole. Per-frame
-    callers, such as the benchmark adapter until the per-frame API is
-    deleted (ROADMAP item 4 (c)), take ``len`` of it and iterate it, which
-    builds its T :class:`SpectrumFrame` on demand.
+    ``pipeline.Session`` runs its stages over ``bins`` whole. The benchmark
+    adapter iterates it, which builds its T :class:`SpectrumFrame` on
+    demand, until the per-frame API is deleted (ROADMAP item 4 (c)); its
+    tracer counts a push's frames with ``len``.
     """
 
     __slots__ = ("bins", "first_frame")

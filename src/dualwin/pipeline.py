@@ -65,6 +65,9 @@ class ConfigError(ValueError):
 class PipelineConfig:
     """Everything needed to run one enhancement stream.
 
+    ``ref_mic`` is the whole chain's reference microphone: a passthrough of
+    the mixture forwards it and ``oracle_mag_mask`` masks it.
+
     At ``params.frames_ahead`` k > 0 the last stage predicts k frames ahead,
     so it must be a stage that can: an oracle, a frame file or an external
     estimator. A passthrough or the beamformer as the last stage raises
@@ -212,6 +215,7 @@ class Session:
         self._ahead1, self._ahead2 = (k if config.last_stage == stage else 0 for stage in (1, 2))
         bound = dict(
             channels=channels,
+            ref_mic=config.ref_mic,
             window=g,
             reference=reference,
             mixture_ref=None if mixture is None else mixture[config.ref_mic],

@@ -149,6 +149,30 @@ class TestOnlineMcwf:
             bf.update(_random_spectrogram(rng, 1, 3, 9)[0], np.ones(9, complex))
         assert bf._state.tobytes() == before
 
+    def test_overflowed_denominator_raises(self):
+        # finite frames of size 1e200 overflow y^H P y to +inf; 1 / sqrt(inf) would zero the
+        # update and drop every frame without a word
+        bf = OnlineMcwf(6, 129)
+        before = bf._state.tobytes()
+        for _ in range(50):
+            with pytest.raises(BeamformerStateError, match="^RLS denominator overflowed$"):
+                bf.update(np.full((6, 129), 1e200, complex), np.full(129, 1e200, complex))
+        assert bf._t == 0 and bf._state.tobytes() == before
+
+    def test_loading_step_on_an_overflowed_inverse_raises(self):
+        # a silent frame passes the RLS step, whose division by the forgetting factor then
+        # overflows one diagonal entry of the inverse; the loading step on that column refuses
+        bf = OnlineMcwf(3, 5, forgetting=0.5)
+        bf._state[0, 0, 2] = 1.5e308
+        with pytest.raises(BeamformerStateError, match="^RLS denominator overflowed$"):
+            bf.update(np.zeros((3, 5), complex), np.ones(5, complex))
+        assert bf._t == 0 and bf._state[0, 0, 2] == np.inf
+        before = bf._state.tobytes()  # the loading step's check comes before its writes
+        # under update's errstate: inf times the load is a complex product, its imag part NaN
+        with np.errstate(all="ignore"), pytest.raises(BeamformerStateError, match="overflowed"):
+            bf._load_step(0)
+        assert bf._state.tobytes() == before
+
     def test_zero_estimate_stream_keeps_zero_filter(self):
         rng = np.random.default_rng(19)
         bf = OnlineMcwf(3, 4, mode="woodbury")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dualwin import beamformer, cli, estimators
 from dualwin.cli import main
-from dualwin.pipeline import run_pipeline
+from dualwin.pipeline import PipelineConfig, Session, run_pipeline
 from dualwin.wavio import read_wav, write_wav
 
 
@@ -147,6 +147,27 @@ class TestEnhanceCommand:
             "seed": 3,
         }
         assert report_path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_ref_mic_is_the_passthrough_mic_of_the_library_a_session_and_enhance(self, tmp_path, scene_dir):
+        # ref_mic is the one reference-mic setting: a passthrough of the mixture forwards it
+        # whether the chain is a PipelineConfig or a config file
+        mixture, _ = read_wav(scene_dir / "mixture.wav")
+        cfg = PipelineConfig(ref_mic=2)
+        out, _ = run_pipeline(cfg, mixture)
+        assert np.max(np.abs(out - mixture[2])) < 1e-10
+        hop, n = cfg.params.hop, mixture.shape[1]
+        with contextlib.closing(Session(cfg, len(mixture))) as session:
+            parts = [session.push(mixture[:, i : i + hop]) for i in range(0, n, hop)]
+            parts.append(session.flush())
+        assert np.array_equal(np.concatenate(parts)[:n], out)
+        config = _write_config(
+            tmp_path / "run.conf",
+            [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {tmp_path / 'out.wav'}", "ref_mic = 2"],
+        )
+        assert main(["enhance", "--config", config]) == 0
+        enhanced, _ = read_wav(tmp_path / "out.wav")
+        assert np.array_equal(enhanced, out.astype(np.float32)[np.newaxis])
+        assert np.array_equal(enhanced[0], mixture[2])
 
     def test_runs_are_bit_identical(self, tmp_path, scene_dir):
         outs = []
@@ -539,8 +560,12 @@ class TestErrorContract:
                 None,
                 "16384 channels of 32 bits do not fit a WAV header",
             ),
-            (["enhance"], ["stage1 = passthrough:mixture:9"], "passthrough channel 9 out of range for 6 channels"),
-            (["enhance"], ["stage1 = passthrough:mixture:-1"], "stage1: estimator channel must be >= 0, got -1"),
+            (["enhance"], ["ref_mic = 9"], "ref_mic 9 out of range for 6 channels"),
+            (
+                ["enhance"],
+                ["stage1 = passthrough:mixture:1"],
+                "stage1: passthrough source must be one of ('mixture', 'stage1', 'beamformer'), got 'mixture:1'",
+            ),
             (["latency-check", "--frames-ahead", "-1"], None, "frames_ahead must be >= 0, got -1"),
             (["windows", "--n-dft", "257"], None, "n_dft must be even, got 257"),
             (["simulate", "--seed", "-5"], None, "argument --seed: expected a non-negative integer, got '-5'"),
@@ -576,8 +601,8 @@ class TestErrorContract:
             "simulate-sample-rate-0",
             "simulate-byte-rate-past-wav-header",
             "simulate-block-size-past-wav-header",
-            "enhance-passthrough-channel-past-channels",
-            "enhance-negative-passthrough-channel",
+            "enhance-ref-mic-past-channels",
+            "enhance-passthrough-channel-field",
             "latency-check-negative-horizon",
             "windows-odd-n-dft",
             "simulate-negative-seed",

@@ -1,6 +1,7 @@
 import pytest
 
 from dualwin.config import build_job, parse_pairs
+from dualwin.estimators import EstimatorKind
 from dualwin.pipeline import ConfigError, PipelineConfig
 
 
@@ -118,11 +119,12 @@ class TestBuildJob:
         job = _job("stage1 = passthrough:mixture\nbeamformer = woodbury\nstage2 = passthrough:beamformer\n")
         assert job.pipeline.stage2.source == "beamformer"
 
-    def test_passthrough_channel_defaults_to_ref_mic(self):
+    def test_passthrough_takes_no_channel_of_its_own(self):
+        # the mixture it forwards is the chain's ref_mic
         job = _job("ref_mic = 3\nstage1 = passthrough\n")
-        assert job.pipeline.stage1.channel == 3
-        explicit = _job("ref_mic = 3\nstage1 = passthrough:mixture:1\n")
-        assert explicit.pipeline.stage1.channel == 1
+        assert job.pipeline.ref_mic == 3 and job.pipeline.stage1 == EstimatorKind("passthrough")
+        with pytest.raises(ConfigError, match="^stage1: passthrough source must be one of .*, got 'mixture:1'$"):
+            _job("ref_mic = 3\nstage1 = passthrough:mixture:1\n")
 
     def test_file_and_external_estimators(self):
         job = _job("stage1 = file:frames.npz\nstage2 = external:python stub.py\n")
@@ -145,4 +147,4 @@ class TestBuildJob:
         with pytest.raises(ConfigError, match="bit_depth"):
             _job("bit_depth = 20\n")
         with pytest.raises(ConfigError, match="ref_mic"):
-            _job("ref_mic = -1\n")  # also the default passthrough channel
+            _job("ref_mic = -1\n")

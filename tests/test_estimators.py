@@ -36,12 +36,13 @@ class TestPassthrough:
         est = PassthroughEstimator(5, channel=2)
         np.testing.assert_array_equal(est.estimate(EstimatorInput(mixture), 0), mixture[2])
 
-    def test_a_horizon_is_refused(self):
-        # a passthrough cannot see the future, so it cannot be the stage that predicts
-        kind = EstimatorKind("passthrough")
-        with pytest.raises(ValueError, match="a passthrough cannot predict ahead, got frames_ahead=1"):
-            make_estimator(kind, FrameParams(), 1, channels=2, stage=1)
-        assert isinstance(make_estimator(kind, FrameParams(), 0, channels=2, stage=1), PassthroughEstimator)
+    @pytest.mark.parametrize("ref_mic", [None, 2])
+    def test_a_mixture_passthrough_forwards_the_mic_it_is_bound_to(self, ref_mic):
+        # make_estimator takes the chain's reference mic, 0 when none is given
+        mixture = _frame(np.random.default_rng(2), 3, 5)
+        kw = {} if ref_mic is None else {"ref_mic": ref_mic}
+        est = make_estimator(EstimatorKind("passthrough"), FrameParams(), 0, channels=3, stage=1, **kw)
+        assert np.array_equal(est.estimate(EstimatorInput(mixture), 0), mixture[ref_mic or 0])
 
     def test_stage2_sources(self):
         rng = np.random.default_rng(1)
@@ -472,13 +473,6 @@ class TestEstimatorKind:
         with pytest.raises(ValueError, match="reference"):
             make_estimator(
                 EstimatorKind("oracle_complex"), params, 0, channels=1, stage=1
-            )
-
-    def test_factory_checks_passthrough_channel(self):
-        params = FrameParams()
-        with pytest.raises(ValueError, match="out of range"):
-            make_estimator(
-                EstimatorKind("passthrough", channel=4), params, 0, channels=2, stage=1
             )
 
 

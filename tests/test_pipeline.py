@@ -389,6 +389,7 @@ def _per_frame_chain(cfg, mixture, reference):
     tail = np.zeros(params.ows)
     bound = dict(
         channels=channels,
+        ref_mic=cfg.ref_mic,  # the adapter passes none, so its mixture passthroughs forward mic 0
         reference_frames=analyze(np.concatenate([reference, tail]), g, params),
         mixture_ref_frames=analyze(np.concatenate([mixture[cfg.ref_mic], tail]), g, params),
         expected_frames=n // params.hop,
@@ -459,7 +460,7 @@ class TestPerFrameEntryPoints:
 EXTERNAL = EstimatorKind("external", command=f"{sys.executable} {STUB} identity")
 BLOCK_CHAINS = {
     "passthrough": {},
-    "passthrough-channel-5": {"stage1": EstimatorKind("passthrough", channel=5)},
+    "passthrough-ref-mic-5": {"ref_mic": 5},
     "complex": {"stage1": EstimatorKind("oracle_complex")},
     "mask": {"stage1": MASK},
     "file": {"stage1": "file"},
@@ -470,7 +471,8 @@ BLOCK_CHAINS = {
     },
     "complex-passthrough-mixture": {  # only stage 2 reads the mixture
         "stage1": EstimatorKind("oracle_complex"),
-        "stage2": EstimatorKind("passthrough", channel=3),
+        "stage2": EstimatorKind("passthrough"),
+        "ref_mic": 3,
     },
     "mask-direct-out": {"stage1": MASK, "beamformer": "woodbury"},
     "mask-woodbury-passthrough": {"stage1": MASK, "beamformer": "woodbury", "stage2": TO_BEAMFORMER},
