@@ -60,6 +60,6 @@ with tempfile.NamedTemporaryFile(suffix=".npz") as fh:
 
 print(f"file-backed replay: SI-SDR vs the saved target "
       f"{si_sdr(enhanced, reference):+.1f} dB "
-      f"({report.frames['stage1']} frames)")
+      f"({report.frames} frames)")
 print("\nan external process can do the same live over stdin/stdout; see the")
 print("estimator module docs for the length-prefixed float32 frame protocol")

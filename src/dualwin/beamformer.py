@@ -202,13 +202,13 @@ class OnlineMcwf:
         # of a 43 us update, which perfbench's live_mcwf6 cannot resolve)
         with np.errstate(all="ignore"):
             self._rls_step(y, s)
+            self._t += 1  # the state holds this frame, even if its loading step fails
             if self._load:
-                self._load_step(self._t % len(y))
-            if (self._t + 1) % self._SYMMETRIZE_EVERY == 0:
+                self._load_step((self._t - 1) % len(y))
+            if self._t % self._SYMMETRIZE_EVERY == 0:
                 inv = self._state[:-1]
                 inv += inv.conj().transpose(1, 0, 2)  # conj() copies, so no aliasing
                 inv *= 0.5
-        self._t += 1
         return self._state[-1].conj().T  # conj() copies: the returned filter stays fixed
 
     def _rls_step(self, y: np.ndarray, s: np.ndarray):

@@ -122,14 +122,16 @@ class RunReport:
     """Outcome of one pipeline run.
 
     Serializes with stable key order; the two wall-clock fields are the
-    only run-to-run variation for identical inputs. ``frame_time_ms_mean``
-    is the total time of the input pushes divided by the input frames, and
-    ``frame_time_ms_max`` is the largest per-frame mean of one push.
+    only run-to-run variation for identical inputs. ``frames`` counts the
+    frames the ``Session`` ran, flush included; every stage runs each of
+    them. ``frame_time_ms_mean`` is the total time of the input pushes
+    divided by the input frames, and ``frame_time_ms_max`` is the largest
+    per-frame mean of one push.
     """
 
     config: dict
     algorithmic_latency_ms: float
-    frames: dict
+    frames: int
     metrics: MetricReport | None
     frame_time_ms_mean: float
     frame_time_ms_max: float
@@ -319,19 +321,12 @@ def run_pipeline(
         out_parts.append(session.flush())
     out = np.concatenate(out_parts)[:n_samples]
 
-    n = session.frames
     metrics = compute_metrics(out, np.reshape(reference, -1)) if reference is not None else None
     push_s, push_frames = np.reshape(pushes, (-1, 2)).T
     report = RunReport(
         config=asdict(config),
         algorithmic_latency_ms=algorithmic_latency(config.params),
-        frames={
-            "analysis": n,
-            "stage1": n,
-            "beamformer": n if config.beamformer is not None else 0,
-            "stage2": n if config.stage2 is not None else 0,
-            "synthesis": n,
-        },
+        frames=session.frames,
         metrics=metrics,
         frame_time_ms_mean=1000.0 * float(push_s.sum() / max(push_frames.sum(), 1)),
         frame_time_ms_max=1000.0 * float(np.max(push_s / np.maximum(push_frames, 1), initial=0.0)),

@@ -166,7 +166,7 @@ class TestOnlineMcwf:
         bf._state[0, 0, 2] = 1.5e308
         with pytest.raises(BeamformerStateError, match="^RLS denominator overflowed$"):
             bf.update(np.zeros((3, 5), complex), np.ones(5, complex))
-        assert bf._t == 0 and bf._state[0, 0, 2] == np.inf
+        assert bf._t == 1 and bf._state[0, 0, 2] == np.inf  # the RLS step wrote the frame
         before = bf._state.tobytes()  # the loading step's check comes before its writes
         # under update's errstate: inf times the load is a complex product, its imag part NaN
         with np.errstate(all="ignore"), pytest.raises(BeamformerStateError, match="overflowed"):

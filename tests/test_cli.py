@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dualwin import beamformer, cli, estimators
 from dualwin.cli import main
+from dualwin.framing import FrameParams
 from dualwin.pipeline import PipelineConfig, Session, run_pipeline
 from dualwin.wavio import read_wav, write_wav
 
@@ -113,6 +114,7 @@ class TestEnhanceCommand:
         assert fs == 16000 and enhanced.shape == (1, 8000)
         report = json.loads(report_path.read_text())
         assert report["algorithmic_latency_ms"] == 4.0
+        assert report["frames"] == FrameParams().frames_to_release(8000)
         assert report["metrics"]["si_sdr_db"] > 0.0
         assert report["job"]["output"] == str(out_wav)
 

@@ -267,7 +267,7 @@ class TestSession:
         out = np.concatenate(parts)
         assert len(out) >= len(expected)
         np.testing.assert_array_equal(out[: len(expected)], expected)
-        assert session.frames == report.frames["synthesis"]
+        assert session.frames == report.frames
 
     @pytest.mark.parametrize("shape", [(2, 1600), (1, 2, 800), ()], ids=["two-channels", "3-d", "scalar"])
     @pytest.mark.parametrize("with_mixture", [False, True])
@@ -568,9 +568,7 @@ class TestRunReport:
         n = scene.mixture.shape[1]
         out, report = run_pipeline(cfg, scene.mixture, scene.target_direct)
         assert out.shape == (n,)
-        assert report.frames["stage1"] == report.frames["synthesis"]
-        assert report.frames["analysis"] >= n // cfg.params.hop
-        assert report.frames["beamformer"] == 0
+        assert report.frames == cfg.params.frames_to_release(n) >= n // cfg.params.hop
         assert report.algorithmic_latency_ms == 4.0
 
     def test_odd_length_input_is_preserved(self):
@@ -578,19 +576,32 @@ class TestRunReport:
         out, _ = run_pipeline(PipelineConfig(), x)
         assert out.shape == (3333,)
 
-    @pytest.mark.parametrize("k", range(4))
-    def test_frames_run_until_the_output_is_complete(self, k):
+    @pytest.mark.parametrize(
+        "chain, k",
+        [("oracle_complex", k) for k in range(4)] + [("passthrough", 0), ("mcwf", 0)],
+    )
+    def test_frames_run_until_the_output_is_complete(self, chain, k):
         # every input frame runs, then zero hops until the last output sample
-        # is released; the oracle tables still cover the tail exactly
+        # is released; the oracle tables still cover the tail exactly. A
+        # passthrough or the beamformer as the last stage allows only k = 0.
         params = FrameParams(frames_ahead=k)
         n, hop, ows = 3333, params.hop, params.ows
         ref = np.random.default_rng(42).standard_normal(n)
-        cfg = PipelineConfig(params=params, stage1=EstimatorKind("oracle_complex"))
+        stages = {
+            "oracle_complex": dict(stage1=EstimatorKind("oracle_complex")),
+            "passthrough": dict(stage1=EstimatorKind("passthrough")),
+            "mcwf": dict(
+                stage1=EstimatorKind("oracle_mag_mask"),
+                beamformer="woodbury",
+                stage2=TO_BEAMFORMER,
+            ),
+        }[chain]
+        cfg = PipelineConfig(params=params, **stages)
         out, report = run_pipeline(cfg, np.stack([ref, ref]), ref)
         expected = max(n // hop, -(-(n + ows) // hop) - 1 - k)
-        assert report.frames["analysis"] == expected
-        assert report.frames["stage1"] == report.frames["synthesis"] == expected
-        np.testing.assert_allclose(out[k * hop :], ref[k * hop :], rtol=0, atol=1e-10)
+        assert report.frames == params.frames_to_release(n) == expected
+        if chain != "mcwf":
+            np.testing.assert_allclose(out[k * hop :], ref[k * hop :], rtol=0, atol=1e-10)
 
     def test_frame_time_includes_analysis(self, monkeypatch):
         push = pipeline.AnalysisStream.push
