@@ -33,6 +33,16 @@ class BeamformerStateError(RuntimeError):
     or the recursion overflowed."""
 
 
+def check_settings(loading: float, forgetting: float):
+    """Refuse a ``loading`` that is not finite and > 0, or a ``forgetting`` outside (0, 1],
+    with ``ValueError``."""
+    # a subnormal loading passes 0 < loading but overflows the initial I/loading
+    if not (0.0 < loading < np.inf and math.isfinite(1.0 / float(loading))):
+        raise ValueError(f"loading must be finite and > 0, got {loading}")
+    if not 0.0 < forgetting <= 1.0:
+        raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
+
+
 def _check_denominator(den: np.ndarray):
     """Refuse an RLS denominator ``1 + y^H P y`` that is not positive and finite, before
     any write: 1 / sqrt(inf) would zero the update and drop the frame unseen."""
@@ -167,13 +177,9 @@ class OnlineMcwf:
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        # a subnormal loading passes 0 < loading but overflows the initial I/loading
-        if not (0.0 < loading < np.inf and math.isfinite(1.0 / float(loading))):
-            raise ValueError(f"loading must be finite and > 0, got {loading}")
+        check_settings(loading, forgetting)
         if update_stride != 1:
             raise ValueError(f"update_stride must be 1, got {update_stride}")
-        if not 0.0 < forgetting <= 1.0:
-            raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
         self.forgetting = forgetting
         self._load = math.sqrt((1.0 - forgetting) * loading * channels)  # the size of u, 0 at lam = 1
         self._state = np.zeros((channels + 1, channels, n_bins), dtype=np.complex128)

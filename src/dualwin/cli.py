@@ -189,7 +189,6 @@ def cmd_enhance(args) -> int:
             "mixture": job.mixture_path,
             "reference": job.reference_path,
             "output": job.output_path,
-            "seed": job.seed,
         },
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -4,7 +4,6 @@ One ``key = value`` pair per line, ``#`` starts a comment. Sizes carry an
 explicit unit suffix: ``iws_ms = 16`` or ``iws_samples = 256`` (same for
 ``ows`` and ``hop``); setting both units for one size is an error. Example::
 
-    seed = 7
     sample_rate = 16000
     window = tukey
     iws_ms = 16
@@ -48,7 +47,6 @@ class EnhanceJob:
     output_path: str
     reference_path: str | None = None
     report_path: str | None = None
-    seed: int | None = None
     bit_depth: int = 32
 
 
@@ -196,7 +194,6 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
         output_path=pairs.pop("output"),
         reference_path=pairs.pop("reference", None),
         report_path=pairs.pop("report", None),
-        seed=_int(pairs, "seed"),
         bit_depth=bit_depth,
     )
     if pairs:

@@ -44,19 +44,22 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
     ref = np.asarray(reference, dtype=np.float64)
     if est.shape != ref.shape:
         raise ValueError(f"length mismatch: {est.shape} vs {ref.shape}")
-    ref_energy = float(np.dot(ref, ref))
-    # inf or nan in a signal makes its energy non-finite: one dot, not an isfinite pass
-    if not math.isfinite(ref_energy + float(np.dot(est, est))):
+    buf = np.empty_like(ref)  # each product in turn; the target, then its error, is the other array
+    def dot(a, b):  # pairwise sum: a BLAS dot rounds by its thread count and wakes its workers
+        return float(np.add.reduce(np.multiply(a, b, out=buf)))
+    ref_energy = dot(ref, ref)
+    # inf or nan in a signal makes its energy non-finite: one sum, not an isfinite pass
+    if not math.isfinite(ref_energy + dot(est, est)):
         raise ValueError("estimate or reference is not finite")
     if ref_energy == 0.0:
         raise ValueError("reference signal has zero energy")
-    alpha = float(np.dot(est, ref)) / ref_energy
+    alpha = dot(est, ref) / ref_energy
     target = alpha * ref
-    target_energy = float(np.dot(target, target))
+    target_energy = dot(target, target)
     if target_energy == 0.0:  # an all-zero or orthogonal estimate
         return -SI_SDR_CAP_DB
-    err = target - est
-    err_energy = float(np.dot(err, err))
+    err = np.subtract(target, est, out=target)
+    err_energy = dot(err, err)
     if err_energy == 0.0:
         return SI_SDR_CAP_DB
     db = 10.0 * np.log10(target_energy / err_energy)

@@ -37,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .beamformer import DEFAULT_LOADING, MODES, OnlineMcwf, apply_filter
+from .beamformer import DEFAULT_LOADING, MODES, OnlineMcwf, apply_filter, check_settings
 from .estimators import EstimatorKind, make_estimator
 from .framing import (
     AnalysisStream,
@@ -66,7 +66,9 @@ class PipelineConfig:
     """Everything needed to run one enhancement stream.
 
     ``ref_mic`` is the whole chain's reference microphone: a passthrough of
-    the mixture forwards it and ``oracle_mag_mask`` masks it.
+    the mixture forwards it and ``oracle_mag_mask`` masks it. ``loading``
+    and ``forgetting`` obey ``OnlineMcwf``'s rule whether or not a
+    beamformer reads them.
 
     At ``params.frames_ahead`` k > 0 the last stage predicts k frames ahead,
     so it must be a stage that can: an oracle, a frame file or an external
@@ -92,6 +94,10 @@ class PipelineConfig:
             )
         if self.ref_mic < 0:
             raise ConfigError(f"ref_mic must be >= 0, got {self.ref_mic}")
+        try:
+            check_settings(self.loading, self.forgetting)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         bf = ("beamformer",) if self.beamformer is not None else ()
         stages = (("stage1", self.stage1, ("mixture",)), ("stage2", self.stage2, ("mixture", "stage1") + bf))
         for name, kind, sources in stages:

@@ -186,7 +186,6 @@ def test_criterion_8_determinism(tmp_path):
                         f"output = {tmp_path / name}",
                         "stage1 = oracle_mag_mask",
                         "beamformer = woodbury",
-                        "seed = 9",
                     ]
                 )
                 + "\n"

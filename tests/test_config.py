@@ -63,14 +63,14 @@ class TestBuildJob:
 
     def test_every_key_read_is_known(self):
         keys = {
-            "seed": "7", "sample_rate": "16000", "window": "tukey", "tukey_alpha": "0.25",
+            "sample_rate": "16000", "window": "tukey", "tukey_alpha": "0.25",
             "iws_ms": "16", "ows_samples": "64", "hop_ms": "2", "n_dft": "256", "frames_ahead": "0",
             "stage1": "oracle_mag_mask", "beamformer": "woodbury", "stage2": "passthrough:beamformer",
             "ref_mic": "0", "loading": "1e-6", "forgetting": "1", "bit_depth": "24",
             "mixture": "m.wav", "reference": "r.wav", "output": "o.wav", "report": "r.json",
         }
         job = build_job(keys)
-        assert (job.seed, job.bit_depth, job.reference_path, job.report_path) == (7, 24, "r.wav", "r.json")
+        assert (job.bit_depth, job.reference_path, job.report_path) == (24, "r.wav", "r.json")
 
     def test_a_bad_value_is_reported_before_an_unknown_key(self):
         with pytest.raises(ConfigError, match="^n_dft: expected an integer, got 'many'$"):

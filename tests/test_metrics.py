@@ -57,6 +57,18 @@ class TestSiSdr:
         with pytest.raises(ValueError):
             si_sdr(np.ones(10), np.ones(11))
 
+    @pytest.mark.parametrize("noise", [0.3, 1e-3, 3.0])
+    def test_matches_exact_sums_on_a_long_signal(self, noise):
+        # every sum of products taken exactly (math.fsum); the first run measured at most
+        # 2 ulps of the exact value here, whatever the BLAS thread count (np.dot's sums
+        # measured 3-4 ulps on one OpenBLAS thread and 0-1 on two)
+        rng = np.random.default_rng(0)
+        ref = rng.standard_normal(400000)
+        est = 0.8 * ref + noise * rng.standard_normal(400000)
+        target = math.fsum(est * ref) / math.fsum(ref * ref) * ref
+        exact = 10.0 * math.log10(math.fsum(target * target) / math.fsum((target - est) ** 2))
+        assert abs(si_sdr(est, ref) - exact) <= 2 * math.ulp(exact)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["estimate", "reference"])
     def test_non_finite_input_rejected(self, bad, where):
@@ -176,8 +188,9 @@ class TestComputeMetrics:
         assert report.ri_mag_loss_mean == report.ri_mag_loss / (3 * spec.size)
         assert report.wav_mag_loss_mean == report.wav_mag_loss / (3000 + spec.size)
 
-    # seeds whose RI sum changes if its three terms are added in another order
-    @pytest.mark.parametrize("seed, n", [(14, 3000), (14, 4097), (29, 700)])
+    # seeds whose RI sum changes if its three terms are added in another order; at n = 16000
+    # a BLAS dot would split its sum over threads
+    @pytest.mark.parametrize("seed, n", [(14, 3000), (14, 4097), (29, 700), (14, 16000)])
     def test_every_field_equals_the_unshared_expressions(self, seed, n):
         # each field spelled out with nothing shared: the magnitude term summed
         # once per loss and target - est formed twice, as before they were shared
@@ -190,8 +203,9 @@ class TestComputeMetrics:
             np.sum(np.abs(d.real)) + np.sum(np.abs(d.imag)) + np.sum(np.abs(np.abs(s_hat) - np.abs(s)))
         )
         wav = float(np.sum(np.abs(est - ref)) + np.sum(np.abs(np.abs(s_hat) - np.abs(s))))
-        target = float(np.dot(est, ref)) / float(np.dot(ref, ref)) * ref
-        db = 10.0 * np.log10(float(np.dot(target, target)) / float(np.dot(target - est, target - est)))
+        dot = lambda a, b: float(np.add.reduce(a * b))  # noqa: E731  pairwise, never BLAS
+        target = dot(est, ref) / dot(ref, ref) * ref
+        db = 10.0 * np.log10(dot(target, target) / dot(target - est, target - est))
         assert asdict(compute_metrics(est, ref)) == {
             "si_sdr_db": float(np.clip(db, -100.0, 100.0)),
             "ri_mag_loss": ri,

@@ -725,6 +725,23 @@ class TestValidation:
         with pytest.warns(UserWarning, match="single-channel"):
             run_pipeline(cfg, x, x.copy())
 
+    @pytest.mark.parametrize("beamformer", [None, "woodbury"], ids=["off", "woodbury"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"loading": 0.0}, "loading must be finite and > 0, got 0.0"),
+            ({"loading": 1e-310}, "loading must be finite and > 0, got 1e-310"),
+            ({"forgetting": 1.5}, "forgetting must be in (0, 1], got 1.5"),
+            ({"forgetting": 0.0}, "forgetting must be in (0, 1], got 0.0"),
+        ],
+    )
+    def test_loading_and_forgetting_are_checked_whatever_the_beamformer(self, beamformer, setting, message):
+        # one rule, shared with OnlineMcwf: the config refuses what the beamformer would
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(beamformer=beamformer, **setting)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OnlineMcwf(2, 3, **setting)
+
     def test_unknown_beamformer_mode_rejected(self):
         with pytest.raises(ConfigError, match="beamformer"):
             PipelineConfig(beamformer="gev")
