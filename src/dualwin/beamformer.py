@@ -33,14 +33,14 @@ class BeamformerStateError(RuntimeError):
     or the recursion overflowed."""
 
 
-def check_settings(loading: float, forgetting: float):
+def check_settings(loading: float, forgetting: float, error: type[ValueError] = ValueError):
     """Refuse a ``loading`` that is not finite and > 0, or a ``forgetting`` outside (0, 1],
-    with ``ValueError``."""
+    with ``error``."""
     # a subnormal loading passes 0 < loading but overflows the initial I/loading
     if not (0.0 < loading < np.inf and math.isfinite(1.0 / float(loading))):
-        raise ValueError(f"loading must be finite and > 0, got {loading}")
+        raise error(f"loading must be finite and > 0, got {loading}")
     if not 0.0 < forgetting <= 1.0:
-        raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
+        raise error(f"forgetting must be in (0, 1], got {forgetting}")
 
 
 def _check_denominator(den: np.ndarray):

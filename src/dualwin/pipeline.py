@@ -94,10 +94,7 @@ class PipelineConfig:
             )
         if self.ref_mic < 0:
             raise ConfigError(f"ref_mic must be >= 0, got {self.ref_mic}")
-        try:
-            check_settings(self.loading, self.forgetting)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_settings(self.loading, self.forgetting, ConfigError)
         bf = ("beamformer",) if self.beamformer is not None else ()
         stages = (("stage1", self.stage1, ("mixture",)), ("stage2", self.stage2, ("mixture", "stage1") + bf))
         for name, kind, sources in stages:

@@ -268,35 +268,6 @@ class TestEnhanceCommand:
         assert err == ["error: loading must be finite and > 0, got 1e-310"]
         assert not out_wav.exists()
 
-    @pytest.mark.parametrize(
-        "key,value,message",
-        [
-            ("loading", "0", "loading must be finite and > 0, got 0.0"),
-            ("forgetting", "1.5", "forgetting must be in (0, 1], got 1.5"),
-        ],
-    )
-    def test_loading_and_forgetting_are_checked_without_a_beamformer(
-        self, tmp_path, scene_dir, capsys, key, value, message
-    ):
-        out_wav = tmp_path / "x.wav"
-        config = _write_config(
-            tmp_path / "off.conf",
-            [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {out_wav}", "beamformer = off", f"{key} = {value}"],
-        )
-        assert main(["enhance", "--config", config]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert not out_wav.exists()
-
-    def test_seed_is_an_unknown_key(self, tmp_path, scene_dir, capsys):
-        # enhance draws no random number; simulate --seed seeds the scene
-        out_wav = tmp_path / "x.wav"
-        config = _write_config(
-            tmp_path / "seed.conf", [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {out_wav}", "seed = 3"]
-        )
-        assert main(["enhance", "--config", config]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: unknown config key(s): seed"]
-        assert not out_wav.exists()
-
     def test_direct_beamformer_exits_1(self, tmp_path, scene_dir, capsys):
         config = _write_config(
             tmp_path / "direct.conf",
@@ -637,6 +608,9 @@ class TestErrorContract:
             (["enhance"], ["stage1 = file:"], "stage1: file estimator requires a path"),
             (["latency-check", "--frames-ahead"], None, "argument --frames-ahead: expected at least one argument"),
             (["enhance"], ["sample_rate = 8000"], "mixture sample rate 16000 does not match configured 8000"),
+            (["enhance"], ["seed = 3"], "unknown config key(s): seed"),
+            (["enhance"], ["beamformer = off", "loading = 0"], "loading must be finite and > 0, got 0.0"),
+            (["enhance"], ["beamformer = off", "forgetting = 1.5"], "forgetting must be in (0, 1], got 1.5"),
             (["windows", "--tukey-alpha", "nan"], None, "argument --tukey-alpha: expected a finite number, got 'nan'"),
             (["windows", "--tukey-alpha", "inf"], None, "argument --tukey-alpha: expected a finite number, got 'inf'"),
             (
@@ -674,6 +648,9 @@ class TestErrorContract:
             "enhance-file-without-a-path",
             "latency-check-no-horizons",
             "enhance-mixture-rate-past-config",
+            "enhance-seed-is-no-key",
+            "enhance-zero-loading-without-a-beamformer",
+            "enhance-forgetting-past-1-without-a-beamformer",
             "windows-nan-tukey-alpha",
             "windows-infinite-tukey-alpha",
             "simulate-source-band-below-200-hz",
