@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -18,10 +19,13 @@ from .beamformer import BeamformerStateError
 from .config import load_job
 from .estimators import ExternalProtocolError
 from .framing import FrameParams, build_windows
-from .pipeline import ConfigError, audit_latency, run_pipeline
-from .simulate import make_scene
-from .wavio import WavError, check_writable, read_wav, write_wav
-from .windows import WINDOW_NAMES, WindowKind, verify_cola
+from .pipeline import ConfigError, PipelineConfig, audit_latency, run_pipeline
+from .simulate import make_scene, scene_samples
+from .wavio import WavError, check_format, check_writable, read_wav, write_wav
+from .windows import WINDOW_NAMES, WindowKind, peak_gain, verify_cola
+
+# make_scene's keywords and defaults: each simulate flag stores into one and takes its default
+_SCENE = {name: p.default for name, p in inspect.signature(make_scene).parameters.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("windows", help="emit a window pair and its COLA residual")
-    p.add_argument("--kind", choices=WINDOW_NAMES, default="tukey")
-    p.add_argument("--tukey-alpha", type=_finite_float, default=WindowKind.tukey_alpha)
+    p.add_argument("--kind", choices=WINDOW_NAMES, default=PipelineConfig.window.name)
     p.add_argument("--iws", type=int, default=FrameParams.iws, help="analysis window, samples")
     p.add_argument("--ows", type=int, default=FrameParams.ows, help="output window, samples")
     p.add_argument("--hop", type=int, default=FrameParams.hop, help="hop, samples")
@@ -68,14 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="write a synthetic scene: WAVs + manifest")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--channels", type=int, default=6)
-    p.add_argument("--diameter", type=_finite_float, default=0.20, help="array diameter, m")
-    p.add_argument("--duration", type=_finite_float, default=1.0, help="seconds")
-    p.add_argument("--snr-db", type=_finite_float, default=0.0)
-    p.add_argument("--noises", type=int, default=2)
-    p.add_argument("--sample-rate", type=int, default=16000)
-    p.add_argument("--ref-mic", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)  # make_scene has no default
+    p.add_argument("--channels", type=int, default=_SCENE["channels"])
+    p.add_argument("--diameter", type=_finite_float, default=_SCENE["diameter"], help="array diameter, m")
+    p.add_argument("--duration", dest="duration_s", type=_finite_float, default=_SCENE["duration_s"], help="seconds")
+    p.add_argument("--snr-db", type=_finite_float, default=_SCENE["snr_db"])
+    p.add_argument("--noises", dest="n_noises", type=int, default=_SCENE["n_noises"])
+    p.add_argument("--sample-rate", type=int, default=_SCENE["sample_rate"])
+    p.add_argument("--ref-mic", type=int, default=_SCENE["ref_mic"])
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("enhance", help="run the enhancement pipeline from a config file")
@@ -98,18 +101,18 @@ def _write_text(text: str, out_path: str | None):
 
 def cmd_windows(args) -> int:
     params = FrameParams(iws=args.iws, ows=args.ows, hop=args.hop, n_dft=args.n_dft)
-    g, l = build_windows(WindowKind(args.kind, args.tukey_alpha), params)
+    g, l = build_windows(WindowKind(args.kind), params)
     residual = verify_cola(g, l, params)
     if args.format == "json":
         text = json.dumps(
             {
                 "kind": args.kind,
-                "tukey_alpha": args.tukey_alpha,
                 "iws": args.iws,
                 "ows": args.ows,
                 "hop": args.hop,
                 "n_dft": args.n_dft,
                 "cola_residual": residual,
+                "synthesis_peak_gain": peak_gain(l),
                 "analysis": g.tolist(),
                 "synthesis": l.tolist(),
             },
@@ -128,16 +131,9 @@ def cmd_windows(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scene = make_scene(
-        seed=args.seed,
-        channels=args.channels,
-        diameter=args.diameter,
-        duration_s=args.duration,
-        snr_db=args.snr_db,
-        n_noises=args.noises,
-        sample_rate=args.sample_rate,
-        ref_mic=args.ref_mic,
-    )
+    n = scene_samples(args.duration_s, args.sample_rate)
+    check_format(args.channels, args.sample_rate, n=n)  # before a scene no WAV can hold is simulated
+    scene = make_scene(**{name: getattr(args, name) for name in _SCENE})
     for samples in (scene.mixture, scene.target_direct):  # before anything is written
         check_writable(samples, scene.sample_rate)
     os.makedirs(args.out_dir, exist_ok=True)

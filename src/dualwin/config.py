@@ -159,10 +159,7 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
         raise ConfigError(str(exc)) from None
 
     try:
-        window = WindowKind(
-            pairs.pop("window", PipelineConfig.window.name),
-            _float(pairs, "tukey_alpha", default=WindowKind.tukey_alpha),
-        )
+        window = WindowKind(pairs.pop("window", PipelineConfig.window.name))
     except ValueError as exc:
         raise ConfigError(f"window: {exc}") from None
 

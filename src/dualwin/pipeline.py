@@ -48,7 +48,7 @@ from .framing import (
     synthesize_block,
 )
 from .metrics import MetricReport, compute_metrics
-from .windows import TUKEY, WindowKind
+from .windows import TUKEY, WindowKind, peak_gain
 
 
 # Hops per run_pipeline push: fewer pushes pay fewer fixed costs, but a push sizes the work buffer.
@@ -129,12 +129,14 @@ class RunReport:
     frames the ``Session`` ran, flush included; every stage runs each of
     them. ``frame_time_ms_mean`` is the total time of the input pushes
     divided by the input frames, and ``frame_time_ms_max`` is the largest
-    per-frame mean of one push.
+    per-frame mean of one push. ``synthesis_peak_gain`` is max|l| of the
+    synthesis window the ``Session`` ran (``windows.peak_gain``).
     """
 
     config: dict
     algorithmic_latency_ms: float
     frames: int
+    synthesis_peak_gain: float
     metrics: MetricReport | None
     frame_time_ms_mean: float
     frame_time_ms_max: float
@@ -330,6 +332,7 @@ def run_pipeline(
         config=asdict(config),
         algorithmic_latency_ms=algorithmic_latency(config.params),
         frames=session.frames,
+        synthesis_peak_gain=peak_gain(session._l),
         metrics=metrics,
         frame_time_ms_mean=1000.0 * float(push_s.sum() / max(push_frames.sum(), 1)),
         frame_time_ms_max=1000.0 * float(np.max(push_s / np.maximum(push_frames, 1), initial=0.0)),

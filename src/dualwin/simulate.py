@@ -193,6 +193,18 @@ def _bandlimited_noise(
     return x / np.sqrt(np.mean(x**2))
 
 
+def scene_samples(duration_s: float, sample_rate: int) -> int:
+    """Samples per channel of a ``duration_s`` scene at ``sample_rate``;
+    ``ValueError`` if that is none, or more than a float can count."""
+    samples = duration_s * sample_rate
+    if not math.isfinite(samples):
+        raise ValueError(f"a duration of {duration_s} s at {sample_rate} Hz gives {samples} samples")
+    n = round(samples)
+    if n < 1:
+        raise ValueError(f"a duration of {duration_s} s at {sample_rate} Hz gives no samples")
+    return n
+
+
 def make_scene(
     seed: int,
     channels: int = 6,
@@ -214,9 +226,7 @@ def make_scene(
     if n_noises < 1:
         raise ValueError(f"need at least one noise source, got {n_noises}")
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * sample_rate))
-    if n < 1:
-        raise ValueError(f"a duration of {duration_s} s at {sample_rate} Hz gives no samples")
+    n = scene_samples(duration_s, sample_rate)
     geom = array_geometry(channels, diameter)
     hi = 0.45 * sample_rate
 

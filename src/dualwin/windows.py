@@ -7,9 +7,10 @@ checks that geometry once; the functions here check only the window's
 values and the family's own rules.
 
 Four analysis window families are supported: square-root Hann, asymmetric
-square-root Hann, rectangular, and Tukey. For any analysis window ``g`` of
-length ``N = iws``, the synthesis window ``l`` of length ``A = ows`` with
-hop ``B`` is derived from the last ``A`` samples of ``g``::
+square-root Hann, rectangular, and Tukey with an N/16 taper at each end.
+For any analysis window ``g`` of length ``N = iws``, the synthesis window
+``l`` of length ``A = ows`` with hop ``B`` is derived from the last ``A``
+samples of ``g``::
 
     l[n] = g[N-A+n] / sum_{k=0}^{A/B-1} g[N-A+(n mod B)+k*B]**2
 
@@ -34,29 +35,16 @@ WINDOW_NAMES = ("sqrthann", "asqrthann", "rect", "tukey")
 
 @dataclass(frozen=True)
 class WindowKind:
-    """Window family selector.
-
-    Parameters
-    ----------
-    name : str
-        One of ``"sqrthann"``, ``"asqrthann"``, ``"rect"``, ``"tukey"``.
-    tukey_alpha : float
-        Taper fraction for the Tukey window, in (0, 0.5]. Ignored for the
-        other families. The default 1/16 tapers 1 ms on each end of a
-        16 ms window.
-    """
+    """Window family selector: ``name``, one of :data:`WINDOW_NAMES`, is the
+    only setting. Tukey tapers a fixed N/16 at each end (1 ms of a 16 ms
+    window), and the synthesis window follows from the frame geometry."""
 
     name: str
-    tukey_alpha: float = 1.0 / 16.0
 
     def __post_init__(self):
         if self.name not in WINDOW_NAMES:
             raise ValueError(
                 f"unknown window kind {self.name!r}, expected one of {WINDOW_NAMES}"
-            )
-        if self.name == "tukey" and not 0.0 < self.tukey_alpha <= 0.5:
-            raise ValueError(
-                f"tukey_alpha must be in (0, 0.5], got {self.tukey_alpha}"
             )
 
 
@@ -71,9 +59,9 @@ def _sqrt_hann(m: int) -> np.ndarray:
     return np.sin(np.pi * np.arange(m) / m)
 
 
-def _tukey(n_samples: int, alpha: float) -> np.ndarray:
-    # three-branch definition; tapering covers the first and last alpha*N samples
-    a = alpha * n_samples
+def _tukey(n_samples: int) -> np.ndarray:
+    # three-branch definition; tapering covers the first and last N/16 samples
+    a = n_samples / 16
     n = np.arange(n_samples)
     g = np.ones(n_samples)
     left = n <= a
@@ -108,7 +96,7 @@ def make_analysis_window(kind: WindowKind, params: FrameParams) -> np.ndarray:
     elif kind.name == "sqrthann":
         g = _sqrt_hann(n)
     elif kind.name == "tukey":
-        g = _tukey(n, kind.tukey_alpha)
+        g = _tukey(n)
     else:
         g = _asqrt_hann(n, params.hop)
     g.setflags(write=False)
@@ -138,6 +126,12 @@ def make_synthesis_window(g: np.ndarray, params: FrameParams) -> np.ndarray:
     l = tail / denom[np.arange(a) % b]
     l.setflags(write=False)
     return l
+
+
+def peak_gain(l: np.ndarray) -> float:
+    """max|l|, the most synthesis amplifies a sample (and its estimate error)
+    of a frame's tail; large where ``ows`` equals ``hop`` and ``l`` is 1/g."""
+    return float(np.max(np.abs(l)))
 
 
 def verify_cola(g: np.ndarray, l: np.ndarray, params: FrameParams) -> float:

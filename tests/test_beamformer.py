@@ -55,6 +55,26 @@ class TestApplyFilter:
         np.testing.assert_allclose(out, naive, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: apply_filter(np.zeros((5, 2)), np.zeros((3, 5))),
+            "filter shape (5, 2) does not match frame shape (3, 5)",
+        ),
+        (
+            lambda: offline_mcwf(np.zeros((4, 5)), np.zeros((4, 5))),
+            "mixture (T,P,F) and estimate (T,F) mismatch: (4, 5) vs (4, 5)",
+        ),
+    ],
+    ids=["apply-filter-shapes", "offline-mcwf-2d-mixture"],
+)
+def test_shape_mismatch_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestOfflineMcwf:
     def test_single_channel_self_projection(self):
         rng = np.random.default_rng(14)
@@ -148,6 +168,17 @@ class TestOnlineMcwf:
         with pytest.raises(BeamformerStateError):
             bf.update(_random_spectrogram(rng, 1, 3, 9)[0], np.ones(9, complex))
         assert bf._state.tobytes() == before
+
+    def test_nan_in_the_filter_row_raises(self):
+        # finite frames against a NaN filter: the state, not the input, is broken
+        rng = np.random.default_rng(13)
+        bf = OnlineMcwf(3, 9)
+        bf.update(_random_spectrogram(rng, 1, 3, 9)[0], np.ones(9, complex))
+        bf._state[-1, 1, 4] = np.nan
+        before = bf._state.tobytes()
+        with pytest.raises(BeamformerStateError, match="^non-finite RLS state: the recursion overflowed$"):
+            bf.update(_random_spectrogram(rng, 1, 3, 9)[0], np.ones(9, complex))
+        assert bf._t == 1 and bf._state.tobytes() == before
 
     def test_overflowed_denominator_raises(self):
         # finite frames of size 1e200 overflow y^H P y to +inf; 1 / sqrt(inf) would zero the

@@ -19,6 +19,7 @@ from dualwin import beamformer, cli, estimators
 from dualwin.cli import main
 from dualwin.framing import FrameParams
 from dualwin.pipeline import PipelineConfig, Session, run_pipeline
+from dualwin.simulate import make_scene
 from dualwin.wavio import read_wav, write_wav
 
 
@@ -62,6 +63,34 @@ class TestWindowsCommand:
         assert main(["windows", "--kind", "hamming"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, geometry",
+        [
+            ("tukey", ["--iws", "256", "--ows", "64", "--hop", "32"]),
+            ("sqrthann", ["--iws", "512", "--ows", "32", "--hop", "32", "--n-dft", "512"]),
+        ],
+        ids=["tukey-16-4-2", "sqrthann-32-2-2"],
+    )
+    def test_synthesis_peak_gain_is_max_abs_l_as_enhance_reports_it(self, tmp_path, scene_dir, kind, geometry):
+        out = tmp_path / "win.json"
+        assert main(["windows", "--kind", kind, *geometry, "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["synthesis_peak_gain"] == max(abs(v) for v in payload["synthesis"])
+        assert "tukey_alpha" not in payload
+        report_path = tmp_path / "report.json"
+        lines = [
+            f"mixture = {scene_dir / 'mixture.wav'}",
+            f"output = {tmp_path / 'out.wav'}",
+            f"report = {report_path}",
+            f"window = {kind}",
+            *(f"{key}_samples = {payload[key]}" for key in ("iws", "ows", "hop")),
+            f"n_dft = {payload['n_dft']}",
+        ]
+        assert main(["enhance", "--config", _write_config(tmp_path / "run.conf", lines)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["synthesis_peak_gain"] == payload["synthesis_peak_gain"]
+        assert report["config"]["window"] == {"name": kind}
+
 
 class TestSimulateCommand:
     def test_writes_wavs_and_manifest(self, scene_dir):
@@ -83,6 +112,38 @@ class TestSimulateCommand:
         assert main(["simulate", "--out-dir", str(out), flag, value]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: argument {flag}: expected a finite number, got {value!r}"]
+        assert not out.exists()
+
+    def test_default_flags_are_make_scene_defaults(self, tmp_path):
+        out = tmp_path / "scene"
+        assert main(["simulate", "--out-dir", str(out)]) == 0
+        scene = make_scene(seed=0)
+        write_wav(tmp_path / "mixture.wav", scene.mixture, scene.sample_rate)
+        write_wav(tmp_path / "reference.wav", scene.target_direct, scene.sample_rate)
+        for name in ("mixture.wav", "reference.wav"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["--channels", "16384"], "16384 channels of 32 bits do not fit a WAV header"),
+            (
+                ["--duration", "12000"],
+                "4608000000 bytes of samples (192000000 per channel) do not fit a WAV file's 32-bit chunk sizes",
+            ),
+        ],
+        ids=["block-size", "data-past-4-gb"],
+    )
+    def test_a_scene_no_wav_can_hold_is_refused_before_it_is_simulated(
+        self, tmp_path, capsys, monkeypatch, argv, cause
+    ):
+        def refused(**kwargs):
+            raise AssertionError(f"make_scene was called with {kwargs}")
+
+        monkeypatch.setattr(cli, "make_scene", refused)
+        out = tmp_path / "scene"
+        assert main(["simulate", "--out-dir", str(out), *argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {cause}"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -362,21 +423,26 @@ class TestMalformedInputs:
         return main(["enhance", "--config", config])
 
     @pytest.mark.parametrize(
-        "name,write",
+        "name,write,cause",
         [
-            ("no-frames.npz", lambda path: np.savez(path, other=np.zeros(3))),
-            ("plain.npy", lambda path: np.save(path, np.zeros((3, 129), complex))),
-            ("empty.npz", lambda path: path.write_bytes(b"")),
+            ("no-frames.npz", lambda path: np.savez(path, other=np.zeros(3)), "frame file {path} "),
+            ("plain.npy", lambda path: np.save(path, np.zeros((3, 129), complex)), "frame file {path} "),
+            ("empty.npz", lambda path: path.write_bytes(b""), "frame file {path} "),
+            (
+                "128-bins.npz",
+                lambda path: estimators.save_frame_file(path, np.zeros((250, 128), complex), FrameParams()),
+                "frame file shape (250, 128) does not match 129 bins",
+            ),
         ],
-        ids=["npz-without-frames", "plain-npy", "empty-file"],
+        ids=["npz-without-frames", "plain-npy", "empty-file", "bins-past-n-bins"],
     )
-    def test_malformed_frame_file_exits_1(self, tmp_path, scene_dir, capsys, name, write):
+    def test_malformed_frame_file_exits_1(self, tmp_path, scene_dir, capsys, name, write, cause):
         path = tmp_path / name
         write(path)
         code = self._enhance(tmp_path, scene_dir / "mixture.wav", [f"stage1 = file:{path}"])
         err = capsys.readouterr().err.splitlines()
         assert code == 1
-        assert len(err) == 1 and err[0].startswith(f"error: frame file {path} ")
+        assert len(err) == 1 and err[0].startswith("error: " + cause.format(path=path))
 
     def test_truncated_wav_exits_1(self, tmp_path, scene_dir, capsys):
         path = tmp_path / "truncated.wav"
@@ -611,8 +677,14 @@ class TestErrorContract:
             (["enhance"], ["seed = 3"], "unknown config key(s): seed"),
             (["enhance"], ["beamformer = off", "loading = 0"], "loading must be finite and > 0, got 0.0"),
             (["enhance"], ["beamformer = off", "forgetting = 1.5"], "forgetting must be in (0, 1], got 1.5"),
-            (["windows", "--tukey-alpha", "nan"], None, "argument --tukey-alpha: expected a finite number, got 'nan'"),
-            (["windows", "--tukey-alpha", "inf"], None, "argument --tukey-alpha: expected a finite number, got 'inf'"),
+            (["windows", "--tukey-alpha", "0.25"], None, "unrecognized arguments: --tukey-alpha 0.25"),
+            (["enhance"], ["tukey_alpha = 0.25"], "unknown config key(s): tukey_alpha"),
+            (["enhance"], ["= 5"], "line 3: empty key"),
+            (["enhance"], ["sample_rate = 0"], "sample_rate: must be >= 1, got 0"),
+            (["enhance"], ["stage1 = none"], "stage1: an estimator is required"),
+            (["simulate", "--duration", "abc"], None, "argument --duration: expected a finite number, got 'abc'"),
+            (["simulate", "--seed", "abc"], None, "argument --seed: expected a non-negative integer, got 'abc'"),
+            (["simulate", "--duration", "1e305"], None, "a duration of 1e+305 s at 16000 Hz gives inf samples"),
             (
                 ["simulate", "--sample-rate", "444"],
                 None,
@@ -651,8 +723,14 @@ class TestErrorContract:
             "enhance-seed-is-no-key",
             "enhance-zero-loading-without-a-beamformer",
             "enhance-forgetting-past-1-without-a-beamformer",
-            "windows-nan-tukey-alpha",
-            "windows-infinite-tukey-alpha",
+            "windows-tukey-alpha-is-no-flag",
+            "enhance-tukey-alpha-is-no-key",
+            "enhance-empty-key",
+            "enhance-sample-rate-0",
+            "enhance-stage1-none",
+            "simulate-duration-not-a-number",
+            "simulate-seed-not-a-number",
+            "simulate-duration-past-a-float-sample-count",
             "simulate-source-band-below-200-hz",
             "simulate-too-short-for-a-band-bin",
             "simulate-8-khz-too-short-for-a-band-bin",

@@ -63,7 +63,7 @@ class TestBuildJob:
 
     def test_every_key_read_is_known(self):
         keys = {
-            "sample_rate": "16000", "window": "tukey", "tukey_alpha": "0.25",
+            "sample_rate": "16000", "window": "tukey",
             "iws_ms": "16", "ows_samples": "64", "hop_ms": "2", "n_dft": "256", "frames_ahead": "0",
             "stage1": "oracle_mag_mask", "beamformer": "woodbury", "stage2": "passthrough:beamformer",
             "ref_mic": "0", "loading": "1e-6", "forgetting": "1", "bit_depth": "24",
@@ -134,12 +134,6 @@ class TestBuildJob:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ConfigError, match="stage1"):
             _job("stage1 = dnn\n")
-
-    def test_window_alpha(self):
-        job = _job("window = tukey\ntukey_alpha = 0.125\n")
-        assert job.pipeline.window.tukey_alpha == 0.125
-        with pytest.raises(ConfigError, match="window"):
-            _job("window = tukey\ntukey_alpha = 0.9\n")
 
     def test_bad_numbers_name_the_field(self):
         with pytest.raises(ConfigError, match="frames_ahead"):

@@ -49,6 +49,8 @@ class TestFrameParams:
             FrameParams(n_dft=255)
         with pytest.raises(ValueError):
             FrameParams(frames_ahead=-1)
+        with pytest.raises(ValueError, match="^sample_rate must be positive, got 0$"):
+            FrameParams(sample_rate=0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -476,6 +478,24 @@ def test_window_of_another_geometry_is_rejected(entry):
         "synthesize_block": lambda: synthesize_block(np.zeros((2, params.n_bins), complex), l, params),
     }[entry]
     with pytest.raises(ValueError, match=r"window length (128 does not match iws 256|32 does not match ows 64)"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("synthesize_block", r"^expected 129 bins per frame, got shape \(2, 128\)$"),
+        ("SynthesisStream", r"^expected chunks of 64 samples, got shape \(63,\)$"),
+    ],
+)
+def test_a_frame_of_another_geometry_is_rejected(entry, message):
+    params = FrameParams()
+    _, l = build_windows(TUKEY, params)
+    call = {
+        "synthesize_block": lambda: synthesize_block(np.zeros((2, params.n_bins - 1), complex), l, params),
+        "SynthesisStream": lambda: SynthesisStream(params).push(np.zeros(params.ows - 1)),
+    }[entry]
+    with pytest.raises(ValueError, match=message):
         call()
 
 

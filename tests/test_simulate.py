@@ -142,6 +142,12 @@ class TestMix:
         for ref_mic in (-1, 3):  # a negative index would pick the last mic
             with pytest.raises(ValueError, match=f"ref_mic {ref_mic} out of range for 3 channels"):
                 mix(target, [target], 0.0, 16000, ref_mic=ref_mic)
+        with pytest.raises(ValueError, match=r"^target must be \(channels, samples\)$"):
+            mix(target[0], [target[0]], 0.0, 16000)
+        with pytest.raises(ValueError, match=r"^noise shape \(2, \d+\) does not match target \(3, \d+\)$"):
+            mix(target, [target[:2]], 0.0, 16000)
+        with pytest.raises(ValueError, match="^need at least one noise source, got 0$"):
+            make_scene(seed=0, n_noises=0)
 
 
 class TestScenes:

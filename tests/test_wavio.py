@@ -5,7 +5,7 @@ import wave
 import numpy as np
 import pytest
 
-from dualwin.wavio import WavError, check_format, read_wav, write_wav
+from dualwin.wavio import WavError, check_format, check_writable, read_wav, write_wav
 
 
 @pytest.fixture
@@ -132,6 +132,10 @@ class TestErrors:
         assert not path.exists()
         with pytest.raises(WavError, match="at least 1 channel"):
             check_format(0, 16000)
+
+    def test_three_dimensional_samples_rejected(self):
+        with pytest.raises(WavError, match=r"^samples must be 1-D or \(channels, n\), got shape \(2, 3, 4\)$"):
+            check_writable(np.zeros((2, 3, 4)), 16000)
 
     def test_data_past_32_bit_chunk_sizes_rejected_before_writing(self, tmp_path):
         # 6 GiB of float32 data; broadcast_to allocates none of it
