@@ -21,7 +21,7 @@ from .estimators import ExternalProtocolError
 from .framing import FrameParams, build_windows
 from .pipeline import ConfigError, PipelineConfig, audit_latency, run_pipeline
 from .simulate import make_scene, scene_samples
-from .wavio import WavError, check_format, check_writable, read_wav, write_wav
+from .wavio import WavError, check_format, check_writable, open_fresh, read_wav, write_wav
 from .windows import WINDOW_NAMES, WindowKind, peak_gain, verify_cola
 
 # make_scene's keywords and defaults: each simulate flag stores into one and takes its default
@@ -190,7 +190,8 @@ def cmd_enhance(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if job.report_path:
         try:
-            with open(job.report_path, "w", encoding="utf-8") as fh:
+            fh, _ = open_fresh(job.report_path, "w", encoding="utf-8")
+            with fh:
                 fh.write(text)
         except BaseException:  # a run whose report failed leaves no finished-looking WAV
             os.remove(job.output_path)

@@ -250,8 +250,9 @@ class SignalFrames:
     Set-up keeps only the primed copy of the signals. :meth:`block` frames
     rows through :func:`_frames` with one ``rfft``, its window products in a
     work buffer kept and grown to the largest block read. :func:`analyze`
-    frames a whole signal this way, and ``estimators.OracleRows`` the oracle
-    rows of a ``pipeline.Session``.
+    frames a whole signal this way, ``estimators.OracleRows`` the oracle
+    rows of a ``pipeline.Session`` and ``metrics.compute_metrics`` the loss
+    STFT of an estimate and its reference.
     """
 
     def __init__(self, signal, window: np.ndarray, params: FrameParams, flush: bool = False):
@@ -291,6 +292,10 @@ class SignalFrames:
 
 def analyze(signal, window: np.ndarray, params: FrameParams) -> np.ndarray:
     """One-shot analysis of a full signal, as :class:`SignalFrames` takes it.
+
+    The package itself frames through :class:`SignalFrames` blocks and keeps
+    no whole spectrogram; the callers of this function are the benchmark
+    adapter and the tests.
 
     Returns the complex spectrogram, shape (T, n_bins) for an (n,) signal or
     (T, C, n_bins) for C signals, with ``T = floor(n / hop)``: the frames an

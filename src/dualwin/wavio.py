@@ -6,10 +6,18 @@ clip); the float format is stored as float32, so writing float32-valued
 data and reading it back is bit-exact. Malformed or truncated files raise
 :class:`WavError` naming the byte offset where parsing failed; float data
 holding an inf or NaN raises it too, and so does writing one.
+
+An output is replaced by a new file, not truncated in place (see
+:func:`open_fresh`), unless it is a link or not this user's to replace,
+which is written through as a plain ``open`` would; a failed write leaves
+no new file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
 import struct
 
 import numpy as np
@@ -148,7 +156,9 @@ def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
 
     ``bit_depth`` 16 and 24 write PCM (values rounded and clipped to
     [-1, 1]); 32 writes IEEE float32 verbatim. Samples that
-    :func:`check_writable` rejects raise before the file is opened.
+    :func:`check_writable` rejects raise before the file is opened. The
+    file is opened with :func:`open_fresh`; when a write to a fresh file
+    fails, the file is removed before the error propagates.
     """
     samples = check_writable(samples, sample_rate, bit_depth)
     channels, n = samples.shape
@@ -180,7 +190,57 @@ def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
     headers += struct.pack("<4sI", b"data", payload.nbytes)
     pad = payload.nbytes % 2
     riff_size = 4 + len(headers) + payload.nbytes + pad
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE") + headers)
-        fh.write(payload)
-        fh.write(b"\x00" * pad)
+    fh, fresh = open_fresh(path)
+    try:
+        with fh:
+            fh.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE") + headers)
+            fh.write(payload)
+            fh.write(b"\x00" * pad)
+    except BaseException:
+        if fresh:  # a failed write (a full disk, say) leaves no partial file behind
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def open_fresh(path, mode: str = "wb", encoding: str | None = None):
+    """Open an output for writing as a new file; returns ``(file, fresh)``.
+
+    Truncating a file that holds data makes ext4 (``auto_da_alloc``) start
+    its writeback at close, and so does renaming a file over it: replacing an
+    ``enhance`` job's WAV and report costs 0.39-0.54 ms either way, against
+    0.17-0.20 ms for new files (one CPU of a 2-vCPU host). So a regular file
+    with one link, which this process's user owns and may write, is unlinked
+    and created anew with its permission bits kept, and a missing one is
+    created: ``fresh`` is True. Any other path, a symlink, a hard-linked
+    file, a device, a FIFO, a file of another user, a read-only file or one
+    whose unlink or exclusive create fails, is opened with
+    ``open(path, mode)`` exactly as a plain overwrite, so a link stays a link
+    and its target takes the bytes: ``fresh`` is False.
+    """
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    except OSError:
+        return open(path, mode, encoding=encoding), False
+    fd = None
+    if st is None or (
+        stat.S_ISREG(st.st_mode)
+        and st.st_nlink == 1
+        and st.st_uid == os.geteuid()
+        and st.st_mode & stat.S_IWUSR
+    ):
+        with contextlib.suppress(OSError):  # a failed unlink, or a file made since the lstat
+            if st is not None:
+                os.unlink(path)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    if fd is None:
+        return open(path, mode, encoding=encoding), False
+    try:
+        if st is not None:
+            os.fchmod(fd, stat.S_IMODE(st.st_mode))  # the umask may strip bits the old file had
+        return open(fd, mode, encoding=encoding), True
+    except BaseException:
+        os.close(fd)
+        raise

@@ -377,6 +377,86 @@ class TestEnhanceCommand:
         assert main(["enhance", "--config", config]) == 1
 
 
+class TestOverwritingOutputs:
+    """``enhance`` over the outputs of an earlier run writes the same bytes,
+    keeps each output's mode and writes through links."""
+
+    @staticmethod
+    def _run(tmp_path, scene_dir, out_wav, report):
+        lines = [
+            f"mixture = {scene_dir / 'mixture.wav'}",
+            f"reference = {scene_dir / 'reference.wav'}",
+            f"output = {out_wav}",
+            f"report = {report}",
+            "stage1 = oracle_mag_mask",
+        ]
+        return main(["enhance", "--config", _write_config(tmp_path / "run.conf", lines)])
+
+    @staticmethod
+    def _untimed(report_path):
+        report = json.loads(pathlib.Path(report_path).read_text())
+        return {k: v for k, v in report.items() if not k.startswith("frame_time_ms_")}
+
+    def test_a_rerun_writes_identical_files(self, tmp_path, scene_dir):
+        out_wav, report = tmp_path / "out.wav", tmp_path / "report.json"
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 0
+        wav_bytes, first = out_wav.read_bytes(), self._untimed(report)
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 0
+        assert out_wav.read_bytes() == wav_bytes and self._untimed(report) == first
+
+    def test_outputs_keep_their_mode(self, tmp_path, scene_dir):
+        out_wav, report = tmp_path / "out.wav", tmp_path / "report.json"
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 0
+        os.chmod(out_wav, 0o600)
+        os.chmod(report, 0o640)
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 0
+        assert [os.stat(p).st_mode & 0o777 for p in (out_wav, report)] == [0o600, 0o640]
+
+    def test_symlinked_outputs_stay_links_to_the_new_bytes(self, tmp_path, scene_dir):
+        out_wav, report = tmp_path / "out.wav", tmp_path / "report.json"
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 0
+        expected, expected_report = out_wav.read_bytes(), self._untimed(report)
+        links = tmp_path / "link.wav", tmp_path / "link.json"
+        targets = tmp_path / "target.wav", tmp_path / "target.json"
+        for link, target in zip(links, targets):
+            target.write_text("stale")
+            link.symlink_to(target)
+        assert self._run(tmp_path, scene_dir, *links) == 0
+        assert all(link.is_symlink() for link in links)
+        expected_report["job"]["output"] = str(links[0])
+        assert targets[0].read_bytes() == expected and self._untimed(targets[1]) == expected_report
+
+    def test_hard_linked_output_shows_the_new_bytes_under_both_names(self, tmp_path, scene_dir):
+        out_wav, report = tmp_path / "out.wav", tmp_path / "report.json"
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 0
+        expected = out_wav.read_bytes()
+        out_wav.write_bytes(b"stale")
+        os.link(out_wav, tmp_path / "other.wav")
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 0
+        assert out_wav.read_bytes() == (tmp_path / "other.wav").read_bytes() == expected
+
+    @pytest.mark.parametrize("which", ["output", "report"])
+    def test_an_output_path_that_is_a_directory_exits_2(self, tmp_path, scene_dir, capsys, which):
+        out_wav, report = tmp_path / "out.wav", tmp_path / "report.json"
+        (out_wav if which == "output" else report).mkdir()
+        capsys.readouterr()
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [Errno 21] Is a directory: ")
+        assert out_wav.is_dir() if which == "output" else not out_wav.exists()
+
+    def test_a_failed_wav_write_exits_2_and_leaves_no_file(self, tmp_path, scene_dir, capsys, monkeypatch):
+        from test_wavio import fail_writes_after
+
+        out_wav, report = tmp_path / "out.wav", tmp_path / "report.json"
+        fail_writes_after(monkeypatch, 1000)  # inside the payload
+        capsys.readouterr()
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: [Errno 28] No space left on device"]
+        assert not out_wav.exists() and not report.exists()
+
+
 class TestBlasThreads:
     def test_output_and_metrics_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # a threaded BLAS dot rounds its sum by the thread count: on a 2 s scene SI-SDR

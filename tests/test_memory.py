@@ -11,6 +11,7 @@ import pytest
 
 from dualwin.estimators import EstimatorKind, _mask_table
 from dualwin.framing import FrameParams, analyze, build_windows
+from dualwin.metrics import _LOSS_STFT, compute_metrics
 from dualwin.pipeline import PipelineConfig, Session
 from dualwin.windows import TUKEY
 
@@ -66,3 +67,16 @@ def test_oracle_session_set_up_keeps_only_the_primed_signals(kind, signals):
     session.close()
     primed = signals * (params.iws - params.hop + params.frames_to_release(n) * params.hop) * 8
     assert peak <= primed + MB, (peak, primed)
+
+
+def test_compute_metrics_peak_is_the_terms_plus_the_primed_pair():
+    # the loss STFT is framed a block of rows at a time: no whole (T, 2, F) spectrogram
+    _, params = _LOSS_STFT
+    n = SECONDS * 16000
+    rng = np.random.default_rng(3)
+    ref = rng.standard_normal(n)
+    est = ref + 0.3 * rng.standard_normal(n)
+    _, peak = _traced(lambda: compute_metrics(est, ref))
+    terms = 3 * (n // params.hop) * params.n_bins * 8
+    primed = 2 * (params.iws - params.hop + n) * 8
+    assert peak <= terms + primed + MB, (peak, terms, primed)

@@ -173,7 +173,7 @@ class TestComputeMetrics:
     )
     def test_inputs_are_checked_before_any_analysis(self, monkeypatch, est_shape, ref_shape):
         # one error naming both shapes, not numpy's broadcast or alignment error
-        monkeypatch.setattr(metrics, "analyze", lambda *a: pytest.fail("analyzed unchecked input"))
+        monkeypatch.setattr(metrics, "SignalFrames", lambda *a: pytest.fail("analyzed unchecked input"))
         rng = np.random.default_rng(12)
         est, ref = rng.standard_normal(est_shape), rng.standard_normal(ref_shape)
         with pytest.raises(ValueError, match=re.escape(f"got shapes {est_shape} and {ref_shape}")):

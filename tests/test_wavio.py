@@ -1,3 +1,6 @@
+import errno
+import os
+import stat
 import struct
 import tracemalloc
 import wave
@@ -5,7 +8,8 @@ import wave
 import numpy as np
 import pytest
 
-from dualwin.wavio import WavError, check_format, check_writable, read_wav, write_wav
+from dualwin import wavio
+from dualwin.wavio import WavError, check_format, check_writable, open_fresh, read_wav, write_wav
 
 
 @pytest.fixture
@@ -307,3 +311,141 @@ class TestWrittenBytes:
         else:
             payload = b"".join(int(v).to_bytes(3, "little", signed=True) for v in np.round(frames * 2**23).ravel())
         assert path.read_bytes() == _expected_wav(shape[0], shape[1], 22050, bits, payload)
+
+
+class _DiskFullAfter:
+    """A written file whose writes fail with ENOSPC once ``limit`` bytes are in."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.room = fh, limit
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self.fh.write(data[: self.room])
+        if len(data) > self.room:
+            self.room = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fail_writes_after(monkeypatch, limit):
+    """Make every :func:`write_wav` fail with ENOSPC after ``limit`` bytes."""
+    real = wavio.open_fresh
+
+    def opened(path, *args, **kwargs):
+        fh, fresh = real(path, *args, **kwargs)
+        return _DiskFullAfter(fh, limit), fresh
+
+    monkeypatch.setattr(wavio, "open_fresh", opened)
+
+
+class TestReplacingAnOutput:
+    """An existing output is replaced by a new file unless it is a link or not
+    this user's to replace; then it is written through as ``open`` would."""
+
+    def test_own_file_becomes_a_new_file_with_its_mode(self, tmp_path, stereo):
+        path = tmp_path / "x.wav"
+        write_wav(path, stereo, 16000)
+        os.chmod(path, 0o600)
+        before = path.read_bytes()
+        with open(path, "rb") as old:  # held open, so the old inode's number is not reused
+            write_wav(path, stereo[:, :100], 16000)
+            assert os.fstat(old.fileno()).st_ino != os.stat(path).st_ino
+            assert old.read() == before  # replaced, not truncated
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        assert np.array_equal(read_wav(path)[0], stereo[:, :100].astype(np.float32))
+
+    def test_symlink_stays_a_link_to_the_new_bytes(self, tmp_path, stereo):
+        target, link = tmp_path / "target.wav", tmp_path / "link.wav"
+        write_wav(target, stereo, 16000)
+        link.symlink_to(target)
+        write_wav(link, stereo[:, :100], 16000)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert np.array_equal(read_wav(target)[0], stereo[:, :100].astype(np.float32))
+
+    def test_hard_link_shows_the_new_bytes_under_both_names(self, tmp_path, stereo):
+        a, b = tmp_path / "a.wav", tmp_path / "b.wav"
+        write_wav(a, stereo, 16000)
+        os.link(a, b)
+        write_wav(a, stereo[:, :100], 16000)
+        assert os.path.samefile(a, b) and a.read_bytes() == b.read_bytes()
+        assert np.array_equal(read_wav(b)[0], stereo[:, :100].astype(np.float32))
+
+    def test_file_of_another_user_is_written_in_place(self, tmp_path, stereo, monkeypatch):
+        path = tmp_path / "x.wav"
+        write_wav(path, stereo, 16000)
+        monkeypatch.setattr(os, "geteuid", lambda: os.stat(path).st_uid + 1)
+        with open(path, "rb") as old:  # held open, so a new file could not reuse its inode number
+            write_wav(path, stereo[:, :100], 16000)
+            assert os.fstat(old.fileno()).st_ino == os.stat(path).st_ino
+        assert np.array_equal(read_wav(path)[0], stereo[:, :100].astype(np.float32))
+
+    def test_read_only_file_is_opened_as_a_plain_overwrite(self, tmp_path, stereo):
+        # root may write it in place; anyone else gets open's PermissionError, as before
+        path = tmp_path / "x.wav"
+        write_wav(path, stereo, 16000)
+        os.chmod(path, 0o444)
+        before = path.read_bytes()
+        with open(path, "rb") as old:  # held open, so a new file could not reuse its inode number
+            if os.access(path, os.W_OK):
+                write_wav(path, stereo[:, :100], 16000)
+                assert np.array_equal(read_wav(path)[0], stereo[:, :100].astype(np.float32))
+            else:
+                with pytest.raises(PermissionError):
+                    write_wav(path, stereo[:, :100], 16000)
+                assert path.read_bytes() == before
+            assert os.fstat(old.fileno()).st_ino == os.stat(path).st_ino
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o444
+
+    def test_fifo_is_written_through(self, tmp_path, stereo):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_wav(fifo, stereo[:, :10], 16000)
+            blob = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        other = tmp_path / "x.wav"
+        write_wav(other, stereo[:, :10], 16000)
+        assert blob == other.read_bytes()
+
+    def test_text_output_is_fresh_and_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("old and longer\n")
+        os.chmod(path, 0o640)
+        fh, fresh = open_fresh(path, "w", encoding="utf-8")
+        with fh:
+            fh.write("new\n")
+        assert fresh and path.read_text() == "new\n" and stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    def test_directory_raises_what_open_raises(self, tmp_path, stereo):
+        with pytest.raises(IsADirectoryError):
+            write_wav(tmp_path, stereo, 16000)
+        assert tmp_path.is_dir()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "replaced"])
+    def test_failed_write_of_a_fresh_file_leaves_no_file(self, tmp_path, stereo, monkeypatch, existing):
+        path = tmp_path / "x.wav"
+        if existing:
+            write_wav(path, stereo, 16000)
+        fail_writes_after(monkeypatch, 100)  # inside the payload
+        with pytest.raises(OSError, match="No space left on device"):
+            write_wav(path, stereo, 16000)
+        assert not path.exists()
+
+    def test_failed_write_through_a_link_removes_nothing(self, tmp_path, stereo, monkeypatch):
+        target, link = tmp_path / "target.wav", tmp_path / "link.wav"
+        write_wav(target, stereo, 16000)
+        link.symlink_to(target)
+        fail_writes_after(monkeypatch, 100)
+        with pytest.raises(OSError, match="No space left on device"):
+            write_wav(link, stereo, 16000)
+        assert link.is_symlink() and target.stat().st_size == 100
