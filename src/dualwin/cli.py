@@ -177,7 +177,7 @@ def cmd_enhance(args) -> int:
         if ref_fs != fs:
             raise ConfigError(f"reference sample rate {ref_fs} does not match {fs}")
     enhanced, report = run_pipeline(job.pipeline, mixture, reference)
-    write_wav(job.output_path, enhanced, fs, bit_depth=job.bit_depth)
+    fresh = write_wav(job.output_path, enhanced, fs)
     payload = {  # shallow: report.config is already the dict run_pipeline built
         **vars(report),
         "metrics": None if report.metrics is None else vars(report.metrics),
@@ -194,7 +194,8 @@ def cmd_enhance(args) -> int:
             with fh:
                 fh.write(text)
         except BaseException:  # a run whose report failed leaves no finished-looking WAV
-            os.remove(job.output_path)
+            if fresh:  # never one written through a link, or another's file
+                os.remove(job.output_path)
             raise
     else:
         sys.stdout.write(text)

@@ -24,7 +24,8 @@ Estimator values: ``passthrough[:source]`` (source one of
 mixture/stage1/beamformer; the mixture at ``ref_mic``), ``oracle_complex``,
 ``oracle_mag_mask``, ``file:PATH``, ``external:COMMAND``; ``stage2`` may be
 ``none``. At ``frames_ahead`` > 0 the last stage must predict: an oracle, a
-frame file or an external estimator.
+frame file or an external estimator. ``output`` is written as a 32-bit
+float WAV; the mixture and reference may also be 16- or 24-bit PCM.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from .estimators import EstimatorKind
 from .framing import FrameParams
 from .pipeline import ConfigError, PipelineConfig
-from .wavio import SUPPORTED_BIT_DEPTHS
 from .windows import WindowKind
 
 @dataclass
@@ -47,7 +47,6 @@ class EnhanceJob:
     output_path: str
     reference_path: str | None = None
     report_path: str | None = None
-    bit_depth: int = 32
 
 
 def parse_pairs(text: str) -> dict[str, str]:
@@ -171,10 +170,6 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
         raise ConfigError("stage1: an estimator is required")
     stage2 = _estimator(pairs.pop("stage2", "none"), "stage2")
 
-    bit_depth = _int(pairs, "bit_depth", default=EnhanceJob.bit_depth)
-    if bit_depth not in SUPPORTED_BIT_DEPTHS:
-        raise ConfigError(f"bit_depth: expected one of {SUPPORTED_BIT_DEPTHS}, got {bit_depth}")
-
     pipeline = PipelineConfig(
         params=params,
         window=window,
@@ -191,7 +186,6 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
         output_path=pairs.pop("output"),
         reference_path=pairs.pop("reference", None),
         report_path=pairs.pop("report", None),
-        bit_depth=bit_depth,
     )
     if pairs:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(pairs))}")

@@ -301,27 +301,21 @@ def analyze(signal, window: np.ndarray, params: FrameParams) -> np.ndarray:
     (T, C, n_bins) for C signals, with ``T = floor(n / hop)``: the frames an
     :class:`AnalysisStream` emits for the same samples.
 
-    A signal of at most ``_ANALYZE_FRAMES`` frames is one ``rfft``, whose
-    result is returned. A longer one is framed ``_ANALYZE_FRAMES`` frames at
-    a time into the preallocated result, so besides the result and the
-    primed copy of the input only one block's window products and spectra
-    are alive: 0.5 MB per channel at the default geometry, however long the
-    signal. Each frame's arithmetic is that of one unblocked call, so the
-    bytes do not depend on the blocking.
+    The signal is framed ``_ANALYZE_FRAMES`` frames at a time into the
+    preallocated result, so besides the result and the primed copy of the
+    input only one block's window products and spectra are alive: 0.5 MB per
+    channel at the default geometry, however long the signal. Each frame's
+    arithmetic is that of one unblocked call, so the bytes do not depend on
+    the blocking.
     """
     frames = SignalFrames(signal, window, params)
     n_frames = len(frames)
-    if n_frames <= _ANALYZE_FRAMES:
-        # one block is its own result: copying it into a fresh one made the 1 s batch job's
-        # compute_metrics 3.2-3.4 against 1.5-1.7 ms (one CPU of a 2-vCPU host)
-        bins = frames.block(0, n_frames)
-    else:
-        bins = np.empty((n_frames, frames.channels, params.n_bins), dtype=np.complex128)
-        for t in range(0, n_frames, _ANALYZE_FRAMES):
-            stop = min(t + _ANALYZE_FRAMES, n_frames)
-            # copying each block's spectra beats an rfft into the result's fresh pages:
-            # paired p25 of a 25 s mono analyze on 2 vCPUs, 20.7-22.0 against 22.6-22.8 ms
-            bins[t:stop] = frames.block(t, stop)
+    bins = np.empty((n_frames, frames.channels, params.n_bins), dtype=np.complex128)
+    for t in range(0, n_frames, _ANALYZE_FRAMES):
+        stop = min(t + _ANALYZE_FRAMES, n_frames)
+        # copying each block's spectra beats an rfft into the result's fresh pages:
+        # paired p25 of a 25 s mono analyze on 2 vCPUs, 20.7-22.0 against 22.6-22.8 ms
+        bins[t:stop] = frames.block(t, stop)
     return bins[:, 0, :] if frames.mono else bins
 
 

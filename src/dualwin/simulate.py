@@ -146,12 +146,14 @@ def mix(
         raise ValueError("at least one noise source is required")
     if not 0 <= ref_mic < len(target):
         raise ValueError(f"ref_mic {ref_mic} out of range for {len(target)} channels")
-    stacked = np.stack([np.asarray(n, dtype=np.float64) for n in noises])
-    if stacked.shape[1:] != target.shape:
-        raise ValueError(
-            f"noise shape {stacked.shape[1:]} does not match target {target.shape}"
-        )
-    noise_sum = np.sum(stacked, axis=0)
+    noises = [np.asarray(n, dtype=np.float64) for n in noises]
+    for noise in noises:
+        if noise.shape != target.shape:
+            raise ValueError(f"noise shape {noise.shape} does not match target {target.shape}")
+    # one running sum, added in the order np.sum adds a stack of the noises, but no stack
+    noise_sum = noises[0].copy()
+    for noise in noises[1:]:
+        noise_sum += noise
     p_target = float(np.mean(target[ref_mic] ** 2))
     p_noise = float(np.mean(noise_sum[ref_mic] ** 2))
     if p_target == 0.0:
@@ -164,8 +166,10 @@ def mix(
         scale = 0.0
     if not 0.0 < scale < math.inf:
         raise ValueError(f"snr_db {snr_db} gives a noise power ratio out of float range")
+    noise_sum *= scale
+    noise_sum += target  # the mixture, target + scale * noise_sum, in place
     return Scene(
-        mixture=target + scale * noise_sum,
+        mixture=noise_sum,
         target_direct=target[ref_mic].copy(),
         sample_rate=sample_rate,
         ref_mic=ref_mic,

@@ -1,11 +1,13 @@
-"""Multichannel RIFF/WAVE files: 16/24-bit PCM and 32-bit IEEE float.
+"""Multichannel RIFF/WAVE files: reads 16/24-bit PCM and 32-bit IEEE float,
+writes 32-bit IEEE float.
 
 Samples cross this boundary as float64 in [-1, 1] with shape
-(channels, n). Integer formats are scaled by 2**(bits-1) (writes round and
-clip); the float format is stored as float32, so writing float32-valued
-data and reading it back is bit-exact. Malformed or truncated files raise
-:class:`WavError` naming the byte offset where parsing failed; float data
-holding an inf or NaN raises it too, and so does writing one.
+(channels, n). PCM samples read are scaled by 2**-(bits-1). Every file
+written is float32, so writing float32-valued data and reading it back is
+bit-exact, and any other float64 value is rounded once, to float32.
+Malformed or truncated files raise :class:`WavError` naming the byte
+offset where parsing failed; float data holding an inf or NaN raises it
+too, and so does writing one.
 
 An output is replaced by a new file, not truncated in place (see
 :func:`open_fresh`), unless it is a link or not this user's to replace,
@@ -25,8 +27,9 @@ import numpy as np
 _FORMAT_PCM = 0x0001
 _FORMAT_FLOAT = 0x0003
 _FORMAT_EXTENSIBLE = 0xFFFE
-
-SUPPORTED_BIT_DEPTHS = (16, 24, 32)  # 32 means IEEE float
+# the bytes a written file's RIFF size counts ahead of its samples: "WAVE" and the
+# fmt (8 + 16), fact (8 + 4) and data (8) chunk headers
+_WRITTEN_HEADER = 4 + 24 + 12 + 8
 
 
 class WavError(ValueError):
@@ -104,103 +107,77 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     return samples, rate
 
 
-def check_format(channels: int, sample_rate: int, bit_depth: int = 32, n: int = 0):
-    """Raise :class:`WavError` unless a WAV header can hold this format and
-    ``n`` samples per channel: a supported bit depth, at least one channel,
-    a sample rate of at least 1 Hz, a block size and byte rate that fit
-    their 16- and 32-bit header fields, and data and RIFF chunk sizes that
-    fit 32 bits."""
-    if bit_depth not in SUPPORTED_BIT_DEPTHS:
-        raise WavError(
-            f"unsupported bit depth {bit_depth}, expected one of {SUPPORTED_BIT_DEPTHS}"
-        )
+def check_format(channels: int, sample_rate: int, n: int = 0):
+    """Raise :class:`WavError` unless a float32 WAV header can hold this
+    format and ``n`` samples per channel: at least one channel, a sample
+    rate of at least 1 Hz, a block size and byte rate that fit their 16- and
+    32-bit header fields, and data and RIFF chunk sizes that fit 32 bits."""
     if channels < 1:
         raise WavError(f"a WAV file needs at least 1 channel, got {channels}")
-    block_align = channels * (bit_depth // 8)
+    block_align = 4 * channels
     if block_align > 0xFFFF:
-        raise WavError(f"{channels} channels of {bit_depth} bits do not fit a WAV header")
+        raise WavError(f"{channels} channels of 32 bits do not fit a WAV header")
     if sample_rate < 1 or sample_rate * block_align > 0xFFFFFFFF:
         raise WavError(
-            f"sample rate {sample_rate} Hz with {channels} channels of {bit_depth} bits "
+            f"sample rate {sample_rate} Hz with {channels} channels of 32 bits "
             f"does not fit a WAV header"
         )
     data = n * block_align
-    # "WAVE", the fmt chunk, the float format's fact chunk, the data chunk header and pad byte
-    riff = 4 + 24 + (12 if bit_depth == 32 else 0) + 8 + data + data % 2
-    if riff > 0xFFFFFFFF:
+    if _WRITTEN_HEADER + data > 0xFFFFFFFF:
         raise WavError(
             f"{data} bytes of samples ({n} per channel) do not fit a WAV file's 32-bit chunk sizes"
         )
 
 
-def check_writable(samples: np.ndarray, sample_rate: int, bit_depth: int = 32) -> np.ndarray:
+def check_writable(samples: np.ndarray, sample_rate: int) -> np.ndarray:
     """Raise :class:`WavError` unless :func:`write_wav` can store these
     samples: shape (channels, n) or (n,), a format and length that
-    :func:`check_format` accepts, and every sample finite and, at 32 bits,
-    within the float32 range. Returns the samples as a (channels, n)
-    float64 array."""
+    :func:`check_format` accepts, and every sample finite and within the
+    float32 range. Returns the samples as a (channels, n) float64 array."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples[np.newaxis, :]
     if samples.ndim != 2:
         raise WavError(f"samples must be 1-D or (channels, n), got shape {samples.shape}")
-    check_format(len(samples), sample_rate, bit_depth, samples.shape[1])
+    check_format(len(samples), sample_rate, samples.shape[1])
     peak = np.max(np.abs(samples), initial=0.0)  # nan if any sample is nan
-    if not peak <= np.finfo(np.float32 if bit_depth == 32 else np.float64).max:
-        raise WavError(f"cannot write a sample of magnitude {peak:g} at {bit_depth} bits")
+    if not peak <= np.finfo(np.float32).max:
+        raise WavError(f"cannot write a sample of magnitude {peak:g} at 32 bits")
     return samples
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int, bit_depth: int = 32):
-    """Write samples, shape (channels, n) or (n,), to a WAV file.
+def write_wav(path, samples: np.ndarray, sample_rate: int) -> bool:
+    """Write samples, shape (channels, n) or (n,), to a 32-bit float WAV file.
 
-    ``bit_depth`` 16 and 24 write PCM (values rounded and clipped to
-    [-1, 1]); 32 writes IEEE float32 verbatim. Samples that
-    :func:`check_writable` rejects raise before the file is opened. The
-    file is opened with :func:`open_fresh`; when a write to a fresh file
-    fails, the file is removed before the error propagates.
+    Samples that :func:`check_writable` rejects raise before the file is
+    opened. The file is opened with :func:`open_fresh`; when a write to a
+    fresh file fails, the file is removed before the error propagates.
+    Returns ``fresh``: True when the path now names a file this call
+    created, which a caller may remove; False when it wrote through a link
+    or into a file it may not replace.
     """
-    samples = check_writable(samples, sample_rate, bit_depth)
+    samples = check_writable(samples, sample_rate)
     channels, n = samples.shape
-    interleaved = samples.T.reshape(-1)
-
-    if bit_depth == 32:
-        payload = interleaved.astype("<f4")
-        tag = _FORMAT_FLOAT
-    elif bit_depth == 16:
-        scaled = np.clip(np.round(interleaved * 32768.0), -32768, 32767)
-        payload = scaled.astype("<i2")
-        tag = _FORMAT_PCM
-    else:
-        scaled = np.clip(np.round(interleaved * float(2**23)), -(2**23), 2**23 - 1)
-        values = scaled.astype(np.int64) & 0xFFFFFF
-        payload = np.empty((len(values), 3), dtype=np.uint8)
-        payload[:, 0] = values & 0xFF
-        payload[:, 1] = (values >> 8) & 0xFF
-        payload[:, 2] = (values >> 16) & 0xFF
-        tag = _FORMAT_PCM
-
-    block_align = channels * (bit_depth // 8)
-    byte_rate = sample_rate * block_align
-    headers = struct.pack(
-        "<4sIHHIIHH", b"fmt ", 16, tag, channels, sample_rate, byte_rate, block_align, bit_depth
+    payload = samples.T.reshape(-1).astype("<f4")  # interleaved: frame by frame
+    block_align = 4 * channels
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sII4sI",
+        b"RIFF", _WRITTEN_HEADER + payload.nbytes, b"WAVE",
+        b"fmt ", 16, _FORMAT_FLOAT, channels, sample_rate, sample_rate * block_align, block_align, 32,
+        b"fact", 4, n,
+        b"data", payload.nbytes,
     )
-    if tag == _FORMAT_FLOAT:
-        headers += struct.pack("<4sII", b"fact", 4, n)
-    headers += struct.pack("<4sI", b"data", payload.nbytes)
-    pad = payload.nbytes % 2
-    riff_size = 4 + len(headers) + payload.nbytes + pad
     fh, fresh = open_fresh(path)
     try:
         with fh:
-            fh.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE") + headers)
+            fh.write(header)
             fh.write(payload)
-            fh.write(b"\x00" * pad)
     except BaseException:
         if fresh:  # a failed write (a full disk, say) leaves no partial file behind
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise
+    return fresh
 
 
 def open_fresh(path, mode: str = "wb", encoding: str | None = None):

@@ -759,6 +759,7 @@ class TestErrorContract:
             (["enhance"], ["beamformer = off", "forgetting = 1.5"], "forgetting must be in (0, 1], got 1.5"),
             (["windows", "--tukey-alpha", "0.25"], None, "unrecognized arguments: --tukey-alpha 0.25"),
             (["enhance"], ["tukey_alpha = 0.25"], "unknown config key(s): tukey_alpha"),
+            (["enhance"], ["bit_depth = 16"], "unknown config key(s): bit_depth"),
             (["enhance"], ["= 5"], "line 3: empty key"),
             (["enhance"], ["sample_rate = 0"], "sample_rate: must be >= 1, got 0"),
             (["enhance"], ["stage1 = none"], "stage1: an estimator is required"),
@@ -805,6 +806,7 @@ class TestErrorContract:
             "enhance-forgetting-past-1-without-a-beamformer",
             "windows-tukey-alpha-is-no-flag",
             "enhance-tukey-alpha-is-no-key",
+            "enhance-bit-depth-is-no-key",
             "enhance-empty-key",
             "enhance-sample-rate-0",
             "enhance-stage1-none",
@@ -871,6 +873,31 @@ class TestErrorContract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: [Errno 2] No such file or directory: ")
         assert not out_wav.exists()
+
+    def _fail_report_through(self, tmp_path, scene_dir, capsys, out_wav):
+        report_path = tmp_path / "missing" / "r.json"
+        lines = [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {out_wav}", f"report = {report_path}"]
+        capsys.readouterr()
+        assert main(["enhance", "--config", _write_config(tmp_path / "run.conf", lines)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [Errno 2] No such file or directory: ")
+
+    def test_failed_report_write_keeps_a_symlinked_output(self, tmp_path, scene_dir, capsys):
+        # the WAV was written through the link, into a file this run did not create
+        target, link = tmp_path / "target.wav", tmp_path / "out.wav"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        self._fail_report_through(tmp_path, scene_dir, capsys, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert read_wav(target)[0].shape == (1, read_wav(scene_dir / "mixture.wav")[0].shape[1])
+
+    def test_failed_report_write_keeps_both_names_of_a_hard_linked_output(self, tmp_path, scene_dir, capsys):
+        out_wav, other = tmp_path / "out.wav", tmp_path / "other.wav"
+        out_wav.write_bytes(b"old")
+        os.link(out_wav, other)
+        self._fail_report_through(tmp_path, scene_dir, capsys, out_wav)
+        assert os.path.samefile(out_wav, other)
+        assert read_wav(other)[0].shape == (1, read_wav(scene_dir / "mixture.wav")[0].shape[1])
 
 
 class TestErrorContractProperties:

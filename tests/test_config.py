@@ -33,7 +33,6 @@ class TestBuildJob:
         assert job.pipeline.stage1.kind == "passthrough"
         assert job.pipeline.stage2 is None
         assert job.pipeline.beamformer is None
-        assert job.bit_depth == 32
         assert job.pipeline == PipelineConfig()  # loading, forgetting, ref_mic too
 
     def test_ms_and_samples_units_agree(self):
@@ -58,19 +57,20 @@ class TestBuildJob:
             _job("widnow = tukey\n")
 
     def test_unread_keys_are_refused_sorted(self):
-        with pytest.raises(ConfigError, match="^unknown config key\\(s\\): alpha, update_stride, zeta$"):
-            _job("zeta = 1\nupdate_stride = 4\nalpha = 2\n")
+        # bit_depth is no key: every output is written as float32
+        with pytest.raises(ConfigError, match="^unknown config key\\(s\\): alpha, bit_depth, update_stride, zeta$"):
+            _job("zeta = 1\nupdate_stride = 4\nbit_depth = 16\nalpha = 2\n")
 
     def test_every_key_read_is_known(self):
         keys = {
             "sample_rate": "16000", "window": "tukey",
             "iws_ms": "16", "ows_samples": "64", "hop_ms": "2", "n_dft": "256", "frames_ahead": "0",
             "stage1": "oracle_mag_mask", "beamformer": "woodbury", "stage2": "passthrough:beamformer",
-            "ref_mic": "0", "loading": "1e-6", "forgetting": "1", "bit_depth": "24",
+            "ref_mic": "0", "loading": "1e-6", "forgetting": "1",
             "mixture": "m.wav", "reference": "r.wav", "output": "o.wav", "report": "r.json",
         }
         job = build_job(keys)
-        assert (job.bit_depth, job.reference_path, job.report_path) == (24, "r.wav", "r.json")
+        assert (job.reference_path, job.report_path) == ("r.wav", "r.json")
 
     def test_a_bad_value_is_reported_before_an_unknown_key(self):
         with pytest.raises(ConfigError, match="^n_dft: expected an integer, got 'many'$"):
@@ -138,7 +138,5 @@ class TestBuildJob:
     def test_bad_numbers_name_the_field(self):
         with pytest.raises(ConfigError, match="frames_ahead"):
             _job("frames_ahead = soon\n")
-        with pytest.raises(ConfigError, match="bit_depth"):
-            _job("bit_depth = 20\n")
         with pytest.raises(ConfigError, match="ref_mic"):
             _job("ref_mic = -1\n")

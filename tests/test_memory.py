@@ -13,6 +13,7 @@ from dualwin.estimators import EstimatorKind, _mask_table
 from dualwin.framing import FrameParams, analyze, build_windows
 from dualwin.metrics import _LOSS_STFT, compute_metrics
 from dualwin.pipeline import PipelineConfig, Session
+from dualwin.simulate import make_scene
 from dualwin.windows import TUKEY
 
 MB = 1_000_000
@@ -80,3 +81,11 @@ def test_compute_metrics_peak_is_the_terms_plus_the_primed_pair():
     terms = 3 * (n // params.hop) * params.n_bins * 8
     primed = 2 * (params.iws - params.hop + n) * 8
     assert peak <= terms + primed + MB, (peak, terms, primed)
+
+
+def test_make_scene_peak_is_the_source_images_plus_the_noise_sum():
+    # the target and noise images, then one running noise sum that becomes the
+    # mixture in place: no stack of the noises and no scaled copy of their sum
+    scene, peak = _traced(lambda: make_scene(seed=7, channels=24, n_noises=2))
+    images = 2 + 1  # the target's and the noises'
+    assert peak <= (images + 1) * scene.mixture.nbytes + MB, (peak, scene.mixture.nbytes)

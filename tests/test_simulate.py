@@ -131,6 +131,13 @@ class TestMix:
         resummed = target + scene.noise_scale * np.sum(np.stack(noises), axis=0)
         np.testing.assert_array_equal(scene.mixture, resummed)
 
+    @pytest.mark.parametrize("n_noises", [1, 2, 3, 5])
+    def test_running_noise_sum_equals_the_stacked_sum(self, n_noises):
+        target = self._spatialized(10)
+        noises = [(1 + i) * self._spatialized(11 + i) for i in range(n_noises)]
+        scene = mix(target, noises, -2.0, 16000)
+        assert np.array_equal(scene.mixture, target + scene.noise_scale * np.sum(np.stack(noises), axis=0))
+
     def test_error_contracts(self):
         target = self._spatialized(8)
         with pytest.raises(ValueError, match="at least one noise"):

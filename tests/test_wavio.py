@@ -31,43 +31,37 @@ class TestRoundTrips:
     def test_float32_round_trip_is_bit_exact(self, tmp_path, stereo):
         data = stereo.astype(np.float32).astype(np.float64)
         path = tmp_path / "f32.wav"
-        write_wav(path, data, 16000, bit_depth=32)
+        write_wav(path, data, 16000)
         back, fs = read_wav(path)
         assert fs == 16000
         np.testing.assert_array_equal(back, data)
 
-    def test_16_bit_round_trip_error_bound(self, tmp_path, stereo):
-        path = tmp_path / "i16.wav"
-        write_wav(path, stereo, 16000, bit_depth=16)
-        back, _ = read_wav(path)
-        assert np.max(np.abs(back - stereo)) <= 2.0**-15
-
-    def test_24_bit_round_trip_error_bound(self, tmp_path, stereo):
-        path = tmp_path / "i24.wav"
-        write_wav(path, stereo, 48000, bit_depth=24)
-        back, fs = read_wav(path)
-        assert fs == 48000
-        assert np.max(np.abs(back - stereo)) <= 2.0**-23
-
     def test_mono_signal_round_trip(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 333)
         path = tmp_path / "mono.wav"
-        write_wav(path, x, 8000, bit_depth=32)
+        write_wav(path, x, 8000)
         back, _ = read_wav(path)
         assert back.shape == (1, 333)
 
-    def test_interleaving_matches_stdlib_wave(self, tmp_path, stereo):
-        # independent decoder: the stdlib wave module on the 16-bit file
-        path = tmp_path / "check.wav"
-        write_wav(path, stereo, 16000, bit_depth=16)
-        with wave.open(str(path)) as fh:
-            assert fh.getnchannels() == 2
-            assert fh.getframerate() == 16000
-            raw = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
-        ours, _ = read_wav(path)
-        np.testing.assert_array_equal(
-            raw.reshape(-1, 2).T / 32768.0, ours
-        )
+
+class TestReadingPcm:
+    """PCM comes only from other programs: read files the stdlib wave module wrote."""
+
+    @pytest.mark.parametrize("bits", [16, 24])
+    def test_samples_are_the_integers_over_2_to_the_bits_minus_1(self, tmp_path, bits):
+        rng = np.random.default_rng(bits)
+        ints = rng.integers(-(2 ** (bits - 1)), 2 ** (bits - 1), (2, 300))
+        ints[:, :2] = [[-(2 ** (bits - 1)), 2 ** (bits - 1) - 1]] * 2  # both ends of the range
+        path = tmp_path / "pcm.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(2)
+            fh.setsampwidth(bits // 8)
+            fh.setframerate(48000)
+            fh.writeframes(b"".join(int(v).to_bytes(bits // 8, "little", signed=True) for v in ints.T.ravel()))
+        back, fs = read_wav(path)
+        assert fs == 48000
+        assert back.shape == (2, 300)
+        np.testing.assert_array_equal(back, ints / 2.0 ** (bits - 1))
 
 
 class TestErrors:
@@ -113,10 +107,6 @@ class TestErrors:
         with pytest.raises(WavError, match="data"):
             read_wav(path)
 
-    def test_bad_bit_depth_rejected(self, tmp_path):
-        with pytest.raises(WavError, match="bit depth"):
-            write_wav(tmp_path / "x.wav", np.zeros(10), 16000, bit_depth=12)
-
     @pytest.mark.parametrize(
         "shape, rate",
         [((6, 10), 200_000_000), ((1, 10), 0), ((20_000, 1), 16000)],
@@ -149,22 +139,19 @@ class TestErrors:
         assert not path.exists()
 
     def test_largest_riff_chunk_is_accepted(self):
-        # 16-bit mono: 36 header bytes after the RIFF size field, then 2 bytes per sample
-        n = (0xFFFFFFFF - 36) // 2
-        check_format(1, 16000, 16, n)
+        # float32 mono: 48 header bytes after the RIFF size field, then 4 bytes per sample
+        n = (0xFFFFFFFF - 48) // 4
+        check_format(1, 16000, n)
         with pytest.raises(WavError, match="32-bit chunk sizes"):
-            check_format(1, 16000, 16, n + 1)
+            check_format(1, 16000, n + 1)
 
-    @pytest.mark.parametrize(
-        "value, bit_depth",
-        [(np.nan, 16), (np.nan, 24), (np.nan, 32), (np.inf, 16), (-np.inf, 32), (1e39, 32)],
-    )
-    def test_unwritable_sample_rejected_before_writing(self, tmp_path, stereo, value, bit_depth):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+    def test_unwritable_sample_rejected_before_writing(self, tmp_path, stereo, value):
         path = tmp_path / "x.wav"
         stereo = stereo.copy()
         stereo[1, 250] = value
-        with pytest.raises(WavError, match=f"cannot write a sample of magnitude .* at {bit_depth} bits"):
-            write_wav(path, stereo, 16000, bit_depth=bit_depth)
+        with pytest.raises(WavError, match="cannot write a sample of magnitude .* at 32 bits"):
+            write_wav(path, stereo, 16000)
         assert not path.exists()
 
     def test_largest_float32_is_written(self, tmp_path):
@@ -173,12 +160,6 @@ class TestErrors:
         peak = float(np.finfo(np.float32).max)
         write_wav(path, np.array([peak, -peak]), 16000)
         assert read_wav(path)[0].tolist() == [[peak, -peak]]
-
-    def test_pcm_values_are_clipped_not_wrapped(self, tmp_path):
-        path = tmp_path / "clip.wav"
-        write_wav(path, np.array([2.0, -2.0]), 16000, bit_depth=16)
-        back, _ = read_wav(path)
-        np.testing.assert_allclose(back[0], [32767 / 32768.0, -1.0], atol=1e-12)
 
 
 def _riff(*chunks):
@@ -213,7 +194,8 @@ class TestExtensibleFormat:
         assert len(fmt) == 40
         extensible, plain = tmp_path / "ext.wav", tmp_path / "plain.wav"
         extensible.write_bytes(_riff((b"fmt ", fmt), (b"data", payload)))
-        write_wav(plain, x, 48000, bit_depth=bits)
+        # the plain file: the same first 16 fmt bytes with the tag itself in place of 0xFFFE
+        plain.write_bytes(_riff((b"fmt ", struct.pack("<H", tag) + fmt[2:16]), (b"data", payload)))
         (got, got_rate), (want, want_rate) = read_wav(extensible), read_wav(plain)
         assert got_rate == want_rate == 48000
         assert np.array_equal(got, want) and np.array_equal(got, x)
@@ -282,35 +264,28 @@ class TestDeclaredSizes:
         assert peak < 2**20
 
 
-def _expected_wav(channels, n, rate, bits, payload):
-    """The file ``write_wav`` should write, built field by field."""
-    tag = 3 if bits == 32 else 1
-    block = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+def _expected_wav(channels, n, rate, payload):
+    """The float32 file ``write_wav`` should write, built field by field."""
+    fmt = struct.pack("<HHIIHH", 3, channels, rate, rate * 4 * channels, 4 * channels, 32)
     chunks = b"fmt " + struct.pack("<I", 16) + fmt
-    if bits == 32:
-        chunks += b"fact" + struct.pack("<II", 4, n)
-    pad = b"\x00" if len(payload) % 2 else b""
-    chunks += b"data" + struct.pack("<I", len(payload)) + payload + pad
+    chunks += b"fact" + struct.pack("<II", 4, n)
+    chunks += b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
 class TestWrittenBytes:
-    @pytest.mark.parametrize("bits", [16, 24, 32])
-    @pytest.mark.parametrize("shape", [(1, 301), (2, 300), (2, 0)], ids=["mono-odd", "stereo", "empty"])
-    def test_bytes_match_a_header_built_independently(self, tmp_path, bits, shape):
-        # 24-bit mono of odd length is the one case with a pad byte
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 301), (2, 300), (2, 0), (6, 160), (1, 1), (301,)],
+        ids=["mono-odd", "stereo", "empty", "six-channels", "one-sample", "one-dimensional"],
+    )
+    def test_bytes_match_a_header_built_independently(self, tmp_path, shape):
         x = np.random.default_rng(1).uniform(-0.9, 0.9, shape)
         path = tmp_path / "x.wav"
-        write_wav(path, x, 22050, bit_depth=bits)
-        frames = x.T
-        if bits == 32:
-            payload = frames.astype("<f4").tobytes()
-        elif bits == 16:
-            payload = np.round(frames * 2**15).astype("<i2").tobytes()
-        else:
-            payload = b"".join(int(v).to_bytes(3, "little", signed=True) for v in np.round(frames * 2**23).ravel())
-        assert path.read_bytes() == _expected_wav(shape[0], shape[1], 22050, bits, payload)
+        write_wav(path, x, 22050)
+        frames = np.atleast_2d(x).T  # one row per sample time, channels interleaved
+        payload = b"".join(struct.pack("<f", v) for v in frames.ravel())
+        assert path.read_bytes() == _expected_wav(frames.shape[1], frames.shape[0], 22050, payload)
 
 
 class _DiskFullAfter:
@@ -355,7 +330,7 @@ class TestReplacingAnOutput:
         os.chmod(path, 0o600)
         before = path.read_bytes()
         with open(path, "rb") as old:  # held open, so the old inode's number is not reused
-            write_wav(path, stereo[:, :100], 16000)
+            assert write_wav(path, stereo[:, :100], 16000) is True  # fresh: the caller may remove it
             assert os.fstat(old.fileno()).st_ino != os.stat(path).st_ino
             assert old.read() == before  # replaced, not truncated
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
@@ -365,7 +340,7 @@ class TestReplacingAnOutput:
         target, link = tmp_path / "target.wav", tmp_path / "link.wav"
         write_wav(target, stereo, 16000)
         link.symlink_to(target)
-        write_wav(link, stereo[:, :100], 16000)
+        assert write_wav(link, stereo[:, :100], 16000) is False
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert np.array_equal(read_wav(target)[0], stereo[:, :100].astype(np.float32))
 
@@ -373,7 +348,7 @@ class TestReplacingAnOutput:
         a, b = tmp_path / "a.wav", tmp_path / "b.wav"
         write_wav(a, stereo, 16000)
         os.link(a, b)
-        write_wav(a, stereo[:, :100], 16000)
+        assert write_wav(a, stereo[:, :100], 16000) is False
         assert os.path.samefile(a, b) and a.read_bytes() == b.read_bytes()
         assert np.array_equal(read_wav(b)[0], stereo[:, :100].astype(np.float32))
 
