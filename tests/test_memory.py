@@ -87,5 +87,5 @@ def test_make_scene_peak_is_the_source_images_plus_the_noise_sum():
     # the target and noise images, then one running noise sum that becomes the
     # mixture in place: no stack of the noises and no scaled copy of their sum
     scene, peak = _traced(lambda: make_scene(seed=7, channels=24, n_noises=2))
-    images = 2 + 1  # the target's and the noises'
+    images = 1 + 2  # the target's and the two noises'
     assert peak <= (images + 1) * scene.mixture.nbytes + MB, (peak, scene.mixture.nbytes)

@@ -124,19 +124,14 @@ class TestMix:
         measured = 10 * np.log10(np.mean(scene.target_direct**2) / np.mean(scaled**2))
         assert measured == pytest.approx(snr_db, abs=0.01)
 
-    def test_mixture_resums_exactly(self):
+    @pytest.mark.parametrize("n_noises", [1, 2, 3, 5])
+    def test_mixture_resums_exactly(self, n_noises):
+        # mix adds the noises one by one into a running sum: the bits of summing their stack
         target = self._spatialized(5)
-        noises = [self._spatialized(6), self._spatialized(7)]
+        noises = [(1 + i) * self._spatialized(6 + i) for i in range(n_noises)]
         scene = mix(target, noises, 4.0, 16000)
         resummed = target + scene.noise_scale * np.sum(np.stack(noises), axis=0)
-        np.testing.assert_array_equal(scene.mixture, resummed)
-
-    @pytest.mark.parametrize("n_noises", [1, 2, 3, 5])
-    def test_running_noise_sum_equals_the_stacked_sum(self, n_noises):
-        target = self._spatialized(10)
-        noises = [(1 + i) * self._spatialized(11 + i) for i in range(n_noises)]
-        scene = mix(target, noises, -2.0, 16000)
-        assert np.array_equal(scene.mixture, target + scene.noise_scale * np.sum(np.stack(noises), axis=0))
+        assert np.array_equal(scene.mixture, resummed)
 
     def test_error_contracts(self):
         target = self._spatialized(8)

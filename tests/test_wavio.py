@@ -47,20 +47,23 @@ class TestRoundTrips:
 class TestReadingPcm:
     """PCM comes only from other programs: read files the stdlib wave module wrote."""
 
-    @pytest.mark.parametrize("bits", [16, 24])
-    def test_samples_are_the_integers_over_2_to_the_bits_minus_1(self, tmp_path, bits):
+    @pytest.mark.parametrize(
+        "bits, channels, n", [(16, 2, 300), (24, 2, 300), (24, 1, 301)], ids=["16-bit", "24-bit", "24-bit-odd-data-chunk"]
+    )
+    def test_samples_are_the_integers_over_2_to_the_bits_minus_1(self, tmp_path, bits, channels, n):
         rng = np.random.default_rng(bits)
-        ints = rng.integers(-(2 ** (bits - 1)), 2 ** (bits - 1), (2, 300))
-        ints[:, :2] = [[-(2 ** (bits - 1)), 2 ** (bits - 1) - 1]] * 2  # both ends of the range
+        ints = rng.integers(-(2 ** (bits - 1)), 2 ** (bits - 1), (channels, n))
+        ints[:, :2] = [-(2 ** (bits - 1)), 2 ** (bits - 1) - 1]  # both ends of the range
         path = tmp_path / "pcm.wav"
         with wave.open(str(path), "wb") as fh:
-            fh.setnchannels(2)
+            fh.setnchannels(channels)
             fh.setsampwidth(bits // 8)
             fh.setframerate(48000)
             fh.writeframes(b"".join(int(v).to_bytes(bits // 8, "little", signed=True) for v in ints.T.ravel()))
+        if n * channels * bits // 8 % 2:  # add the pad byte the wave module leaves out, and a chunk after it
+            path.write_bytes(path.read_bytes() + b"\x00" + _riff((b"LIST", b"INFO"))[12:])
         back, fs = read_wav(path)
         assert fs == 48000
-        assert back.shape == (2, 300)
         np.testing.assert_array_equal(back, ints / 2.0 ** (bits - 1))
 
 
