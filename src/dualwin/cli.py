@@ -8,6 +8,7 @@ among them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
@@ -21,7 +22,7 @@ from .estimators import ExternalProtocolError
 from .framing import FrameParams, build_windows
 from .pipeline import ConfigError, PipelineConfig, audit_latency, run_pipeline
 from .simulate import make_scene, scene_samples
-from .wavio import WavError, check_format, check_writable, open_fresh, read_wav, write_wav
+from .wavio import WavError, check_format, check_writable, read_wav, write_fresh, write_wav
 from .windows import WINDOW_NAMES, WindowKind, peak_gain, verify_cola
 
 # make_scene's keywords and defaults: each simulate flag stores into one and takes its default
@@ -65,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ows", type=int, default=FrameParams.ows, help="output window, samples")
     p.add_argument("--hop", type=int, default=FrameParams.hop, help="hop, samples")
     p.add_argument("--n-dft", type=int, default=FrameParams.n_dft)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_windows)
 
     p = sub.add_parser("simulate", help="write a synthetic scene: WAVs + manifest")
@@ -91,42 +90,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit_json(path, payload):
+    """Write ``payload`` as JSON (sorted keys, indent 2, a trailing newline) to ``path`` by
+    :func:`write_fresh`, returning its flag, or with no path to stdout, flushed so that a full
+    or closed stdout fails inside the command."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path:
+        return write_fresh(path, text.encode())
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
+@contextlib.contextmanager
+def _all_or_none():
+    """Yield ``write(writer, path, *args)``, which calls ``writer(path, *args)``, a writer that
+    returns :func:`write_fresh`'s flag; when the block fails, remove the files its writes created."""
+    created = []
+
+    def write(writer, path, *args):
+        if writer(path, *args):
+            created.append(path)
+
+    try:
+        yield write
+    except BaseException:  # a failed command leaves no finished-looking output
+        for path in created:  # never one written through a link, or another's file
+            with contextlib.suppress(OSError):  # the error that ended the block is the one to report
+                os.remove(path)
+        raise
 
 
 def cmd_windows(args) -> int:
     params = FrameParams(iws=args.iws, ows=args.ows, hop=args.hop, n_dft=args.n_dft)
     g, l = build_windows(WindowKind(args.kind), params)
-    residual = verify_cola(g, l, params)
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "kind": args.kind,
-                "iws": args.iws,
-                "ows": args.ows,
-                "hop": args.hop,
-                "n_dft": args.n_dft,
-                "cola_residual": residual,
-                "synthesis_peak_gain": peak_gain(l),
-                "analysis": g.tolist(),
-                "synthesis": l.tolist(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        _write_text(text + "\n", args.out)
-    else:
-        offset = args.iws - args.ows  # synthesis window spans the last ows samples
-        lines = [f"# kind={args.kind} cola_residual={residual:.3e}", "index,analysis,synthesis"]
-        for i, value in enumerate(g):
-            synth = repr(float(l[i - offset])) if i >= offset else ""
-            lines.append(f"{i},{float(value)!r},{synth}")
-        _write_text("\n".join(lines) + "\n", args.out)
+    _emit_json(None, {
+        "kind": args.kind,
+        "iws": args.iws,
+        "ows": args.ows,
+        "hop": args.hop,
+        "n_dft": args.n_dft,
+        "cola_residual": verify_cola(g, l, params),
+        "synthesis_peak_gain": peak_gain(l),
+        "analysis": g.tolist(),
+        "synthesis": l.tolist(),
+    })
     return 0
 
 
@@ -137,10 +144,8 @@ def cmd_simulate(args) -> int:
     for samples in (scene.mixture, scene.target_direct):  # before anything is written
         check_writable(samples, scene.sample_rate)
     os.makedirs(args.out_dir, exist_ok=True)
-    mixture_path = os.path.join(args.out_dir, "mixture.wav")
-    reference_path = os.path.join(args.out_dir, "reference.wav")
-    write_wav(mixture_path, scene.mixture, scene.sample_rate)
-    write_wav(reference_path, scene.target_direct, scene.sample_rate)
+    names = ("mixture.wav", "reference.wav", "scene.json")
+    mixture_path, reference_path, manifest_path = (os.path.join(args.out_dir, name) for name in names)
     manifest = {
         "seed": scene.seed,
         "sample_rate": scene.sample_rate,
@@ -155,10 +160,10 @@ def cmd_simulate(args) -> int:
         ],
         "files": {"mixture": "mixture.wav", "reference": "reference.wav"},
     }
-    manifest_path = os.path.join(args.out_dir, "scene.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _all_or_none() as write:
+        write(write_wav, mixture_path, scene.mixture, scene.sample_rate)
+        write(write_wav, reference_path, scene.target_direct, scene.sample_rate)
+        write(_emit_json, manifest_path, manifest)
     print(f"wrote {mixture_path}, {reference_path}, {manifest_path}")
     return 0
 
@@ -177,28 +182,17 @@ def cmd_enhance(args) -> int:
         if ref_fs != fs:
             raise ConfigError(f"reference sample rate {ref_fs} does not match {fs}")
     enhanced, report = run_pipeline(job.pipeline, mixture, reference)
-    fresh = write_wav(job.output_path, enhanced, fs)
-    payload = {  # shallow: report.config is already the dict run_pipeline built
-        **vars(report),
-        "metrics": None if report.metrics is None else vars(report.metrics),
-        "job": {
-            "mixture": job.mixture_path,
-            "reference": job.reference_path,
-            "output": job.output_path,
-        },
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if job.report_path:
-        try:
-            fh, _ = open_fresh(job.report_path, "w", encoding="utf-8")
-            with fh:
-                fh.write(text)
-        except BaseException:  # a run whose report failed leaves no finished-looking WAV
-            if fresh:  # never one written through a link, or another's file
-                os.remove(job.output_path)
-            raise
-    else:
-        sys.stdout.write(text)
+    with _all_or_none() as write:
+        write(write_wav, job.output_path, enhanced, fs)
+        write(_emit_json, job.report_path, {  # shallow: report.config is already the dict run_pipeline built
+            **vars(report),
+            "metrics": None if report.metrics is None else vars(report.metrics),
+            "job": {
+                "mixture": job.mixture_path,
+                "reference": job.reference_path,
+                "output": job.output_path,
+            },
+        })
     return 0
 
 

@@ -26,11 +26,14 @@ mixture/stage1/beamformer; the mixture at ``ref_mic``), ``oracle_complex``,
 ``none``. At ``frames_ahead`` > 0 the last stage must predict: an oracle, a
 frame file or an external estimator. ``output`` is written as a 32-bit
 float WAV; the mixture and reference may also be 16- or 24-bit PCM.
+Neither ``output`` nor ``report`` may name the same file as another path,
+a frame file's included.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .estimators import EstimatorKind
@@ -189,7 +192,31 @@ def build_job(pairs: dict[str, str]) -> EnhanceJob:
     )
     if pairs:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(pairs))}")
+    paths = {  # checked before anything is read or written, so no write replaces an input or an output
+        "mixture": job.mixture_path,
+        "reference": job.reference_path,
+        "stage1": stage1.path,  # a frame file's, or None
+        "stage2": stage2 and stage2.path,
+        "output": job.output_path,
+        "report": job.report_path,
+    }
+    named = {}
+    for key, path in paths.items():
+        if path:
+            file = _file_id(path)
+            if file in named and key in ("output", "report"):  # inputs may share a file
+                raise ConfigError(f"{key} and {named[file]} name the same file: {path!r}")
+            named.setdefault(file, key)
     return job
+
+
+def _file_id(path):
+    """What names one file: its device and inode if it exists, else its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 def load_job(path) -> EnhanceJob:

@@ -9,10 +9,10 @@ Malformed or truncated files raise :class:`WavError` naming the byte
 offset where parsing failed; float data holding an inf or NaN raises it
 too, and so does writing one.
 
-An output is replaced by a new file, not truncated in place (see
-:func:`open_fresh`), unless it is a link or not this user's to replace,
-which is written through as a plain ``open`` would; a failed write leaves
-no new file behind.
+Every output is written by :func:`write_fresh`: replaced by a new file, not
+truncated in place (see :func:`open_fresh`), unless it is a link or not
+this user's to replace, which is written through as a plain ``open``
+would; a failed write leaves no new file behind.
 """
 
 from __future__ import annotations
@@ -150,11 +150,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int) -> bool:
     """Write samples, shape (channels, n) or (n,), to a 32-bit float WAV file.
 
     Samples that :func:`check_writable` rejects raise before the file is
-    opened. The file is opened with :func:`open_fresh`; when a write to a
-    fresh file fails, the file is removed before the error propagates.
-    Returns ``fresh``: True when the path now names a file this call
-    created, which a caller may remove; False when it wrote through a link
-    or into a file it may not replace.
+    opened. The file is written by :func:`write_fresh`, whose ``fresh`` flag
+    it returns.
     """
     samples = check_writable(samples, sample_rate)
     channels, n = samples.shape
@@ -167,21 +164,29 @@ def write_wav(path, samples: np.ndarray, sample_rate: int) -> bool:
         b"fact", 4, n,
         b"data", payload.nbytes,
     )
+    return write_fresh(path, header, payload)
+
+
+def write_fresh(path, *parts) -> bool:
+    """Write byte ``parts``, in order, to ``path`` opened by :func:`open_fresh`;
+    returns its ``fresh`` flag, True when this call created the file, which
+    the caller may remove. A fresh file whose write fails is removed before
+    the error propagates, so a failed write leaves no partial file behind."""
     fh, fresh = open_fresh(path)
     try:
         with fh:
-            fh.write(header)
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
     except BaseException:
-        if fresh:  # a failed write (a full disk, say) leaves no partial file behind
+        if fresh:
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise
     return fresh
 
 
-def open_fresh(path, mode: str = "wb", encoding: str | None = None):
-    """Open an output for writing as a new file; returns ``(file, fresh)``.
+def open_fresh(path):
+    """Open an output for writing bytes as a new file; returns ``(file, fresh)``.
 
     Truncating a file that holds data makes ext4 (``auto_da_alloc``) start
     its writeback at close, and so does renaming a file over it: replacing an
@@ -192,7 +197,7 @@ def open_fresh(path, mode: str = "wb", encoding: str | None = None):
     created: ``fresh`` is True. Any other path, a symlink, a hard-linked
     file, a device, a FIFO, a file of another user, a read-only file or one
     whose unlink or exclusive create fails, is opened with
-    ``open(path, mode)`` exactly as a plain overwrite, so a link stays a link
+    ``open(path, "wb")`` exactly as a plain overwrite, so a link stays a link
     and its target takes the bytes: ``fresh`` is False.
     """
     try:
@@ -200,7 +205,7 @@ def open_fresh(path, mode: str = "wb", encoding: str | None = None):
     except FileNotFoundError:
         st = None
     except OSError:
-        return open(path, mode, encoding=encoding), False
+        return open(path, "wb"), False
     fd = None
     if st is None or (
         stat.S_ISREG(st.st_mode)
@@ -213,11 +218,11 @@ def open_fresh(path, mode: str = "wb", encoding: str | None = None):
                 os.unlink(path)
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     if fd is None:
-        return open(path, mode, encoding=encoding), False
+        return open(path, "wb"), False
     try:
         if st is not None:
             os.fchmod(fd, stat.S_IMODE(st.st_mode))  # the umask may strip bits the old file had
-        return open(fd, mode, encoding=encoding), True
+        return open(fd, "wb"), True
     except BaseException:
         os.close(fd)
         raise

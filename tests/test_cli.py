@@ -42,19 +42,11 @@ def scene_dir(tmp_path):
 
 
 class TestWindowsCommand:
-    def test_csv_output(self, capsys):
-        assert main(["windows", "--kind", "tukey", "--format", "csv"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert "cola_residual" in lines[0]
-        assert lines[1] == "index,analysis,synthesis"
-        assert len(lines) == 258  # comment + header + 256 samples
-        first = lines[2].split(",")
-        assert first[0] == "0" and float(first[1]) == 0.0 and first[2] == ""
-
-    def test_json_output(self, tmp_path):
-        out = tmp_path / "win.json"
-        assert main(["windows", "--format", "json", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
+    def test_json_output(self, capsys):
+        assert main(["windows"]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("}\n") and text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        payload = json.loads(text)
         assert len(payload["analysis"]) == 256
         assert len(payload["synthesis"]) == 64
         assert payload["cola_residual"] < 1e-10
@@ -71,10 +63,10 @@ class TestWindowsCommand:
         ],
         ids=["tukey-16-4-2", "sqrthann-32-2-2"],
     )
-    def test_synthesis_peak_gain_is_max_abs_l_as_enhance_reports_it(self, tmp_path, scene_dir, kind, geometry):
-        out = tmp_path / "win.json"
-        assert main(["windows", "--kind", kind, *geometry, "--format", "json", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
+    def test_synthesis_peak_gain_is_max_abs_l_as_enhance_reports_it(self, tmp_path, scene_dir, capsys, kind, geometry):
+        capsys.readouterr()
+        assert main(["windows", "--kind", kind, *geometry]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["synthesis_peak_gain"] == max(abs(v) for v in payload["synthesis"])
         assert "tukey_alpha" not in payload
         report_path = tmp_path / "report.json"
@@ -153,6 +145,15 @@ class TestSimulateCommand:
         # one rfft bin falls inside the 200 Hz .. 0.45 fs band at each
         assert main(["simulate", "--out-dir", str(tmp_path / "scene"), *argv]) == 0
         assert (tmp_path / "scene" / "mixture.wav").exists()
+
+    def test_a_failed_manifest_write_exits_2_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        from test_wavio import fail_writes_after
+
+        out = tmp_path / "scene"
+        fail_writes_after(monkeypatch, 100, suffix=".json")  # inside the manifest
+        assert main(["simulate", "--out-dir", str(out), "--duration", "0.1"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert list(out.iterdir()) == []
 
 
 class TestEnhanceCommand:
@@ -455,6 +456,124 @@ class TestOverwritingOutputs:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: [Errno 28] No space left on device"]
         assert not out_wav.exists() and not report.exists()
+
+    def test_a_failed_report_write_exits_2_and_leaves_no_file(self, tmp_path, scene_dir, capsys, monkeypatch):
+        from test_wavio import fail_writes_after
+
+        out_wav, report = tmp_path / "out.wav", tmp_path / "report.json"
+        fail_writes_after(monkeypatch, 100, suffix=".json")  # inside the report, after the whole WAV
+        capsys.readouterr()
+        assert self._run(tmp_path, scene_dir, out_wav, report) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert not out_wav.exists() and not report.exists()
+
+    @pytest.mark.parametrize("which", ["output", "report"])
+    def test_an_output_path_under_a_regular_file_exits_2(self, tmp_path, scene_dir, capsys, which):
+        (tmp_path / "file").write_bytes(b"")
+        out_wav, report = tmp_path / "out.wav", tmp_path / "report.json"
+        paths = {"output": out_wav, "report": report}
+        paths[which] = tmp_path / "file" / "x"
+        capsys.readouterr()
+        assert self._run(tmp_path, scene_dir, paths["output"], paths["report"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [Errno 20] Not a directory: {str(paths[which])!r}"]
+        assert not out_wav.exists() and not report.exists()
+
+    def test_a_failed_report_to_stdout_exits_2_and_leaves_no_wav(self, tmp_path, scene_dir, capsys, monkeypatch):
+        class FullStdout(io.StringIO):
+            def flush(self):
+                raise OSError(28, os.strerror(28))
+
+        out_wav = tmp_path / "out.wav"
+        lines = [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {out_wav}"]
+        config = _write_config(tmp_path / "run.conf", lines)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["enhance", "--config", config]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert not out_wav.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_report_to_a_full_stdout_exits_2_and_leaves_no_wav(self, tmp_path, scene_dir):
+        out_wav = tmp_path / "out.wav"
+        lines = [f"mixture = {scene_dir / 'mixture.wav'}", f"output = {out_wav}"]
+        config = _write_config(tmp_path / "run.conf", lines)
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dualwin.cli", "enhance", "--config", config],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert not out_wav.exists()
+
+
+class TestCollidingPaths:
+    """``enhance`` refuses a job whose output or report names the same file as
+    another of its paths, a frame file's included, before it reads or writes anything."""
+
+    @staticmethod
+    def _files(root):
+        return {p: (p.is_symlink(), p.read_bytes()) for p in sorted(root.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize(
+        "paths, cause",
+        [
+            ({"output": "out.wav", "report": "out.wav"}, "report and output"),
+            ({"output": "new.wav", "report": "new.wav"}, "report and output"),
+            ({"output": "scene/mixture.wav", "report": "report.json"}, "output and mixture"),
+            ({"output": "scene/reference.wav", "report": "report.json"}, "output and reference"),
+            ({"output": "out.wav", "report": "scene/mixture.wav"}, "report and mixture"),
+            ({"output": "scene/../scene/mixture.wav"}, "output and mixture"),
+            ({"output": "symlink.wav"}, "output and mixture"),
+            ({"output": "hardlink.wav"}, "output and mixture"),
+            ({"output": "frames.npz", "stage1": "frames.npz"}, "output and stage1"),
+            ({"output": "out.wav", "stage2": "frames.npz", "report": "frames.npz"}, "report and stage2"),
+        ],
+        ids=[
+            "output-is-report",
+            "new-output-is-report",
+            "output-is-mixture",
+            "output-is-reference",
+            "report-is-mixture",
+            "output-is-mixture-by-another-path",
+            "output-symlinked-to-mixture",
+            "output-hard-linked-to-mixture",
+            "output-is-a-stage1-frame-file",
+            "report-is-a-stage2-frame-file",
+        ],
+    )
+    def test_exits_1_and_changes_no_file(self, tmp_path, scene_dir, capsys, paths, cause):
+        (tmp_path / "out.wav").write_bytes(b"an earlier output")
+        (tmp_path / "frames.npz").write_bytes(b"a frame file")
+        (tmp_path / "symlink.wav").symlink_to(scene_dir / "mixture.wav")
+        os.link(scene_dir / "mixture.wav", tmp_path / "hardlink.wav")
+        values = {"mixture": scene_dir / "mixture.wav", "reference": scene_dir / "reference.wav"}
+        values["stage1"] = "oracle_complex"
+        for key, name in paths.items():  # a stage names a frame file
+            values[key] = f"file:{tmp_path / name}" if key.startswith("stage") else tmp_path / name
+        config = _write_config(tmp_path / "run.conf", [f"{key} = {value}" for key, value in values.items()])
+        before = self._files(tmp_path)
+        capsys.readouterr()
+        assert main(["enhance", "--config", config]) == 1
+        err = capsys.readouterr().err.splitlines()
+        written = paths["report" if cause.startswith("report") else "output"]
+        assert err == [f"error: {cause} name the same file: {str(tmp_path / written)!r}"]
+        assert self._files(tmp_path) == before
+
+    def test_a_mixture_may_be_its_own_reference(self, tmp_path, capsys):
+        mono = _write_noise_wav(tmp_path / "mono.wav")
+        write_wav(mono, read_wav(mono)[0][:1], 16000)
+        lines = [
+            f"mixture = {mono}",
+            f"reference = {mono}",
+            f"output = {tmp_path / 'out.wav'}",
+            "stage1 = oracle_complex",
+        ]
+        assert main(["enhance", "--config", _write_config(tmp_path / "run.conf", lines)]) == 0
+        assert np.array_equal(read_wav(tmp_path / "out.wav")[0], read_wav(mono)[0])
 
 
 class TestBlasThreads:
@@ -760,6 +879,14 @@ class TestErrorContract:
             (["windows", "--tukey-alpha", "0.25"], None, "unrecognized arguments: --tukey-alpha 0.25"),
             (["enhance"], ["tukey_alpha = 0.25"], "unknown config key(s): tukey_alpha"),
             (["enhance"], ["bit_depth = 16"], "unknown config key(s): bit_depth"),
+            (["windows", "--format", "json"], None, "unrecognized arguments: --format json"),
+            (["windows", "--out", "x"], None, "unrecognized arguments: --out x"),
+            (
+                ["enhance"],
+                ["window = hamming"],
+                "window: unknown window kind 'hamming', expected one of ('sqrthann', 'asqrthann', 'rect', 'tukey')",
+            ),
+            (["enhance"], ["loading = abc"], "loading: expected a finite number, got 'abc'"),
             (["enhance"], ["= 5"], "line 3: empty key"),
             (["enhance"], ["sample_rate = 0"], "sample_rate: must be >= 1, got 0"),
             (["enhance"], ["stage1 = none"], "stage1: an estimator is required"),
@@ -807,6 +934,10 @@ class TestErrorContract:
             "windows-tukey-alpha-is-no-flag",
             "enhance-tukey-alpha-is-no-key",
             "enhance-bit-depth-is-no-key",
+            "windows-format-is-no-flag",
+            "windows-out-is-no-flag",
+            "enhance-unknown-window",
+            "enhance-loading-not-a-number",
             "enhance-empty-key",
             "enhance-sample-rate-0",
             "enhance-stage1-none",
@@ -974,7 +1105,7 @@ class TestArgumentHandling:
 
         monkeypatch.setattr(parser, "parse_args", counting)
         assert main(["windows", "--no-such-flag"]) == 1
-        assert main(["windows", "--format", "json"]) == 0
+        assert main(["windows"]) == 0
         assert main(["transmogrify"]) == 1
         assert cli.build_parser() is parser
         assert len(seen) == 3

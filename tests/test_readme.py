@@ -51,3 +51,20 @@ def test_readme_config_refuses_a_horizon_its_last_stage_cannot_predict(tmp_path,
     assert main(["enhance", "--config", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: frames_ahead > 0 needs a last stage that predicts")
+
+
+def _readme_cli_lines():
+    """The ``dualwin …`` lines of the README's CLI block, trailing comments cut."""
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", README.read_text(), re.M | re.S).group(1)
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines() if line.startswith("dualwin ")]
+
+
+def test_readme_cli_lines_run_as_written(tmp_path, monkeypatch, capsys):
+    # run.conf is the README's config, whose paths are the simulate line's scene directory
+    lines = _readme_cli_lines()
+    assert [argv[0] for argv in lines] == ["windows", "simulate", "enhance", "latency-check"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(_readme_config(), encoding="utf-8")
+    for argv in lines:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    assert all((tmp_path / name).is_file() for name in ("scene/scene.json", "enhanced.wav", "report.json"))

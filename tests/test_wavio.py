@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dualwin import wavio
-from dualwin.wavio import WavError, check_format, check_writable, open_fresh, read_wav, write_wav
+from dualwin.wavio import WavError, check_format, check_writable, read_wav, write_fresh, write_wav
 
 
 @pytest.fixture
@@ -312,13 +312,14 @@ class _DiskFullAfter:
         self.fh.close()
 
 
-def fail_writes_after(monkeypatch, limit):
-    """Make every :func:`write_wav` fail with ENOSPC after ``limit`` bytes."""
+def fail_writes_after(monkeypatch, limit, suffix=""):
+    """Make every :func:`write_fresh` to a path ending in ``suffix`` fail
+    with ENOSPC after ``limit`` bytes."""
     real = wavio.open_fresh
 
-    def opened(path, *args, **kwargs):
-        fh, fresh = real(path, *args, **kwargs)
-        return _DiskFullAfter(fh, limit), fresh
+    def opened(path):
+        fh, fresh = real(path)
+        return (_DiskFullAfter(fh, limit) if str(path).endswith(suffix) else fh), fresh
 
     monkeypatch.setattr(wavio, "open_fresh", opened)
 
@@ -395,14 +396,12 @@ class TestReplacingAnOutput:
         write_wav(other, stereo[:, :10], 16000)
         assert blob == other.read_bytes()
 
-    def test_text_output_is_fresh_and_keeps_its_mode(self, tmp_path):
+    def test_parts_are_written_in_order_to_a_fresh_file_with_the_old_mode(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text("old and longer\n")
         os.chmod(path, 0o640)
-        fh, fresh = open_fresh(path, "w", encoding="utf-8")
-        with fh:
-            fh.write("new\n")
-        assert fresh and path.read_text() == "new\n" and stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert write_fresh(path, b"ne", memoryview(b"w\n"), b"") is True
+        assert path.read_bytes() == b"new\n" and stat.S_IMODE(os.stat(path).st_mode) == 0o640
 
     def test_directory_raises_what_open_raises(self, tmp_path, stereo):
         with pytest.raises(IsADirectoryError):
